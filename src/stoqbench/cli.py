@@ -45,11 +45,11 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, args, inputs, seed=None):
+def _write_manifest(out_path, argv, inputs, seed=None):
     manifest = {
         "tool": "stoqbench",
         "version": __version__,
-        "command": sys.argv[1:] if sys.argv[0].endswith(("stoqbench", "cli.py")) else list(args),
+        "command": list(argv),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "seed": seed,
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -82,28 +82,28 @@ def _parse_witness(text: str) -> int:
 # subcommands
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, argv) -> int:
     if args.gen_kind == "from-dimacs":
         with open(args.dimacs, encoding="utf-8") as fh:
             inst = instances.from_dimacs(fh.read())
         instances.save(inst, args.out)
-        _write_manifest(args.out, sys.argv, [args.dimacs])
+        _write_manifest(args.out, argv, [args.dimacs])
     elif args.gen_kind == "random":
         inst = instances.random_projector_instance(
             args.n, args.k, args.terms, args.seed)
         instances.save(inst, args.out)
-        _write_manifest(args.out, sys.argv, [], seed=args.seed)
+        _write_manifest(args.out, argv, [], seed=args.seed)
     elif args.gen_kind == "cnf-ensemble":
         with open(args.cnf, encoding="utf-8") as fh:
             text = fh.read()
         q_vars = [int(v) for v in args.q_vars.split(",")] if args.q_vars else []
         ens = estimators.cnf_ensemble_from_dimacs(text, q_vars)
         instances.save(ens, args.out)
-        _write_manifest(args.out, sys.argv, [args.cnf])
+        _write_manifest(args.out, argv, [args.cnf])
     return EXIT_OK
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args, argv) -> int:
     if args.to in ("clock", "6sat"):
         circ = circuits.load_circuit(args.circuit)
         compiled = clock.compile_circuit(circ, x=args.input)
@@ -114,7 +114,7 @@ def cmd_compile(args) -> int:
         else:
             inst = clock.export_6sat(compiled, epsilon=args.epsilon)
         instances.save(inst, args.out)
-        _write_manifest(args.out, sys.argv, [args.circuit])
+        _write_manifest(args.out, argv, [args.circuit])
     elif args.to == "verifier":
         h = instances.load(args.instance)
         if not isinstance(h, instances.LhMinInstance):
@@ -137,14 +137,14 @@ def cmd_compile(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-        _write_manifest(args.out, sys.argv, [args.instance])
+        _write_manifest(args.out, argv, [args.instance])
     else:
         print(f"unknown compile target {args.to!r}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, argv) -> int:
     inst = instances.load(args.instance)
     if isinstance(inst, instances.StoqSatInstance):
         op = walk.build_G(inst)
@@ -169,11 +169,11 @@ def cmd_spectrum(args) -> int:
         rows.append(["max", res_max.value])
     _write_csv(args.out, ["quantity", "value"], rows)
     if args.out != "-":
-        _write_manifest(args.out, sys.argv, [args.instance], seed=args.seed)
+        _write_manifest(args.out, argv, [args.instance], seed=args.seed)
     return EXIT_OK
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args, argv) -> int:
     inst = instances.load(args.instance)
     if not isinstance(inst, instances.StoqSatInstance):
         print("prove needs a stoq-sat instance", file=sys.stderr)
@@ -191,7 +191,7 @@ def cmd_prove(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    _write_manifest(args.out, sys.argv, [args.instance], seed=args.seed)
+    _write_manifest(args.out, argv, [args.instance], seed=args.seed)
     return EXIT_PROMISE if hw.looks_unsat else EXIT_OK
 
 
@@ -203,7 +203,7 @@ def _load_witness(text: str) -> int:
             return int(json.load(fh)["argmax"])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, argv) -> int:
     inst = instances.load(args.instance)
     if not isinstance(inst, instances.StoqSatInstance):
         print("verify needs a stoq-sat instance", file=sys.stderr)
@@ -212,16 +212,12 @@ def cmd_verify(args) -> int:
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
     config = walk.WalkConfig(steps=steps, seed=args.seed)
     runner = walk.WalkRunner(inst, config.eta_walk)
-    rows = []
-    transcripts = []
-    for i in range(args.trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(args.seed, spawn_key=(i, 0)))
-        t = runner._run_with_rng(witness, config, rng)
-        rows.append([i, int(t.accepted), len(t.visited) - 1,
-                     t.reject_step if t.reject_step is not None else "",
-                     t.reject_reason or "", t.log_r_sum])
-        transcripts.append(t)
+    transcripts = [votes[0] for votes in
+                   runner.trials(witness, config, args.trials)]
+    rows = [[i, int(t.accepted), len(t.visited) - 1,
+             t.reject_step if t.reject_step is not None else "",
+             t.reject_reason or "", t.log_r_sum]
+            for i, t in enumerate(transcripts)]
     accepted = sum(int(t.accepted) for t in transcripts)
     rate, lo, hi = walk.wilson_interval(accepted, args.trials)
     rows.append(["rate", rate, lo, hi, accepted, args.trials])
@@ -233,11 +229,11 @@ def cmd_verify(args) -> int:
                 fh.write(t.to_json())
                 fh.write("\n")
     if args.out != "-":
-        _write_manifest(args.out, sys.argv, [args.instance], seed=args.seed)
+        _write_manifest(args.out, argv, [args.instance], seed=args.seed)
     return EXIT_OK
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args, argv) -> int:
     inst = instances.load(args.instance)
     if not isinstance(inst, instances.LhMinInstance):
         print("trace needs an lh-min instance", file=sys.stderr)
@@ -250,11 +246,11 @@ def cmd_trace(args) -> int:
     _write_csv(args.out, ["L", "value", "stderr", "mode", "mu_yes", "mu_no",
                           "bound_yes", "bound_no"], rows)
     if args.out != "-":
-        _write_manifest(args.out, sys.argv, [args.instance], seed=args.seed)
+        _write_manifest(args.out, argv, [args.instance], seed=args.seed)
     return EXIT_OK
 
 
-def cmd_ensemble(args) -> int:
+def cmd_ensemble(args, argv) -> int:
     ens = instances.load(args.instance)
     if not isinstance(ens, instances.DisorderEnsemble):
         print("ensemble needs an ensemble instance", file=sys.stderr)
@@ -282,7 +278,7 @@ def cmd_ensemble(args) -> int:
         rows.append(["decision", "", decision])
     _write_csv(args.out, ["sample_index", "r", "lambda"], rows)
     if args.out != "-":
-        _write_manifest(args.out, sys.argv, [args.instance], seed=args.seed)
+        _write_manifest(args.out, argv, [args.instance], seed=args.seed)
     return code
 
 
@@ -343,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--steps", type=int, default=0)
     v.add_argument("--seed", type=int, required=True)
     v.add_argument("--transcripts", default="", help="JSONL transcript path")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", default="-")
     v.set_defaults(func=cmd_verify)
 
@@ -364,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--decide", action="store_true")
     e.add_argument("--lambda-yes", type=float, default=0.0)
     e.add_argument("--lambda-no", type=float, default=1.0)
-    e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--out", default="-")
     e.set_defaults(func=cmd_ensemble)
 
@@ -372,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, argv)
     except (OSError, ValueError, instances.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -25,14 +27,11 @@ from .instances import StoqSatInstance
 class WalkConfig:
     steps: int
     seed: int = 0
-    sampling_delta: float = 0.0
     eta_walk: float = 1e-9
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.sampling_delta < 0:
-            raise ValueError("sampling_delta must be >= 0")
         if self.eta_walk <= 0:
             raise ValueError("eta_walk must be positive")
 
@@ -83,17 +82,22 @@ def required_steps(n: int, epsilon: float, m: int) -> int:
 
 
 class WalkRunner:
-    """Protocol executor with per-string memoization of transition data.
+    """Protocol executor: one trial engine over compiled rows of G.
 
     The per-string work (diagonal checks, neighborhoods, transition
-    weights) is deterministic, so repeated trials share it.
+    weights) is deterministic, so each string is compiled once, on its
+    first visit, and every later trial walks the cached row.
     """
 
     def __init__(self, instance: StoqSatInstance, eta_walk: float = 1e-9):
         self.instance = instance
         self.eta = eta_walk
         self.g = build_G(instance)
-        self._cache: dict = {}
+        self._dim = 2**instance.n
+        # compiled rows and reject reasons are kept apart so that the
+        # per-step lookup of a cached row is one dict get
+        self._rows: dict = {}
+        self._rejects: dict = {}
 
     # -- per-string protocol data ------------------------------------------
 
@@ -143,68 +147,102 @@ class WalkRunner:
             alphas.append(alpha)
         return ys, ps, rs, alphas
 
-    def _step_data(self, x: int):
-        """Cached per-string record: (diag_ok, ys, cumulative, ps, rs, sum_ok)."""
-        rec = self._cache.get(x)
-        if rec is None:
-            diag_ok = self.diag_positive(x)
-            if not diag_ok:
-                rec = (False, None, None, None, None, False)
-            else:
-                ys, ps, rs, _ = self.transition_probabilities(x)
-                total = sum(ps)
-                sum_ok = (abs(total - 1.0) <= self.eta * max(1, len(ys))
-                          and all(p >= 0.0 for p in ps))
-                cum = np.cumsum(ps) if ys else np.zeros(0)
-                rec = (True, ys, cum, ps, rs, sum_ok)
-            self._cache[x] = rec
-        return rec
+    def _row(self, x: int):
+        """The compiled row of string x, or the reason the walk rejects there.
+
+        Each string is compiled once, on its first visit.  A row is
+        (bounds, moves, delta): the cumulative transition weights without
+        the last one, so that bisect_left over them picks the same
+        neighbour as np.searchsorted over all of them clamped to the last;
+        one (y, log r) pair per neighbour in ascending y order, with log r
+        None where r <= 0, which rejects as unnormalized when drawn; and
+        the per-step sampling error bound len(ys) * 2^-53.
+        """
+        reason = self._rejects.get(x)
+        if reason is not None:
+            return reason
+        if not self.diag_positive(x):
+            reason = "diag-zero"
+        else:
+            ys, ps, rs, _ = self.transition_probabilities(x)
+            if (abs(sum(ps) - 1.0) <= self.eta * max(1, len(ys))
+                    and all(p >= 0.0 for p in ps)):
+                row = (np.cumsum(ps).tolist()[:-1],
+                       [(y, math.log(r) if r > 0.0 else None)
+                        for y, r in zip(ys, rs)],
+                       len(ys) * 2.0**-53)
+                self._rows[x] = row
+                return row
+            reason = "unnormalized"
+        self._rejects[x] = reason
+        return reason
 
     # -- protocol ----------------------------------------------------------
 
     def run(self, witness: int, config: WalkConfig) -> WalkTranscript:
-        if not 0 <= witness < 2**self.instance.n:
-            raise ValueError("witness out of range")
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed))
         return self._run_with_rng(witness, config, rng)
 
+    def trials(self, witness: int, config: WalkConfig, count: int,
+               majority: int = 1):
+        """Yield trials 0..count-1, each as the list of its ``majority``
+        transcripts; vote v of trial i walks on the child seed
+        (config.seed, i, v), so every trial is a pure function of
+        (instance, witness, config, i, v)."""
+        if count < 1:
+            raise ValueError("trials must be >= 1")
+        for i in range(count):
+            yield [self._run_with_rng(witness, config, np.random.default_rng(
+                np.random.SeedSequence(config.seed, spawn_key=(i, v))))
+                for v in range(majority)]
+
     def _run_with_rng(self, witness: int, config: WalkConfig, rng) -> WalkTranscript:
+        """One trial, Steps 1-11: the protocol's only per-step loop."""
+        if not 0 <= witness < self._dim:
+            raise ValueError(f"witness {witness} out of range "
+                             f"[0, 2^{self.instance.n})")
+        rows = self._rows
         L = config.steps
         x = witness
         visited = [x]
         log_r_sum = 0.0
-        draws = 0
         delta = 0.0
-        for j in range(L + 1):
-            diag_ok, ys, cum, ps, rs, sum_ok = self._step_data(x)
-            if not diag_ok:
-                return WalkTranscript(visited, log_r_sum, False, j, "diag-zero",
-                                      draws, delta)
-            if not sum_ok:
-                return WalkTranscript(visited, log_r_sum, False, j, "unnormalized",
-                                      draws, delta)
-            if j == L:
-                break
+        row = rows.get(x) or self._row(x)
+        if isinstance(row, str):
+            return WalkTranscript(visited, log_r_sum, False, 0, row, 0, delta)
+        for j, u in enumerate(chain.from_iterable(_uniforms(rng, L))):
+            bounds, moves, d = row
             # Step 8: seeded inverse CDF over the checked distribution
-            u = rng.random()
-            draws += 1
-            idx = int(np.searchsorted(cum, u, side="left"))
-            if idx >= len(ys):
-                idx = len(ys) - 1
-            delta += len(ys) * 2.0**-53
-            r = rs[idx]
-            if r <= 0.0:
-                return WalkTranscript(visited, log_r_sum, False, j, "unnormalized",
-                                      draws, delta)
-            log_r_sum += math.log(r)
-            x = ys[idx]
+            x, log_r = moves[bisect_left(bounds, u)]
+            delta += d
+            if log_r is None:
+                return WalkTranscript(visited, log_r_sum, False, j,
+                                      "unnormalized", j + 1, delta)
+            log_r_sum += log_r
             visited.append(x)
+            row = rows.get(x)
+            if row is None:
+                row = self._row(x)
+                if isinstance(row, str):
+                    return WalkTranscript(visited, log_r_sum, False, j + 1,
+                                          row, j + 1, delta)
         if log_r_sum > config.eta_walk * L:
             return WalkTranscript(visited, log_r_sum, False, L,
-                                  "product-exceeds-one", draws, delta)
-        return WalkTranscript(visited, log_r_sum, True, rng_draws=draws,
+                                  "product-exceeds-one", L, delta)
+        return WalkTranscript(visited, log_r_sum, True, rng_draws=L,
                               sampling_delta=delta)
+
+
+def _uniforms(rng, L: int):
+    """Yield a trial's L uniforms as lists of doubling length from 32, so a
+    walk that stops early draws few.  The floats are those of L scalar
+    rng.random() calls."""
+    start, size = 0, 32
+    while start < L:
+        yield rng.random(min(size, L - start)).tolist()
+        start += size
+        size *= 2
 
 
 def run_walk(instance: StoqSatInstance, witness: int,
@@ -245,22 +283,12 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
     repeats each trial and takes a majority vote (the amplification
     wrapper for delta-perturbed sampling).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if runner is None:
         runner = WalkRunner(instance, config.eta_walk)
     accepted = 0
-    for i in range(trials):
-        votes = 0
-        used_rng = False
-        for v in range(majority):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(config.seed, spawn_key=(i, v)))
-            t = runner._run_with_rng(witness, config, rng)
-            used_rng = used_rng or t.rng_draws > 0
-            votes += int(t.accepted)
-        outcome = votes * 2 > majority
-        if i == 0 and not used_rng:
+    for i, votes in enumerate(runner.trials(witness, config, trials, majority)):
+        outcome = sum(t.accepted for t in votes) * 2 > majority
+        if i == 0 and not any(t.rng_draws for t in votes):
             # no randomness consumed: every trial is identical
             acc = trials if outcome else 0
             rate, lo, hi = (1.0, 1.0, 1.0) if outcome else (0.0, 0.0, 0.0)

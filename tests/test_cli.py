@@ -201,6 +201,36 @@ class TestTraceAndEnsemble:
 
 
 class TestRobustness:
+    @pytest.mark.parametrize("witness", ["8", "99", "-1"])
+    def test_verify_witness_out_of_range(self, sat_instance, tmp_path, capsys,
+                                         witness):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--instance", sat_instance, "--witness",
+                     witness, "--trials", "5", "--seed", "0",
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "out of range" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_nonpositive_trials(self, sat_instance, tmp_path, capsys,
+                                       trials):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--instance", sat_instance, "--witness", "6",
+                     "--trials", trials, "--seed", "0",
+                     "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+        assert not (tmp_path / "v.csv.manifest.json").exists()
+
+    def test_manifest_records_argv_of_main(self, sat_instance, tmp_path):
+        out = str(tmp_path / "v.csv")
+        argv = ["verify", "--instance", sat_instance, "--witness", "6",
+                "--trials", "3", "--seed", "1", "--out", out]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["command"] == argv
+
     def test_wrong_instance_kind(self, sat_instance, tmp_path):
         assert main(["trace", "--instance", sat_instance,
                      "--out", str(tmp_path / "t.csv")]) == EXIT_ERROR

@@ -1,13 +1,21 @@
+import dataclasses
+import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stoqbench import (LocalOperator, StoqSatInstance, WalkConfig, WalkRunner,
-                       acceptance_rate, assemble_dense, build_G, from_dimacs,
-                       honest_witness, required_steps, run_walk,
+from stoqbench import (Gate, LocalOperator, StoqSatInstance, VerifierCircuit,
+                       WalkConfig, WalkRunner, WalkTranscript, acceptance_rate, assemble_dense,
+                       build_G, compile_circuit, export_6sat, from_dimacs,
+                       honest_witness, random_projector_instance,
+                       required_steps, run_walk, save_circuit,
                        wilson_interval)
+from stoqbench.cli import main as cli_main
 from conftest import plus_instance
+from test_acceptance import planted_sat_dimacs, rejecting_circuits
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 SAT_3 = "p cnf 3 3\n1 2 0\n-1 3 0\n2 -3 0\n"
@@ -180,3 +188,132 @@ class TestWilson:
         _, lo1, hi1 = wilson_interval(10, 20)
         _, lo2, hi2 = wilson_interval(1000, 2000)
         assert (hi2 - lo2) < (hi1 - lo1)
+
+
+def reference_trial(runner, witness, config, rng):
+    """The trial loop the compiled-row engine replaced: transition data per
+    step, np.searchsorted over the cumulative weights and one scalar draw
+    per step.  Per-string data is memoized only to keep the test fast."""
+    if not 0 <= witness < 2**runner.instance.n:
+        raise ValueError("witness out of range")
+    data = {}
+    L = config.steps
+    x = witness
+    visited = [x]
+    log_r_sum = 0.0
+    draws = 0
+    delta = 0.0
+    for j in range(L + 1):
+        if x not in data:
+            diag_ok = runner.diag_positive(x)
+            data[x] = (diag_ok, *(runner.transition_probabilities(x)[:3]
+                                  if diag_ok else ([], [], [])))
+        diag_ok, ys, ps, rs = data[x]
+        if not diag_ok:
+            return WalkTranscript(visited, log_r_sum, False, j, "diag-zero",
+                                  draws, delta)
+        if not (abs(sum(ps) - 1.0) <= runner.eta * max(1, len(ys))
+                and all(p >= 0.0 for p in ps)):
+            return WalkTranscript(visited, log_r_sum, False, j,
+                                  "unnormalized", draws, delta)
+        if j == L:
+            break
+        u = rng.random()
+        draws += 1
+        idx = int(np.searchsorted(np.cumsum(ps), u, side="left"))
+        if idx >= len(ys):
+            idx = len(ys) - 1
+        delta += len(ys) * 2.0**-53
+        r = rs[idx]
+        if r <= 0.0:
+            return WalkTranscript(visited, log_r_sum, False, j,
+                                  "unnormalized", draws, delta)
+        log_r_sum += math.log(r)
+        x = ys[idx]
+        visited.append(x)
+    if log_r_sum > config.eta_walk * L:
+        return WalkTranscript(visited, log_r_sum, False, L,
+                              "product-exceeds-one", draws, delta)
+    return WalkTranscript(visited, log_r_sum, True, rng_draws=draws,
+                          sampling_delta=delta)
+
+
+@functools.lru_cache(maxsize=None)
+def soundness_exports():
+    """Two of the clock exports of acceptance criterion 2."""
+    return tuple(export_6sat(compile_circuit(v, x))
+                 for v, x in rejecting_circuits()[1:3])
+
+
+@st.composite
+def small_instances(draw):
+    kind = draw(st.sampled_from(["cnf", "plus", "random"]))
+    n = draw(st.integers(3 if kind == "cnf" else 2, 6))
+    if kind == "cnf":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        text, _ = planted_sat_dimacs(n, draw(st.integers(1, 2 * n)), rng)
+        return from_dimacs(text)
+    if kind == "plus":
+        supports = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                     unique=True), min_size=1, max_size=4))
+        return plus_instance(n, supports)
+    return random_projector_instance(n, draw(st.integers(1, min(3, n))),
+                                     draw(st.integers(1, 4)),
+                                     draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_engine_matches_reference(inst, data):
+    witness = data.draw(st.integers(0, 2**inst.n - 1), label="witness")
+    config = WalkConfig(steps=data.draw(st.integers(1, 200), label="steps"),
+                        seed=data.draw(st.integers(0, 2**63 - 1), label="seed"))
+    count = data.draw(st.integers(1, 3), label="trials")
+    majority = data.draw(st.integers(1, 3), label="majority")
+    runner = WalkRunner(inst)
+    ref = WalkRunner(inst)
+    for i, votes in enumerate(runner.trials(witness, config, count, majority)):
+        assert len(votes) == majority
+        for v, t in enumerate(votes):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(config.seed, spawn_key=(i, v)))
+            expect = reference_trial(ref, witness, config, rng)
+            assert dataclasses.asdict(t) == dataclasses.asdict(expect)
+    expect = reference_trial(ref, witness, config, np.random.default_rng(
+        np.random.SeedSequence(config.seed)))
+    assert dataclasses.asdict(runner.run(witness, config)) \
+        == dataclasses.asdict(expect)
+
+
+class TestEngineEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(small_instances(), st.data())
+    def test_matches_reference_loop(self, inst, data):
+        assert_engine_matches_reference(inst, data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([0, 1]), st.data())
+    def test_matches_reference_loop_on_clock_exports(self, which, data):
+        assert_engine_matches_reference(soundness_exports()[which], data)
+
+    def test_verify_output_pinned(self, tmp_path):
+        """verify CSV and transcripts of a clock export, as written before
+        the compiled-row engine."""
+        circ = str(tmp_path / "c.json")
+        save_circuit(VerifierCircuit(1, 1, 1, 0, (Gate("X", (2,)),
+                                                  Gate("X", (2,))),
+                                     out_basis="zero"), circ)
+        sat = str(tmp_path / "sat.json")
+        assert cli_main(["compile", "--circuit", circ, "--to", "6sat",
+                         "--input", "1", "--out", sat]) == 0
+        out, logs = tmp_path / "v.csv", tmp_path / "t.jsonl"
+        assert cli_main(["verify", "--instance", sat, "--witness", "24",
+                         "--steps", "24", "--trials", "200", "--seed", "7",
+                         "--out", str(out), "--transcripts", str(logs)]) == 0
+        digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in (out, logs)}
+        assert digest == {
+            "v.csv": "895cc8aa318b355722cb0fd91c5ed4149b1edc7a"
+                     "3f5e094fe877412e4ddb8ce6",
+            "t.jsonl": "0e1444105475b4c05872505939da81430da6b864"
+                       "900684f8070668364a7242a5",
+        }
