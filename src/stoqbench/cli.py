@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import circuits, clock, estimators, instances, prover, spectral, walk
-from .ops import OperatorSum, assemble_dense, dense_limit
+from .ops import dense_limit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -153,23 +153,17 @@ def cmd_spectrum(args, argv) -> int:
     else:
         print("spectrum needs a stoq-sat or lh-min instance", file=sys.stderr)
         return EXIT_ERROR
-    rows = []
     if inst.n <= dense_limit():
         evals = spectral.dense_spectrum(op)
-        gap = spectral.spectral_gap(op)
-        ground_dim = int(np.sum(evals < evals[0] + 1e-8))
-        rows.append(["min", float(evals[0])])
-        rows.append(["max", float(evals[-1])])
-        rows.append(["gap", gap])
-        rows.append(["ground_dim", ground_dim])
+        rows = [["min", float(evals[0])], ["max", float(evals[-1])],
+                ["gap", spectral.level_gap(evals)],
+                ["ground_dim", int(np.sum(evals < evals[0] + 1e-8))]]
     else:
-        res_min = spectral.extreme_eigenvalue(op, "min", seed=args.seed)
-        res_max = spectral.extreme_eigenvalue(op, "max", seed=args.seed)
-        rows.append(["min", res_min.value])
-        rows.append(["max", res_max.value])
+        rows = [[which, spectral.extreme_eigenvalue(op, which).value]
+                for which in ("min", "max")]
     _write_csv(args.out, ["quantity", "value"], rows)
     if args.out != "-":
-        _write_manifest(args.out, argv, [args.instance], seed=args.seed)
+        _write_manifest(args.out, argv, [args.instance])
     return EXIT_OK
 
 
@@ -178,7 +172,7 @@ def cmd_prove(args, argv) -> int:
     if not isinstance(inst, instances.StoqSatInstance):
         print("prove needs a stoq-sat instance", file=sys.stderr)
         return EXIT_ERROR
-    hw = prover.honest_witness(inst, seed=args.seed)
+    hw = prover.honest_witness(inst)
     doc = {
         "version": 1,
         "kind": "witness",
@@ -191,7 +185,7 @@ def cmd_prove(args, argv) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    _write_manifest(args.out, argv, [args.instance], seed=args.seed)
+    _write_manifest(args.out, argv, [args.instance])
     return EXIT_PROMISE if hw.looks_unsat else EXIT_OK
 
 
@@ -200,7 +194,11 @@ def _load_witness(text: str) -> int:
         return _parse_witness(text)
     except ValueError:
         with open(text, encoding="utf-8") as fh:
-            return int(json.load(fh)["argmax"])
+            doc = json.load(fh)
+    argmax = doc.get("argmax") if isinstance(doc, dict) else None
+    if type(argmax) is not int:
+        raise ValueError(f"witness file {text} has no integer \"argmax\"")
+    return argmax
 
 
 def cmd_verify(args, argv) -> int:
@@ -285,8 +283,14 @@ def cmd_ensemble(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on bad usage, the code of promise violations
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="stoqbench",
         description="Stoquastic SAT / LH-MIN numerical workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -321,13 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spectrum", help="eigenvalue report")
     s.add_argument("--instance", required=True)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_spectrum)
 
     pr = sub.add_parser("prove", help="honest witness for a stoq-sat instance")
     pr.add_argument("--instance", required=True)
-    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_prove)
 
@@ -367,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, argv)
     except (OSError, ValueError, instances.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ETA, assemble_dense, dense_limit
+from .ops import ETA
 from .instances import StoqSatInstance
 from .spectral import extreme_eigenvalue
 from .walk import build_G
@@ -31,33 +31,21 @@ class HonestWitness:
     looks_unsat: bool  # top eigenvalue fell short of 1; kept for adversaries
 
 
-def honest_witness(instance: StoqSatInstance, tol: float = 1e-8,
-                   seed: int = 0) -> HonestWitness:
+def honest_witness(instance: StoqSatInstance,
+                   tol: float = 1e-8) -> HonestWitness:
     """Top eigenvector of G, pruned at eta; argmax ties go to the smallest
-    basis index."""
-    g = build_G(instance)
-    if instance.n <= dense_limit():
-        mat = assemble_dense(g)
-        evals, evecs = np.linalg.eigh(mat)
-        value = float(evals[-1])
-        vec = evecs[:, -1]
-    else:
-        res = extreme_eigenvalue(g, which="max", seed=seed)
-        value, vec = res.value, res.vector
-    vec = np.abs(vec)
-    vec = vec / np.linalg.norm(vec)
-    amplitudes = {int(x): float(a) for x, a in enumerate(vec) if a > ETA}
-    if not amplitudes:
-        # degenerate numeric corner: keep the single largest entry
-        x = int(np.argmax(vec))
-        amplitudes = {x: 1.0}
+    basis index.  On a degenerate top eigenspace the vector is the
+    all-ones vector projected onto all of it (see extreme_eigenvalue)."""
+    res = extreme_eigenvalue(build_G(instance), "max")
+    amplitudes = {int(x): float(a) for x, a in enumerate(res.vector)
+                  if a > ETA}
     norm = float(np.sqrt(sum(a * a for a in amplitudes.values())))
     amplitudes = {x: a / norm for x, a in amplitudes.items()}
     peak = max(amplitudes.values())
     argmax = min(x for x, a in amplitudes.items() if a >= peak - 1e-12)
     witness = WitnessVector(amplitudes=amplitudes, argmax=argmax)
-    return HonestWitness(vector=witness, argmax=argmax, eigenvalue=value,
-                         looks_unsat=value < 1.0 - tol)
+    return HonestWitness(vector=witness, argmax=argmax, eigenvalue=res.value,
+                         looks_unsat=res.value < 1.0 - tol)
 
 
 def adversarial_witnesses(instance: StoqSatInstance, mode: str = "all-basis",

@@ -1,18 +1,22 @@
-"""Extreme-eigenvalue solvers used as the oracle layer by every module.
+"""Eigenvalue solvers used as the oracle layer by every module.
 
-Power iteration with a non-negative start vector finds the Perron value
-of non-negative operators; minimum eigenvalues are found by running the
-same iteration on c*I - H with a safe shift c.
+``extreme_eigenvalue`` is the one extreme-eigenpair path: LOBPCG on the
+sparse matrix from the all-ones start vector, or a dense ``eigh`` of the
+same matrix below LOBPCG's minimum size.  Every pair it returns has
+passed a residual check.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .ops import OperatorSum, assemble_dense, assemble_sparse
+from .ops import ETA, OperatorSum, assemble_dense, assemble_sparse
+
+# LOBPCG needs five rows per start vector; scipy goes dense below that.
+LOBPCG_MIN_DIM = 5
 
 
 @dataclass
@@ -21,66 +25,67 @@ class SpectralResult:
     vector: np.ndarray
     iterations: int
     residual: float
-    converged: bool
-
-
-def _power_iteration(mat, dim: int, tol: float, max_iter: int, seed: int):
-    """Largest eigenvalue of a symmetric PSD-shifted matrix.
-
-    Start vector is all-ones (overlaps every non-negative Perron vector);
-    on stagnation restarts from a seeded random vector.
-    """
-    rng = np.random.default_rng(seed)
-    v = np.ones(dim) / np.sqrt(dim)
-    best = None
-    lam_prev = None
-    stall = 0
-    for it in range(1, max_iter + 1):
-        w = mat @ v
-        lam = float(v @ w)
-        resid = float(np.linalg.norm(w - lam * v))
-        if best is None or resid < best[2]:
-            best = (lam, v.copy(), resid, it)
-        if resid <= tol:
-            return lam, v, it, resid, True
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # v is in the kernel; the largest eigenvalue may still be 0
-            return lam, v, it, resid, True
-        if lam_prev is not None and abs(lam - lam_prev) < 1e-15:
-            stall += 1
-        else:
-            stall = 0
-        lam_prev = lam
-        v = w / norm
-        if stall >= 50:
-            v = rng.random(dim) + 0.1
-            v /= np.linalg.norm(v)
-            lam_prev = None
-            stall = 0
-    lam, v, resid, it = best[0], best[1], best[2], best[3]
-    return lam, v, it, resid, False
+    converged: bool  # always True: an unverified pair raises instead
+    method: str  # "lobpcg" or "dense"
 
 
 def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
-                       max_iter: int = 200000, seed: int = 0) -> SpectralResult:
-    """Largest or smallest eigenvalue of a local-operator sum."""
+                       max_iter: int = 5000) -> SpectralResult:
+    """Largest or smallest eigenpair of a local-operator sum.
+
+    When the off-diagonal signs make the extreme eigenspace a Perron one
+    (non-negative entries for "max", non-positive for "min": the Perron
+    vector of G, the ground state of a stoquastic Hamiltonian) the vector
+    is the all-ones vector projected onto that eigenspace and normalised:
+    non-negative and the same whichever solver ran.  Otherwise the
+    all-ones vector may miss the eigenspace, so a fixed random vector
+    joins LOBPCG's start block.  Raises ValueError unless the residual
+    ||A v - lambda v|| is at most tol * max(1, norm bound); max_iter caps
+    the LOBPCG iterations.
+    """
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
     dim = 2**op.n
     mat = assemble_sparse(op)
-    c = op.norm_bound() + 1.0
-    if which == "max":
-        shifted = (mat + c * sp.identity(dim, format="csr")).tocsr()
-        lam, v, it, resid, conv = _power_iteration(shifted, dim, tol, max_iter, seed)
-        value = lam - c
+    bound = tol * max(1.0, op.norm_bound())
+    coo = mat.tocoo()
+    off = coo.data[coo.row != coo.col]
+    start = np.ones((dim, 1))
+    if np.any(off < -ETA if which == "max" else off > ETA):
+        start = np.hstack([start, np.random.default_rng(0).random((dim, 1))])
+    if dim < LOBPCG_MIN_DIM * start.shape[1]:
+        method, iterations = "dense", 0
+        evals, evecs = np.linalg.eigh(mat.toarray())
+        edge = evals[-1] if which == "max" else evals[0]
+        space = evecs[:, np.abs(evals - edge) <= bound]
+        v = space @ space.sum(axis=0)
+        if np.linalg.norm(v) <= 1e-8:  # all-ones orthogonal to the space
+            v = space[:, 0]
     else:
-        shifted = (c * sp.identity(dim, format="csr") - mat).tocsr()
-        lam, v, it, resid, conv = _power_iteration(shifted, dim, tol, max_iter, seed)
-        value = c - lam
+        from scipy.sparse.linalg import lobpcg
+
+        method = "lobpcg"
+        with warnings.catch_warnings():
+            # non-convergence is caught by the residual check below
+            warnings.simplefilter("ignore", UserWarning)
+            _, vecs, history = lobpcg(mat, start, tol=bound / 100,
+                                      maxiter=max_iter, largest=which == "max",
+                                      retLambdaHistory=True)
+        iterations = len(history) - 2
+        v = vecs[:, 0]
     v = v / np.linalg.norm(v)
-    return SpectralResult(value=float(value), vector=v, iterations=it,
-                          residual=resid, converged=conv)
+    if v.sum() < 0:
+        v = -v
+    av = mat @ v
+    value = float(v @ av)
+    residual = float(np.linalg.norm(av - value * v))
+    if not residual <= bound:
+        raise ValueError(
+            f"{method} {which} eigenpair of {op.n} qubits not verified: "
+            f"residual {residual:.3g} > {bound:.3g} after {iterations} "
+            f"iterations")
+    return SpectralResult(value=value, vector=v, iterations=iterations,
+                          residual=residual, converged=True, method=method)
 
 
 def dense_spectrum(op) -> np.ndarray:
@@ -96,15 +101,15 @@ def eigencount_below(op, threshold: float) -> int:
     return int(np.sum(dense_spectrum(op) < threshold))
 
 
-def spectral_gap(op, merge_tol: float = 1e-8) -> float:
-    """Distance from the ground energy to the next distinct eigenvalue.
+def level_gap(evals: np.ndarray, merge_tol: float = 1e-8) -> float:
+    """Distance from the lowest of ascending evals to the next distinct one.
 
     Eigenvalues closer than merge_tol are treated as one level, so exact
     ground-space degeneracy reports the gap to the next level up.
     """
-    evals = dense_spectrum(op)
-    lo = evals[0]
-    above = evals[evals > lo + merge_tol]
-    if above.size == 0:
-        return 0.0
-    return float(above[0] - lo)
+    above = evals[evals > evals[0] + merge_tol]
+    return float(above[0] - evals[0]) if above.size else 0.0
+
+
+def spectral_gap(op, merge_tol: float = 1e-8) -> float:
+    return level_gap(dense_spectrum(op), merge_tol)

@@ -117,6 +117,25 @@ class TestCompile:
         rows = dict(l.split(",")[:2] for l in open(s).read().splitlines()[1:])
         assert abs(float(rows["min"])) <= 1e-10
 
+    def test_spectrum_above_dense_limit(self, sat_instance, tmp_path,
+                                        monkeypatch):
+        clock = str(tmp_path / "clock.json")
+        assert main(["compile", "--circuit", self.circuit_path(tmp_path),
+                     "--to", "clock", "--out", clock]) == EXIT_OK
+        for inst in (sat_instance, clock):
+            dense, sparse = str(tmp_path / "d.csv"), str(tmp_path / "s.csv")
+            assert main(["spectrum", "--instance", inst, "--out", dense]) \
+                == EXIT_OK
+            monkeypatch.setenv("STOQ_DENSE_LIMIT", "1")
+            assert main(["spectrum", "--instance", inst, "--out", sparse]) \
+                == EXIT_OK
+            monkeypatch.delenv("STOQ_DENSE_LIMIT")
+            want = dict(l.split(",") for l in open(dense).read().split()[1:])
+            got = dict(l.split(",") for l in open(sparse).read().split()[1:])
+            assert sorted(got) == ["max", "min"]
+            for q in got:
+                assert float(got[q]) == pytest.approx(float(want[q]), abs=1e-9)
+
     def test_compile_6sat_then_verify(self, tmp_path):
         circ = self.circuit_path(tmp_path)
         out = str(tmp_path / "sat.json")
@@ -230,6 +249,39 @@ class TestRobustness:
         assert main(argv) == EXIT_OK
         manifest = json.loads(open(out + ".manifest.json").read())
         assert manifest["command"] == argv
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--instance", "i.json", "--witness", "1", "--seed", "0",
+         "--jobs", "2"],
+        ["verify", "--instance", "i.json", "--witness", "1"],
+        ["verify", "--instance", "i.json", "--witness", "1", "--seed", "x"],
+        ["prove", "--instance", "i.json", "--out", "w.json", "--seed", "1"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--witness" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc", ['{"eigenvalue": 1.0}', '{"argmax": "6"}',
+                                     '{"argmax": true}', '[6]'])
+    def test_witness_file_without_argmax(self, sat_instance, tmp_path,
+                                         capsys, doc):
+        wit = write(tmp_path / "wit.json", doc)
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--instance", sat_instance, "--witness", wit,
+                     "--trials", "3", "--seed", "0",
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "argmax" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_wrong_instance_kind(self, sat_instance, tmp_path):
         assert main(["trace", "--instance", sat_instance,

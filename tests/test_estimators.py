@@ -140,6 +140,23 @@ class TestReplicaEnsemble:
         assert all(len(r) == 3 for r in stats.rs)
         assert stats.replicas == 3
 
+    def test_sparse_path_above_dense_limit(self, monkeypatch):
+        # three qubits: a -XXX term, -X on qubits 0 and 1 and one diagonal
+        # penalty per random bit; LOBPCG solves them once the limit is 0
+        zz = np.diag([0.0, 1.0, 1.0, 0.0])
+        ens = DisorderEnsemble(3, 2, (
+            TermTemplate((0, 1, 2), (), {0: -np.kron(np.kron(X, X), X)}),
+            TermTemplate((0,), (), {0: -X}),
+            TermTemplate((1,), (), {0: -X}),
+            TermTemplate((0,), (0,), {0: np.zeros((2, 2)),
+                                      1: np.diag([2.0, 0.0])}),
+            TermTemplate((1, 2), (1,), {0: np.zeros((4, 4)), 1: zz})))
+        dense = lambda_stats(ens, 12, seed=5)
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", "0")
+        sparse = lambda_stats(ens, 12, seed=5)
+        assert sparse.rs == dense.rs
+        assert np.allclose(sparse.lambdas, dense.lambdas, atol=1e-9)
+
 
 UNSAT_BIASED = "p cnf 3 4\n1 3 0\n1 -3 0\n2 3 0\n2 -3 0\n"
 

@@ -7,6 +7,7 @@ from conftest import plus_instance
 
 SAT_3 = "p cnf 3 3\n1 2 0\n-1 3 0\n2 -3 0\n"
 UNSAT_2 = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
+SAT_5 = "p cnf 5 4\n1 2 0\n-1 4 0\n3 -4 5 0\n-2 -5 0\n"
 
 
 class TestHonestWitness:
@@ -39,15 +40,39 @@ class TestHonestWitness:
         assert all(a > 0 for a in hw.vector.amplitudes.values())
 
     def test_matches_dense_eigendecomposition(self):
+        # twofold-degenerate top eigenspace: the reference is the all-ones
+        # vector projected onto it, not one basis vector LAPACK picked
         inst = random_projector_instance(4, 2, 3, seed=8)
         from stoqbench import assemble_dense, build_G
         dense = assemble_dense(build_G(inst))
         evals, evecs = np.linalg.eigh(dense)
         hw = honest_witness(inst)
         assert hw.eigenvalue == pytest.approx(float(evals[-1]), abs=1e-10)
-        top = np.abs(evecs[:, -1])
+        space = evecs[:, evals > evals[-1] - 1e-8]
+        assert space.shape[1] == 2
+        top = np.abs(space @ space.sum(axis=0))
+        top /= np.linalg.norm(top)
         for x, a in hw.vector.amplitudes.items():
             assert a == pytest.approx(top[x], abs=1e-8)
+
+    def test_repeated_calls_identical(self):
+        inst = from_dimacs(SAT_5)
+        first, second = honest_witness(inst), honest_witness(inst)
+        assert first.vector.amplitudes == second.vector.amplitudes
+        assert first.argmax == second.argmax
+
+    def test_covers_every_satisfying_string(self):
+        clauses = [[int(v) for v in line.split()[:-1]]
+                   for line in SAT_5.splitlines()[1:]]
+        satisfying = [x for x in range(32) if all(
+            any((lit > 0) == bool((x >> (abs(lit) - 1)) & 1) for lit in c)
+            for c in clauses)]
+        assert len(satisfying) > 2 and satisfying[0] > 0
+        hw = honest_witness(from_dimacs(SAT_5))
+        assert sorted(hw.vector.amplitudes) == satisfying
+        for a in hw.vector.amplitudes.values():
+            assert a == pytest.approx(len(satisfying)**-0.5, abs=1e-10)
+        assert hw.argmax == satisfying[0]
 
 
 class TestAdversarialWitnesses:

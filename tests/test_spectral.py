@@ -5,6 +5,7 @@ from stoqbench import (Gate, LocalOperator, OperatorSum, VerifierCircuit,
                        assemble_dense, build_G, compile_circuit, dense_spectrum,
                        eigencount_below, extreme_eigenvalue,
                        random_projector_instance, spectral_gap)
+from conftest import plus_instance
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 MINUS_X = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -54,11 +55,33 @@ class TestExtremeEigenvalue:
             v = -v
         assert np.min(v) > -1e-12
 
-    def test_nonconvergence_reports_best_estimate(self):
+    def test_unconverged_solve_raises(self):
         inst = random_projector_instance(5, 2, 4, seed=0)
-        res = extreme_eigenvalue(build_G(inst), "max", tol=1e-14, max_iter=3)
-        assert not res.converged
-        assert res.residual > 0.0
+        with pytest.raises(ValueError, match="not verified"):
+            extreme_eigenvalue(build_G(inst), "max", tol=1e-14, max_iter=3)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_min_orthogonal_to_all_ones(self, n):
+        # all-ones is the top eigenvector of a sum of X terms and of G on a
+        # |+> instance, orthogonal to the ground space in both
+        xs = OperatorSum(n, tuple(LocalOperator((q,), -MINUS_X)
+                                  for q in range(n)))
+        assert extreme_eigenvalue(xs, "min").value == pytest.approx(-n)
+        g = build_G(plus_instance(n, [(q, q + 1) for q in range(n - 1)]))
+        assert extreme_eigenvalue(g, "min").value == pytest.approx(0, abs=1e-9)
+        assert extreme_eigenvalue(g, "max").value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [2, 4])  # n=4: twofold top eigenspace
+    def test_vector_is_projection_of_ones(self, n):
+        inst = random_projector_instance(n, 2, 3, seed=8)
+        g = build_G(inst)
+        res = extreme_eigenvalue(g, "max")
+        assert res.method == ("dense" if n == 2 else "lobpcg")
+        assert res.converged and res.residual <= 1e-10
+        evals, evecs = np.linalg.eigh(assemble_dense(g))
+        top = evecs[:, evals > evals[-1] - 1e-8]
+        ref = top @ top.sum(axis=0)
+        assert np.allclose(res.vector, ref / np.linalg.norm(ref), atol=1e-8)
 
 
 class TestDenseDiagnostics:
