@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ETA, Gate, LocalOperator, circuit_permutation
+from .ops import (ETA, Gate, LocalOperator, circuit_permutation,
+                  conjugate_by_circuit)
 from .instances import LhMinInstance, validate
 
 CIRCUIT_SCHEMA_VERSION = 1
@@ -155,9 +156,7 @@ class StoqDecomposition:
             h[0, 0] = -1.0
         else:
             h[0, 1] = h[1, 0] = -1.0
-        perm = circuit_permutation(part.circuit, {q: q for q in range(k)}, dim)
-        pinv = np.argsort(perm)
-        return h[np.ix_(pinv, pinv)]
+        return conjugate_by_circuit(LocalOperator(range(k), h), part.circuit).block
 
 
 def _x_circuit(x: int, k: int) -> tuple:
@@ -283,14 +282,6 @@ class MixedVerifier:
             out += p * acceptance_operator(v, x)
         return out
 
-    def max_acceptance(self, x: int):
-        a = self.acceptance_operator(x)
-        evals, evecs = np.linalg.eigh(a)
-        vec = evecs[:, -1]
-        if vec[np.argmax(np.abs(vec))] < 0:
-            vec = -vec
-        return float(evals[-1]), vec
-
 
 def mix(v1, v2) -> MixedVerifier:
     """Equal-weight mixture of two verifiers on the same witness register."""
@@ -346,7 +337,9 @@ def _part_verifier(part: StoqPart, n_w: int) -> VerifierCircuit:
         gates.append(Gate(g.kind, tuple(map_q(q) for q in g.qubits)))
     gates.extend(_swap_gates(0, map_q(measured)))
     if not gates:
-        gates.extend(_swap_gates(0, 0) or (Gate("X", (0,)), Gate("X", (0,))))
+        # a 1-local -X part on qubit 0 needs no gate at all, but a
+        # VerifierCircuit needs at least one: X.X is the identity
+        gates.extend((Gate("X", (0,)), Gate("X", (0,))))
     return VerifierCircuit(n=0, n_w=n_w, n_0=n_0, n_plus=n_plus,
                            gates=tuple(gates), out_basis="plus")
 

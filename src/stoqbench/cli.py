@@ -239,6 +239,12 @@ def cmd_trace(args, argv) -> int:
     mode = "sampled" if args.paths else "exact"
     rep = estimators.trace_report(inst, L=args.power, mode=mode,
                                   paths=args.paths, seed=args.seed)
+    if mode == "sampled" and rep.value == 0.0:
+        # G is entrywise non-negative: a zero mean means no path carried
+        # weight, and 0 +- 0 would misstate a nonzero trace
+        print(f"error: none of the {args.paths} sampled paths has nonzero "
+              "weight; raise --paths or use the exact trace", file=sys.stderr)
+        return EXIT_PROMISE
     rows = [[rep.L, rep.value, rep.stderr, rep.mode, rep.mu_yes, rep.mu_no,
              rep.bound_yes, rep.bound_no]]
     _write_csv(args.out, ["L", "value", "stderr", "mode", "mu_yes", "mu_no",

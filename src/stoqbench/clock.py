@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import Gate, LocalOperator, dense_limit
+from .ops import (Gate, LocalOperator, OperatorSum, assemble_dense,
+                  assemble_sparse, circuit_permutation, dense_limit, local_term)
 from .instances import LhMinInstance, StoqSatInstance
 from .circuits import VerifierCircuit, acceptance_probability, initial_state
 
@@ -24,55 +25,12 @@ _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 _RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
 
 
-def local_term(support, factors) -> np.ndarray:
-    """Dense block on sorted ``support`` from factor matrices.
-
-    ``factors`` is a list of (qubits, matrix) pieces; uncovered qubits
-    get the identity.  Supports multi-qubit factors on arbitrary subsets.
-    """
-    support = tuple(sorted(support))
-    pos = {q: i for i, q in enumerate(support)}
-    k = len(support)
-    dim = 2**k
-    covered = set()
-    pieces = []
-    for qubits, mat in factors:
-        bits = [pos[q] for q in qubits]
-        covered.update(bits)
-        pieces.append((bits, np.asarray(mat, dtype=float)))
-    free = [i for i in range(k) if i not in covered]
-    out = np.zeros((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            if any(((a >> i) & 1) != ((b >> i) & 1) for i in free):
-                continue
-            val = 1.0
-            for bits, mat in pieces:
-                ia = sum(((a >> bit) & 1) << t for t, bit in enumerate(bits))
-                ib = sum(((b >> bit) & 1) << t for t, bit in enumerate(bits))
-                val *= mat[ia, ib]
-                if val == 0.0:
-                    break
-            out[a, b] = val
-    return out
-
-
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Permutation matrix of a gate on its own qubits (sorted order)."""
-    qubits = tuple(sorted(gate.qubits))
-    pos = {q: i for i, q in enumerate(qubits)}
-    dim = 2 ** len(qubits)
-    mat = np.zeros((dim, dim))
-    for a in range(dim):
-        z = 0
-        for q, i in pos.items():
-            z |= ((a >> i) & 1) << q
-        img = gate.apply(z)
-        b = 0
-        for q, i in pos.items():
-            b |= ((img >> q) & 1) << i
-        mat[b, a] = 1.0
-    return mat
+    qubits = sorted(gate.qubits)
+    perm = circuit_permutation((gate,), {q: i for i, q in enumerate(qubits)},
+                               2 ** len(qubits))
+    return np.eye(len(perm))[:, perm]
 
 
 @dataclass(frozen=True)
@@ -194,22 +152,13 @@ def history_state(clock: ClockInstance, psi) -> np.ndarray:
     state = np.zeros(2**clock.N)
     norm = 1.0 / math.sqrt(L + 1)
     clock_mask = 1 << base  # clock state j: bits base..base+j set
-    dim_work = work.shape[0]
-    idx = np.arange(dim_work)
-    cur = work.copy()
+    idx = np.arange(work.shape[0])
+    ident = {q: q for q in range(v.total_qubits)}
+    cur = work
     for j in range(L + 1):
         if j > 0:
-            g = v.gates[j - 1]
-            perm_cur = np.empty_like(cur)
-            if g.kind == "X":
-                perm = idx ^ (1 << g.qubits[0])
-            elif g.kind == "CNOT":
-                perm = idx ^ (((idx >> g.qubits[0]) & 1) << g.qubits[1])
-            else:
-                q0, q1, q2 = g.qubits
-                perm = idx ^ ((((idx >> q0) & (idx >> q1)) & 1) << q2)
-            perm_cur[perm] = cur
-            cur = perm_cur
+            # X, CNOT and Toffoli are involutions: the gather is the scatter
+            cur = cur[circuit_permutation((v.gates[j - 1],), ident, len(cur))]
             clock_mask |= 1 << (base + j)
         state[idx + clock_mask] += norm * cur
     return state
@@ -218,25 +167,14 @@ def history_state(clock: ClockInstance, psi) -> np.ndarray:
 def meas_expectation(clock: ClockInstance, psi) -> float:
     """<Phi|Pi_meas|Phi> for the history state of witness psi."""
     phi = history_state(clock, psi)
-    sup, rest = _support_maps_cached(clock.meas.support, clock.N)
-    total = 0.0
-    for r in rest:
-        idx = sup + r
-        seg = phi[idx]
-        total += float(seg @ clock.meas.block @ seg)
-    return total
-
-
-def _support_maps_cached(support, n):
-    from .ops import _support_maps
-    return _support_maps(support, n)
+    meas = assemble_sparse(OperatorSum(clock.N, (clock.meas,)))
+    return float(phi @ (meas @ phi))
 
 
 def check_history_invariants(clock: ClockInstance, psi, tol: float = 1e-10):
     """Residuals: |H6 phi| and the measurement identity of the history state."""
     phi = history_state(clock, psi)
     h = clock.hamiltonian().operator()
-    from .ops import assemble_sparse
     resid = float(np.linalg.norm(assemble_sparse(h) @ phi))
     pr = acceptance_probability(clock.circuit, clock.x, psi)
     expect = 1.0 - (1.0 - pr) / (clock.L + 1)
@@ -282,7 +220,6 @@ def export_6sat(clock: ClockInstance, epsilon: float = None,
         if clock.N > dense_limit():
             raise ValueError(
                 "dense limit exceeded: supply epsilon explicitly")
-        from .ops import OperatorSum, assemble_dense
         g = OperatorSum(clock.N, projectors, (1.0 / m,) * m)
         lam = float(np.linalg.eigvalsh(assemble_dense(g))[-1])
         eps = m * (1.0 - lam)

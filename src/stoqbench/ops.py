@@ -198,24 +198,11 @@ def apply_to_basis(op: OperatorSum, x: int) -> dict:
 
 
 def _support_maps(support, n):
-    """Index offsets of local / complement bit patterns inside a global index."""
-    k = len(support)
-    sup = np.zeros(2**k, dtype=np.int64)
-    for a in range(2**k):
-        v = 0
-        for i, q in enumerate(support):
-            if (a >> i) & 1:
-                v |= 1 << q
-        sup[a] = v
-    rest_qubits = [q for q in range(n) if q not in support]
-    rest = np.zeros(2 ** len(rest_qubits), dtype=np.int64)
-    for r in range(len(rest)):
-        v = 0
-        for i, q in enumerate(rest_qubits):
-            if (r >> i) & 1:
-                v |= 1 << q
-        rest[r] = v
-    return sup, rest
+    """Global offsets of the local bit patterns of a sorted support, in
+    local-index order, and of the complement patterns, ascending."""
+    mask = sum(1 << q for q in support)
+    idx = np.arange(2**n, dtype=np.int64)
+    return idx[(idx & ~mask) == 0], idx[(idx & mask) == 0]
 
 
 def assemble_dense(op: OperatorSum) -> np.ndarray:
@@ -224,9 +211,8 @@ def assemble_dense(op: OperatorSum) -> np.ndarray:
     out = np.zeros((dim, dim))
     for w, t in zip(op.weights, op.terms):
         sup, rest = _support_maps(t.support, op.n)
-        for r in rest:
-            idx = sup + r
-            out[np.ix_(idx, idx)] += w * t.block
+        idx = rest[:, None] + sup[None, :]
+        out[idx[:, :, None], idx[:, None, :]] += w * t.block
     return out
 
 
@@ -258,28 +244,32 @@ def _expand_support(support, gates):
     return tuple(sorted(cur))
 
 
-def _embed_block(block, old_support, new_support):
-    """Embed a block on old_support into new_support (tensor with identity)."""
-    k_new = len(new_support)
-    pos = {q: i for i, q in enumerate(new_support)}
-    old_bits = [pos[q] for q in old_support]
-    extra_bits = [i for i in range(k_new) if i not in old_bits]
-    dim = 2**k_new
-    idx_old = np.zeros(dim, dtype=np.int64)
-    idx_extra = np.zeros(dim, dtype=np.int64)
-    for a in range(dim):
-        o = 0
-        for i, b in enumerate(old_bits):
-            o |= ((a >> b) & 1) << i
-        e = 0
-        for i, b in enumerate(extra_bits):
-            e |= ((a >> b) & 1) << i
-        idx_old[a] = o
-        idx_extra[a] = e
-    out = block[np.ix_(idx_old, idx_old)] * (
-        idx_extra[:, None] == idx_extra[None, :]
-    )
-    return out
+def local_term(support, factors) -> np.ndarray:
+    """Dense block on sorted ``support`` from factor matrices.
+
+    ``factors`` is a list of (qubits, matrix) pieces on disjoint qubits of
+    the support, bit ``t`` of a factor's index being ``qubits[t]``;
+    uncovered qubits get the identity.  Entries are the products of the
+    factor entries taken in factor order.
+    """
+    support = tuple(sorted(support))
+    k = len(support)
+    out = np.ones((1, 1))
+    order = []  # qubit of each tensor axis, most significant first
+    for qubits, mat in factors:
+        qubits = tuple(qubits)
+        if not set(qubits) <= set(support):
+            raise ValueError(f"factor qubits {qubits} outside support {support}")
+        if set(qubits) & set(order) or len(set(qubits)) != len(qubits):
+            raise ValueError(f"factor qubits {qubits} overlap another factor")
+        out = np.kron(out, np.asarray(mat, dtype=float))
+        order.extend(reversed(qubits))
+    free = [q for q in support if q not in order]
+    out = np.kron(out, np.eye(2 ** len(free)))
+    order.extend(free)
+    axes = [order.index(q) for q in reversed(support)]
+    out = out.reshape((2,) * (2 * k)).transpose(axes + [k + a for a in axes])
+    return out.reshape(2**k, 2**k)
 
 
 def conjugate_by_circuit(op, gates):
@@ -289,7 +279,7 @@ def conjugate_by_circuit(op, gates):
         new_terms = [conjugate_by_circuit(t, gates) for t in op.terms]
         return OperatorSum(op.n, tuple(new_terms), op.weights)
     new_support = _expand_support(op.support, gates)
-    block = _embed_block(op.block, op.support, new_support)
+    block = local_term(new_support, [(op.support, op.block)])
     pos = {q: i for i, q in enumerate(new_support)}
     relevant = [g for g in gates if set(g.qubits) <= set(new_support)]
     perm = circuit_permutation(relevant, pos, 2 ** len(new_support))

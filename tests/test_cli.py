@@ -183,6 +183,27 @@ class TestTraceAndEnsemble:
         assert float(row[1]) == pytest.approx(5.0 / 9.0)
         assert row[3] == "exact"
 
+    def test_sampled_trace_without_weighted_path_is_promise_exit(
+            self, tmp_path, capsys):
+        from stoqbench import LhMinInstance, LocalOperator, save
+        z = np.diag([0.0, 1.0])
+        inst = LhMinInstance(6, tuple(LocalOperator((q,), z) for q in range(6)),
+                             0.0, 1.0)
+        path = str(tmp_path / "h.json")
+        save(inst, path)
+        exact = str(tmp_path / "exact.csv")
+        assert main(["trace", "--instance", path, "--power", "2",
+                     "--out", exact]) == EXIT_OK
+        assert float(open(exact).read().splitlines()[1].split(",")[1]) > 0
+        capsys.readouterr()
+        out = tmp_path / "sampled.csv"
+        assert main(["trace", "--instance", path, "--power", "2", "--paths",
+                     "10", "--seed", "0", "--out", str(out)]) == EXIT_PROMISE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+        assert not (tmp_path / "sampled.csv.manifest.json").exists()
+
     def ensemble_path(self, tmp_path):
         cnf = write(tmp_path / "e.cnf", UNSAT_BIASED)
         out = str(tmp_path / "ens.json")

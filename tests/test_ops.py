@@ -6,7 +6,8 @@ from stoqbench import (Gate, LocalOperator, OperatorSum, amplitude_ratio,
                        apply_to_basis, assemble_dense, assemble_sparse,
                        block_decompose, conjugate_by_circuit, make_block_projector,
                        matrix_element, projector_check)
-from stoqbench.ops import BlockComponent, DenseLimitError, dense_limit
+from stoqbench.ops import (BlockComponent, DenseLimitError, _support_maps,
+                           dense_limit, local_term)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -234,3 +235,160 @@ class TestAssembly:
                  LocalOperator((1, 2), np.full((4, 4), 0.25)))
         op = OperatorSum(3, terms)
         assert np.min(assemble_dense(op)) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the vectorised layout routines: the per-entry and
+# per-pattern versions these routines replaced, kept to pin their output
+# byte for byte.
+
+
+def ref_local_term(support, factors):
+    support = tuple(sorted(support))
+    pos = {q: i for i, q in enumerate(support)}
+    k = len(support)
+    dim = 2**k
+    covered = set()
+    pieces = []
+    for qubits, mat in factors:
+        bits = [pos[q] for q in qubits]
+        covered.update(bits)
+        pieces.append((bits, np.asarray(mat, dtype=float)))
+    free = [i for i in range(k) if i not in covered]
+    out = np.zeros((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            if any(((a >> i) & 1) != ((b >> i) & 1) for i in free):
+                continue
+            val = 1.0
+            for bits, mat in pieces:
+                ia = sum(((a >> bit) & 1) << t for t, bit in enumerate(bits))
+                ib = sum(((b >> bit) & 1) << t for t, bit in enumerate(bits))
+                val *= mat[ia, ib]
+                if val == 0.0:
+                    break
+            out[a, b] = val
+    return out
+
+
+def ref_embed_block(block, old_support, new_support):
+    pos = {q: i for i, q in enumerate(new_support)}
+    old_bits = [pos[q] for q in old_support]
+    extra_bits = [i for i in range(len(new_support)) if i not in old_bits]
+    dim = 2 ** len(new_support)
+    idx_old = np.zeros(dim, dtype=np.int64)
+    idx_extra = np.zeros(dim, dtype=np.int64)
+    for a in range(dim):
+        idx_old[a] = sum(((a >> b) & 1) << i for i, b in enumerate(old_bits))
+        idx_extra[a] = sum(((a >> b) & 1) << i for i, b in enumerate(extra_bits))
+    return block[np.ix_(idx_old, idx_old)] * (
+        idx_extra[:, None] == idx_extra[None, :])
+
+
+def ref_support_maps(support, n):
+    rest_qubits = [q for q in range(n) if q not in support]
+    sup = np.array([sum(1 << q for i, q in enumerate(support) if (a >> i) & 1)
+                    for a in range(2 ** len(support))], dtype=np.int64)
+    rest = np.array([sum(1 << q for i, q in enumerate(rest_qubits) if (r >> i) & 1)
+                     for r in range(2 ** len(rest_qubits))], dtype=np.int64)
+    return sup, rest
+
+
+def ref_assemble_dense(op):
+    dim = 2**op.n
+    out = np.zeros((dim, dim))
+    for w, t in zip(op.weights, op.terms):
+        sup, rest = ref_support_maps(t.support, op.n)
+        for r in rest:
+            idx = sup + r
+            out[np.ix_(idx, idx)] += w * t.block
+    return out
+
+
+def random_factors(rng, support, signed=False):
+    """Split a random subset of ``support`` into factors whose qubit lists
+    are shuffled, so they are unsorted and usually non-adjacent."""
+    qubits = [int(q) for q in rng.permutation(support)]
+    qubits = qubits[:int(rng.integers(0, len(qubits) + 1))]
+    factors = []
+    while qubits:
+        m = int(rng.integers(1, min(3, len(qubits)) + 1))
+        piece, qubits = tuple(qubits[:m]), qubits[m:]
+        mat = rng.normal(size=(2**m, 2**m))
+        mat[rng.random(mat.shape) < 0.3] = 0.0
+        factors.append((piece, mat if signed else np.abs(mat)))
+    return factors
+
+
+def random_sum(rng, n):
+    terms = []
+    for _ in range(int(rng.integers(1, 6))):
+        k = int(rng.integers(0, min(n, 4) + 1))
+        sup = tuple(sorted(int(q) for q in rng.choice(n, size=k, replace=False)))
+        m = rng.normal(size=(2**k, 2**k))
+        m[rng.random(m.shape) < 0.3] = 0.0
+        terms.append(LocalOperator(sup, m + m.T))
+    weights = rng.normal(size=len(terms))
+    return OperatorSum(n, tuple(terms), tuple(weights))
+
+
+class TestLayoutMatchesLoopReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_local_term_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(1, 7):
+            support = sorted(int(q) for q in rng.choice(10, size=k, replace=False))
+            factors = random_factors(rng, support)
+            assert (local_term(support, factors).tobytes()
+                    == ref_local_term(support, factors).tobytes())
+
+    def test_local_term_gate_qubits_out_of_order(self):
+        toffoli = np.eye(8)[:, [0, 1, 2, 7, 4, 5, 6, 3]]
+        ket1 = np.diag([0.0, 1.0])
+        factors = [((2, 0, 5), toffoli), ((3,), ket1)]
+        support = (0, 2, 3, 5, 7)
+        assert (local_term(support, factors).tobytes()
+                == ref_local_term(support, factors).tobytes())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_local_term_signed_factors(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for k in range(1, 7):
+            support = sorted(int(q) for q in rng.choice(10, size=k, replace=False))
+            factors = random_factors(rng, support, signed=True)
+            # equal values; a zero may carry the other sign bit
+            assert np.array_equal(local_term(support, factors),
+                                  ref_local_term(support, factors))
+            old = [int(q) for q in rng.permutation(support)[:int(rng.integers(1, k + 1))]]
+            old.sort()
+            block = rng.normal(size=(2 ** len(old),) * 2)
+            block[rng.random(block.shape) < 0.3] = 0.0
+            assert (local_term(support, [(old, block)]).tobytes()
+                    == ref_embed_block(block, old, support).tobytes())
+
+    def test_support_maps(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 11):
+            for k in range(0, min(n, 6) + 1):
+                support = tuple(sorted(int(q) for q in
+                                       rng.choice(n, size=k, replace=False)))
+                for got, want in zip(_support_maps(support, n),
+                                     ref_support_maps(support, n)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_assemble_dense_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        op = random_sum(rng, int(rng.integers(1, 11)))
+        assert assemble_dense(op).tobytes() == ref_assemble_dense(op).tobytes()
+
+    def test_local_term_rejects_overlapping_factors(self):
+        with pytest.raises(ValueError):
+            local_term((0, 1, 2), [((0, 1), np.eye(4)), ((1,), np.eye(2))])
+        with pytest.raises(ValueError):
+            local_term((0, 1), [((1, 1), np.eye(4))])
+
+    def test_local_term_rejects_qubit_outside_support(self):
+        with pytest.raises(ValueError):
+            local_term((0, 2), [((1,), np.eye(2))])
