@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import LocalOperator, OperatorSum, assemble_dense, dense_limit, matrix_element
+from .ops import LocalOperator, OperatorSum, assemble_dense, dense_limit, matrix_elements
 from .instances import (DisorderEnsemble, LhMinInstance, TermTemplate,
                         parse_dimacs, validate)
 from .spectral import dense_spectrum, extreme_eigenvalue
+
+# Random integers drawn per block by the samplers, which bounds their
+# temporary arrays.  Numpy's PCG64 serves bounded integers from
+# consecutive words of one stream, so a draw split into blocks of any
+# size, or into one call per value, yields the same values in order.
+DRAW_CHUNK = 1 << 14
 
 
 @dataclass
@@ -68,15 +74,14 @@ def trace_power(g: OperatorSum, L: int, mode: str = "exact",
     rng = np.random.default_rng(seed)
     n = g.n
     scale = 2.0 ** (n * L)
+    rows = max(1, DRAW_CHUNK // L)
     vals = np.empty(paths)
-    for i in range(paths):
-        xs = rng.integers(0, 2**n, size=L)
-        prod = 1.0
+    for start in range(0, paths, rows):
+        xs = rng.integers(0, 2**n, size=(min(rows, paths - start), L))
+        prod = np.ones(len(xs))
         for j in range(L):
-            prod *= matrix_element(g, int(xs[j]), int(xs[(j + 1) % L]))
-            if prod == 0.0:
-                break
-        vals[i] = scale * prod
+            prod *= matrix_elements(g, xs[:, j], xs[:, (j + 1) % L])
+        vals[start:start + len(xs)] = scale * prod
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return TraceReport(L=L, value=value, stderr=stderr, mode="sampled")
@@ -153,50 +158,55 @@ class _LambdaSolver:
     problem never has to be assembled.
     """
 
-    def __init__(self, ens: DisorderEnsemble):
-        if ens.replica_of is not None:
-            self.base, self.replicas = ens.replica_of
-        else:
-            self.base, self.replicas = ens, 1
+    def __init__(self, base: DisorderEnsemble, replicas: int):
+        self.base, self.replicas = base, replicas
         self._cache: dict = {}
 
     def base_lambda(self, r: int) -> float:
-        lam = self._cache.get(r)
-        if lam is None:
-            inst = self.base.realize(r)
-            op = inst.operator()
-            if inst.n <= dense_limit():
-                lam = float(dense_spectrum(op)[0])
-            else:
-                lam = extreme_eigenvalue(op, which="min").value
-            self._cache[r] = lam
-        return lam
+        """Ground energy of the base ensemble's realisation r."""
+        inst = self.base.realize(r)
+        op = inst.operator()
+        if inst.n <= dense_limit():
+            return float(dense_spectrum(op)[0])
+        return extreme_eigenvalue(op, which="min").value
 
-    def sample(self, rng):
-        total = 0.0
-        rs = []
-        for _ in range(self.replicas):
-            r = int(rng.integers(0, 2**self.base.m))
-            rs.append(r)
-            total += self.base_lambda(r)
-        return total / self.replicas, tuple(rs)
+    def stats(self, samples: int, seed: int) -> EnsembleStats:
+        """Mean ground energy of ``replicas`` draws of r, ``samples`` times.
+
+        The draws come sample-major from one stream, whole samples at a
+        time.  Each distinct r is solved once; a sample adds its
+        replicas' energies left to right from 0.0 (an accumulate: the
+        pairwise ``np.sum`` rounds differently) and divides by the
+        replica count.
+        """
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
+        rng = np.random.default_rng(seed)
+        N = self.replicas
+        rows = max(1, DRAW_CHUNK // N)
+        lams, rs = [], []
+        for start in range(0, samples, rows):
+            r = rng.integers(0, 2**self.base.m,
+                             size=(min(rows, samples - start), N))
+            keys, where = np.unique(r, return_inverse=True)
+            keys = keys.tolist()
+            for x in keys:
+                if x not in self._cache:
+                    self._cache[x] = self.base_lambda(x)
+            table = np.array([self._cache[x] for x in keys])
+            lam = np.hstack([np.zeros((len(r), 1)), table[where.reshape(r.shape)]])
+            lams.extend((np.add.accumulate(lam, axis=1)[:, -1] / N).tolist())
+            rs.extend(map(tuple, r.tolist()))
+        arr = np.asarray(lams)
+        std = float(np.std(arr, ddof=1)) if samples > 1 else 0.0
+        return EnsembleStats(samples=samples, mean=float(np.mean(arr)), std=std,
+                             lambdas=lams, replicas=N, rs=rs)
 
 
 def lambda_stats(ens: DisorderEnsemble, samples: int, seed: int = 0) -> EnsembleStats:
     """Sampled mean and std of the ground energy over the disorder."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    solver = _LambdaSolver(ens)
-    rng = np.random.default_rng(seed)
-    lams, rs = [], []
-    for _ in range(samples):
-        lam, r = solver.sample(rng)
-        lams.append(lam)
-        rs.append(r)
-    arr = np.asarray(lams)
-    std = float(np.std(arr, ddof=1)) if samples > 1 else 0.0
-    return EnsembleStats(samples=samples, mean=float(np.mean(arr)), std=std,
-                         lambdas=lams, replicas=solver.replicas, rs=rs)
+    base, replicas = ens.replica_of or (ens, 1)
+    return _LambdaSolver(base, replicas).stats(samples, seed)
 
 
 @dataclass
@@ -230,8 +240,12 @@ def av_decide(ens: DisorderEnsemble, lambda_yes: float, lambda_no: float,
     n_replicas = 1 if sigma <= target else math.ceil((sigma / target) ** 2)
     if n_replicas > max_replicas:
         raise ValueError(f"would need {n_replicas} replicas (cap {max_replicas})")
-    rep = replica_ensemble(ens, n_replicas, qubit_ceiling=10**9)
-    stats = lambda_stats(rep, samples, seed=seed)
+    if n_replicas == 1:
+        stats = lambda_stats(ens, samples, seed=seed)
+    else:
+        # what lambda_stats(replica_ensemble(ens, n_replicas)) computes,
+        # without building n_replicas copies of the templates
+        stats = _LambdaSolver(ens, n_replicas).stats(samples, seed)
     sigma_prime = sigma / math.sqrt(n_replicas)
     thr_yes = lambda_yes + sigma_shift * sigma_prime
     thr_no = lambda_no - sigma_shift * sigma_prime

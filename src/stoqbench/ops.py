@@ -172,9 +172,33 @@ class OperatorSum:
 
 def matrix_element(op: OperatorSum, x: int, y: int) -> float:
     """<x|op|y> computed term by term, without assembly."""
-    if not (0 <= x < 2**op.n and 0 <= y < 2**op.n):
+    return float(matrix_elements(op, x, y))
+
+
+def matrix_elements(op: OperatorSum, xs, ys) -> np.ndarray:
+    """<x|op|y> for arrays of basis states, term by term, without assembly.
+
+    Each term contributes ``w * block[lx, ly]`` where x and y agree
+    outside its support and ``w * 0.0`` elsewhere; contributions are
+    added in term order starting from 0.0, so every entry is bitwise
+    the left-to-right sum of the scalar per-term elements.  Basis states
+    are int64, which limits the register to 63 qubits.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    dim = 2**op.n
+    if np.any((xs < 0) | (xs >= dim)) or np.any((ys < 0) | (ys >= dim)):
         raise IndexError("basis index out of range")
-    return sum(w * t.element(x, y) for w, t in zip(op.weights, op.terms))
+    out = np.zeros(np.broadcast(xs, ys).shape)
+    for w, t in zip(op.weights, op.terms):
+        mask = sum(1 << q for q in t.support)
+        lx = np.zeros_like(xs)
+        ly = np.zeros_like(ys)
+        for i, q in enumerate(t.support):
+            lx |= ((xs >> q) & 1) << i
+            ly |= ((ys >> q) & 1) << i
+        out += w * np.where(((xs ^ ys) & ~mask) == 0, t.block[lx, ly], 0.0)
+    return out
 
 
 def apply_to_basis(op: OperatorSum, x: int) -> dict:

@@ -260,7 +260,11 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
-    return p, max(0.0, center - half), min(1.0, center + half)
+    # at p = 0 and p = 1 center - half and center + half are exactly 0
+    # and 1; in floating point they miss by an ulp of the terms
+    lower = 0.0 if successes == 0 else max(0.0, center - half)
+    upper = 1.0 if successes == trials else min(1.0, center + half)
+    return p, lower, upper
 
 
 @dataclass

@@ -1,13 +1,22 @@
+import dataclasses
+import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoqbench import (DisorderEnsemble, LhMinInstance, LocalOperator,
-                       TermTemplate, assemble_dense, av_decide,
-                       cnf_ensemble_from_dimacs, lambda_stats,
-                       replica_ensemble, sbp_bounds, sbp_matrix, trace_power,
-                       trace_report)
+                       OperatorSum, TermTemplate, assemble_dense, av_decide,
+                       cnf_ensemble_from_dimacs, dense_spectrum, estimators,
+                       lambda_stats, replica_ensemble, save, sbp_bounds,
+                       sbp_matrix, trace_power, trace_report)
+from stoqbench.cli import main as cli_main
+from stoqbench.estimators import AvDecision, EnsembleStats
+from conftest import random_stoquastic_block
+from test_ops import random_sum, ref_matrix_element
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -159,6 +168,8 @@ class TestReplicaEnsemble:
 
 
 UNSAT_BIASED = "p cnf 3 4\n1 3 0\n1 -3 0\n2 3 0\n2 -3 0\n"
+# the benchmark's "no" ensemble (random bits 2 and 3)
+BIASED = "p cnf 3 4\n2 1 0\n2 -1 0\n3 1 0\n3 -1 0\n"
 
 
 class TestCnfEnsemble:
@@ -225,3 +236,216 @@ class TestAvDecide:
     def test_bad_gap_rejected(self):
         with pytest.raises(ValueError):
             av_decide(one_qubit_ensemble(), 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the scalar loops the array estimators replaced, kept as references
+
+
+def reference_trace_power(g, L, paths, seed):
+    """Sampled trace_power as one draw and one scalar product per path."""
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** (g.n * L)
+    vals = np.empty(paths)
+    for i in range(paths):
+        xs = rng.integers(0, 2**g.n, size=L)
+        prod = 1.0
+        for j in range(L):
+            prod *= ref_matrix_element(g, int(xs[j]), int(xs[(j + 1) % L]))
+            if prod == 0.0:
+                break
+        vals[i] = scale * prod
+    value = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    return value, stderr
+
+
+def reference_lambda_stats(ens, samples, seed):
+    """lambda_stats as one scalar draw and one addition per replica."""
+    base, replicas = ens.replica_of or (ens, 1)
+    cache = {}
+    rng = np.random.default_rng(seed)
+    lams, rs = [], []
+    for _ in range(samples):
+        total, draw = 0.0, []
+        for _ in range(replicas):
+            r = int(rng.integers(0, 2**base.m))
+            if r not in cache:
+                cache[r] = float(dense_spectrum(base.realize(r).operator())[0])
+            draw.append(r)
+            total += cache[r]
+        lams.append(total / replicas)
+        rs.append(tuple(draw))
+    arr = np.asarray(lams)
+    std = float(np.std(arr, ddof=1)) if samples > 1 else 0.0
+    return EnsembleStats(samples=samples, mean=float(np.mean(arr)), std=std,
+                         lambdas=lams, replicas=replicas, rs=rs)
+
+
+def reference_av_decide(ens, lambda_yes, lambda_no, samples, seed,
+                        sigma_margin=100.0, pilot=30, sigma_shift=10.0,
+                        confidence=0.99):
+    """av_decide over a materialised replica ensemble and the scalar loop."""
+    sigma = reference_lambda_stats(ens, pilot, seed + 1).std
+    target = (lambda_no - lambda_yes) / sigma_margin
+    n_replicas = 1 if sigma <= target else math.ceil((sigma / target) ** 2)
+    rep = replica_ensemble(ens, n_replicas, qubit_ceiling=10**9)
+    stats = reference_lambda_stats(rep, samples, seed)
+    sigma_prime = sigma / math.sqrt(n_replicas)
+    thr_yes = lambda_yes + sigma_shift * sigma_prime
+    thr_no = lambda_no - sigma_shift * sigma_prime
+    arr = np.asarray(stats.lambdas)
+    frac_yes = float(np.mean(arr <= thr_yes))
+    frac_no = float(np.mean(arr >= thr_no))
+    decision = ("yes" if frac_yes >= confidence else
+                "no" if frac_no >= confidence else "inconclusive")
+    return AvDecision(decision, n_replicas, sigma_prime, thr_yes, thr_no,
+                      frac_yes, frac_no, stats)
+
+
+def assert_same_bits(got, want):
+    """Equal field by field, floats to the bit (repr keeps the sign of 0)."""
+    for name, a, b in zip([f.name for f in dataclasses.fields(got)],
+                          dataclasses.astuple(got), dataclasses.astuple(want)):
+        if repr(a) != repr(b):
+            # no assert: a diff of reprs with 10^5 draws would take minutes
+            pytest.fail(f"{name} differs")
+
+
+def margin_for(ens, replicas, gap, seed):
+    """sigma_margin for which av_decide's pilot asks for ``replicas``."""
+    sigma = reference_lambda_stats(ens, 30, seed + 1).std
+    return gap * math.sqrt(replicas - 0.5) / sigma
+
+
+@st.composite
+def small_ensembles(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    templates = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = int(rng.integers(1, min(n, 2) + 1))
+        support = tuple(sorted(int(q) for q in rng.choice(n, k, replace=False)))
+        nbits = int(rng.integers(0, min(m, 2) + 1))
+        bits = tuple(int(b) for b in rng.choice(m, nbits, replace=False))
+        templates.append(TermTemplate(support, bits, {
+            a: random_stoquastic_block(rng, k) for a in range(2**nbits)}))
+    return DisorderEnsemble(n, m, tuple(templates))
+
+
+CHUNKS = st.sampled_from([1, 2, 5, 64, 1000, estimators.DRAW_CHUNK])
+
+
+class TestArrayEstimatorsMatchScalarLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 10), L=st.integers(1, 6),
+           paths=st.one_of(st.just(1), st.integers(2, 300)),
+           op_seed=st.integers(0, 2**32 - 1), sbp=st.booleans(),
+           seed=st.integers(0, 2**63 - 1), chunk=CHUNKS)
+    def test_sampled_trace(self, n, L, paths, op_seed, sbp, seed, chunk):
+        # a signed sum with zeroed entries, or the G of a stoquastic chain
+        rng = np.random.default_rng(op_seed)
+        if sbp:
+            terms = tuple(LocalOperator((q, q + 1), random_stoquastic_block(rng, 2))
+                          for q in range(n - 1)) or (LocalOperator((0,), -X),)
+            g, _ = sbp_matrix(LhMinInstance(n, terms, -1.0, 0.0))
+        else:
+            g = random_sum(rng, n)
+        with mock.patch.object(estimators, "DRAW_CHUNK", chunk):
+            rep = trace_power(g, L, mode="sampled", paths=paths, seed=seed)
+        assert repr((rep.value, rep.stderr)) \
+            == repr(reference_trace_power(g, L, paths, seed))
+
+    @pytest.mark.parametrize("paths", [1, 3])
+    def test_sampled_zero_weight_paths(self, paths):
+        # -I: diagonal steps give -1 and off-diagonal steps 0.0.  The loop
+        # stopped at a path's first zero; the array product goes on, so a
+        # path such as (0, 1, 1) ends at -0.0, which the mean must not show
+        g = OperatorSum(1, (LocalOperator((0,), -np.eye(2)),))
+        for seed in range(16):
+            rep = trace_power(g, 3, mode="sampled", paths=paths, seed=seed)
+            assert repr((rep.value, rep.stderr)) \
+                == repr(reference_trace_power(g, 3, paths, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ens=small_ensembles(), replicas=st.sampled_from([1, 4, 16, 838]),
+           samples=st.integers(1, 20), seed=st.integers(0, 2**63 - 1),
+           chunk=CHUNKS)
+    def test_lambda_stats(self, ens, replicas, samples, seed, chunk):
+        rep = replica_ensemble(ens, replicas, qubit_ceiling=10**9)
+        with mock.patch.object(estimators, "DRAW_CHUNK", chunk):
+            got = lambda_stats(rep, samples, seed=seed)
+        assert_same_bits(got, reference_lambda_stats(rep, samples, seed))
+
+    @pytest.mark.parametrize("replicas", [1, 4])
+    def test_replica_sum_starts_from_zero(self, replicas):
+        # the scalar loop added to 0.0, which turns energies of -0.0 into 0.0
+        ens = replica_ensemble(one_qubit_ensemble(), replicas)
+        with mock.patch.object(estimators._LambdaSolver, "base_lambda",
+                               lambda solver, r: -0.0):
+            stats = lambda_stats(ens, 3, seed=0)
+        assert repr(stats.lambdas) == "[0.0, 0.0, 0.0]"
+
+    @pytest.mark.parametrize("replicas", [1, 4, 16, 838])
+    def test_av_decide(self, replicas):
+        if replicas == 838:
+            # its pilot asks for 838 replicas at this margin and seed
+            ens = cnf_ensemble_from_dimacs(BIASED, q_vars=[2, 3])
+            kwargs = dict(lambda_yes=0.0, lambda_no=2.0 / 3.0, samples=200,
+                          seed=1, sigma_margin=30.0)
+        else:
+            ens = one_qubit_ensemble()
+            kwargs = dict(lambda_yes=-1.0, lambda_no=-0.8, samples=60, seed=3,
+                          sigma_margin=margin_for(ens, replicas, 0.2, 3))
+        got = av_decide(ens, **kwargs)
+        assert got.replicas == replicas
+        assert_same_bits(got, reference_av_decide(ens, **kwargs))
+
+    def test_many_replicas_bounded_and_equal(self):
+        """A pilot sigma that asks for over 10^4 replicas: the draws'
+        temporaries stay below half of one int64 array holding every
+        draw, and the result is the scalar loop's."""
+        ens = one_qubit_ensemble()
+        samples = 24
+        kwargs = dict(lambda_yes=-1.0, lambda_no=-0.8, samples=samples, seed=0,
+                      sigma_margin=margin_for(ens, 10**4 + 7, 0.2, 0))
+        tracemalloc.start()
+        try:
+            got = av_decide(ens, **kwargs)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.replicas == 10**4 + 7
+        assert peak - retained < 8 * samples * got.replicas / 2
+        assert_same_bits(got, reference_av_decide(ens, **kwargs))
+
+
+class TestOutputsPinned:
+    """CSV bytes written before the estimators drew arrays."""
+
+    def test_sampled_trace_csv(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        terms = tuple(LocalOperator(sup, random_stoquastic_block(rng, 2))
+                      for sup in [(0, 1), (1, 2), (2, 3), (0, 3)])
+        path = str(tmp_path / "h.json")
+        save(LhMinInstance(4, terms, -3.0, -1.0), path)
+        out = tmp_path / "t.csv"
+        assert cli_main(["trace", "--instance", path, "--power", "3",
+                         "--paths", "3000", "--seed", "11",
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7a39dcfec6baa3e6cb46f58b3367cf889484e64a463ae9be60407f60370b47f6")
+
+    def test_ensemble_decide_csv(self, tmp_path):
+        cnf = tmp_path / "e.cnf"
+        cnf.write_text(BIASED)
+        ens = str(tmp_path / "ens.json")
+        assert cli_main(["gen", "cnf-ensemble", "--cnf", str(cnf),
+                         "--q-vars", "2,3", "--out", ens]) == 0
+        out = tmp_path / "d.csv"
+        assert cli_main(["ensemble", "--instance", ens, "--samples", "40",
+                         "--seed", "5", "--decide", "--lambda-yes", "0",
+                         "--lambda-no", "0.6667", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e7e70a6a8454ddb2e823f7c9e6e05439b29e467b85bc08c4640819a73cc47fcf")

@@ -7,7 +7,7 @@ from stoqbench import (Gate, LocalOperator, OperatorSum, amplitude_ratio,
                        block_decompose, conjugate_by_circuit, make_block_projector,
                        matrix_element, projector_check)
 from stoqbench.ops import (BlockComponent, DenseLimitError, _support_maps,
-                           dense_limit, local_term)
+                           dense_limit, local_term, matrix_elements)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -305,6 +305,11 @@ def ref_assemble_dense(op):
     return out
 
 
+def ref_matrix_element(op, x, y):
+    """The scalar term loop matrix_element ran before the array form."""
+    return sum(w * t.element(x, y) for w, t in zip(op.weights, op.terms))
+
+
 def random_factors(rng, support, signed=False):
     """Split a random subset of ``support`` into factors whose qubit lists
     are shuffled, so they are unsorted and usually non-adjacent."""
@@ -392,3 +397,27 @@ class TestLayoutMatchesLoopReference:
     def test_local_term_rejects_qubit_outside_support(self):
         with pytest.raises(ValueError):
             local_term((0, 2), [((1,), np.eye(2))])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_matrix_elements_bytes(self, n, seed):
+        rng = np.random.default_rng(seed)
+        op = random_sum(rng, n)
+        xs = rng.integers(0, 2**n, size=64)
+        # sparse flips, so that x and y often agree outside a term's support
+        flips = (rng.integers(0, 2**n, size=64) & rng.integers(0, 2**n, size=64)
+                 & rng.integers(0, 2**n, size=64))
+        ys = xs ^ flips
+        want = np.array([ref_matrix_element(op, int(x), int(y))
+                         for x, y in zip(xs, ys)])
+        assert matrix_elements(op, xs, ys).tobytes() == want.tobytes()
+        x, y = int(xs[0]), int(ys[0])
+        assert repr(matrix_element(op, x, y)) == repr(ref_matrix_element(op, x, y))
+
+    def test_matrix_elements_reject_out_of_range(self):
+        op = OperatorSum(2, (LocalOperator((0,), X),))
+        for x, y in [(-1, 0), (4, 0), (0, 4)]:
+            with pytest.raises(IndexError):
+                matrix_element(op, x, y)
+            with pytest.raises(IndexError):
+                matrix_elements(op, [0, x], [0, y])

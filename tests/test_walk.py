@@ -184,6 +184,13 @@ class TestWilson:
         assert wilson_interval(0, 50)[0] == 0.0
         assert wilson_interval(50, 50)[0] == 1.0
 
+    @pytest.mark.parametrize("trials", [1, 7, 50, 80, 200, 1000, 10**6])
+    def test_endpoints_exact_at_zero_and_all(self, trials):
+        # the rounding of center - half left 2.2e-19 at (0, 1000) and
+        # center + half 0.9999999999999999 at (80, 80)
+        assert wilson_interval(0, trials)[1] == 0.0
+        assert wilson_interval(trials, trials)[2] == 1.0
+
     def test_width_shrinks_with_trials(self):
         _, lo1, hi1 = wilson_interval(10, 20)
         _, lo2, hi2 = wilson_interval(1000, 2000)
