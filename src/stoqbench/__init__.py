@@ -1,7 +1,7 @@
 """Numerical workbench for stoquastic SAT and local-Hamiltonian minimization.
 
 Core objects: non-negative local operators and their sums (ops),
-instance files (instances), extreme eigenvalue routines (spectral),
+instance files (instances), eigenvalue routines (spectral),
 witness construction (prover), the random-walk verification protocol
 (walk), reversible verifier circuits and the Hamiltonian-to-verifier
 reduction (circuits), the clock compilation of circuits back into local
@@ -14,14 +14,13 @@ __version__ = "0.1.0"
 from .ops import (ETA, Gate, LocalOperator, OperatorSum, amplitude_ratio,
                   apply_to_basis, assemble_dense, assemble_sparse,
                   block_decompose, circuit_permutation, conjugate_by_circuit,
-                  dense_limit, make_block_projector, matrix_element,
-                  projector_check)
+                  make_block_projector, matrix_element, projector_check)
 from .instances import (DisorderEnsemble, LhMinInstance, SchemaError,
                         StoqSatInstance, TermTemplate, clause_projector,
                         from_dimacs, load, parse_dimacs,
                         random_projector_instance, save, validate)
-from .spectral import (SpectralResult, dense_spectrum, eigencount_below,
-                       extreme_eigenvalue, spectral_gap)
+from .spectral import (SpectralResult, dense_spectrum, extreme_eigenvalue,
+                       spectral_gap)
 from .prover import (HonestWitness, WitnessVector, adversarial_witnesses,
                      honest_witness)
 from .walk import (AcceptanceReport, WalkConfig, WalkRunner, WalkTranscript,

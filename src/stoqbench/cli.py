@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import circuits, clock, estimators, instances, prover, spectral, walk
-from .ops import dense_limit
+from .ops import DenseLimitError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -153,14 +153,15 @@ def cmd_spectrum(args, argv) -> int:
     else:
         print("spectrum needs a stoq-sat or lh-min instance", file=sys.stderr)
         return EXIT_ERROR
-    if inst.n <= dense_limit():
+    try:
         evals = spectral.dense_spectrum(op)
+    except DenseLimitError:
+        rows = [[which, spectral.extreme_eigenvalue(op, which).value]
+                for which in ("min", "max")]
+    else:
         rows = [["min", float(evals[0])], ["max", float(evals[-1])],
                 ["gap", spectral.level_gap(evals)],
                 ["ground_dim", int(np.sum(evals < evals[0] + 1e-8))]]
-    else:
-        rows = [[which, spectral.extreme_eigenvalue(op, which).value]
-                for which in ("min", "max")]
     _write_csv(args.out, ["quantity", "value"], rows)
     if args.out != "-":
         _write_manifest(args.out, argv, [args.instance])

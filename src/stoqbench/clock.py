@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import (Gate, LocalOperator, OperatorSum, assemble_dense,
-                  assemble_sparse, circuit_permutation, dense_limit, local_term)
+from .ops import (Gate, LocalOperator, OperatorSum, assemble_sparse,
+                  circuit_permutation, local_term)
 from .instances import LhMinInstance, StoqSatInstance
 from .circuits import VerifierCircuit, acceptance_probability, initial_state
+from .spectral import dense_spectrum
 
 _KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -217,11 +218,8 @@ def export_6sat(clock: ClockInstance, epsilon: float = None,
     meta = {"source_circuit": "clock", "input": clock.x, "L": clock.L,
             "epsilon_mode": "supplied"}
     if epsilon is None:
-        if clock.N > dense_limit():
-            raise ValueError(
-                "dense limit exceeded: supply epsilon explicitly")
         g = OperatorSum(clock.N, projectors, (1.0 / m,) * m)
-        lam = float(np.linalg.eigvalsh(assemble_dense(g))[-1])
+        lam = float(dense_spectrum(g)[-1])
         eps = m * (1.0 - lam)
         meta["lambda_max"] = lam
         meta["epsilon_spectral"] = eps

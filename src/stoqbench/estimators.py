@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import LocalOperator, OperatorSum, assemble_dense, dense_limit, matrix_elements
+from .ops import DenseLimitError, LocalOperator, OperatorSum, matrix_elements
 from .instances import (DisorderEnsemble, LhMinInstance, TermTemplate,
                         parse_dimacs, validate)
 from .spectral import dense_spectrum, extreme_eigenvalue
@@ -59,13 +59,11 @@ def sbp_matrix(h: LhMinInstance):
 
 def trace_power(g: OperatorSum, L: int, mode: str = "exact",
                 paths: int = 0, seed: int = 0) -> TraceReport:
-    """tr(G^L), exactly (dense powers) or by uniform closed-path sampling."""
+    """tr(G^L), exactly (from the spectrum) or by uniform closed-path sampling."""
     if L < 1:
         raise ValueError("L must be >= 1")
     if mode == "exact":
-        mat = assemble_dense(g)
-        evals = np.linalg.eigvalsh(mat)
-        value = float(np.sum(evals**L))
+        value = float(np.sum(dense_spectrum(g)**L))
         return TraceReport(L=L, value=value, stderr=0.0, mode="exact")
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
@@ -164,11 +162,11 @@ class _LambdaSolver:
 
     def base_lambda(self, r: int) -> float:
         """Ground energy of the base ensemble's realisation r."""
-        inst = self.base.realize(r)
-        op = inst.operator()
-        if inst.n <= dense_limit():
+        op = self.base.realize(r).operator()
+        try:
             return float(dense_spectrum(op)[0])
-        return extreme_eigenvalue(op, which="min").value
+        except DenseLimitError:
+            return extreme_eigenvalue(op, which="min").value
 
     def stats(self, samples: int, seed: int) -> EnsembleStats:
         """Mean ground energy of ``replicas`` draws of r, ``samples`` times.

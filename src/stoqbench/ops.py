@@ -28,7 +28,7 @@ def dense_limit() -> int:
     return int(os.environ.get("STOQ_DENSE_LIMIT", DEFAULT_DENSE_LIMIT))
 
 
-class DenseLimitError(RuntimeError):
+class DenseLimitError(ValueError):
     pass
 
 
@@ -348,22 +348,6 @@ def make_block_projector(components, dim: int) -> np.ndarray:
     return out
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def block_decompose(pi, tol: float = ETA):
     """Split a non-negative projector into its rank-1 positive blocks.
 
@@ -375,14 +359,13 @@ def block_decompose(pi, tol: float = ETA):
     ok, residual = projector_check(mat, tol=max(tol, 1e-8))
     if not ok:
         raise ValueError(f"input is not a non-negative projector (residual {residual:g})")
-    uf = _UnionFind(dim)
-    rows, cols = np.nonzero(mat > tol)
-    for x, y in zip(rows, cols):
-        uf.union(int(x), int(y))
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(sp.csr_matrix(mat > tol), directed=False)
     groups: dict = {}
     for x in range(dim):
         if mat[x, x] > tol:
-            groups.setdefault(uf.find(x), []).append(x)
+            groups.setdefault(labels[x], []).append(x)
     components = []
     for members in groups.values():
         amps = {x: float(np.sqrt(mat[x, x])) for x in members}

@@ -3,7 +3,8 @@
 ``extreme_eigenvalue`` is the one extreme-eigenpair path: LOBPCG on the
 sparse matrix from the all-ones start vector, or a dense ``eigh`` of the
 same matrix below LOBPCG's minimum size.  Every pair it returns has
-passed a residual check.
+passed a residual check.  ``dense_spectrum`` is the one full-spectrum
+path: dense solves of the matrix's connected components.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .ops import ETA, OperatorSum, assemble_dense, assemble_sparse
+from .ops import ETA, DenseLimitError, OperatorSum, assemble_sparse, dense_limit
 
 # LOBPCG needs five rows per start vector; scipy goes dense below that.
 LOBPCG_MIN_DIM = 5
+
+# Entries per stacked eigvalsh call in dense_spectrum (128 MiB of floats).
+STACK_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -89,16 +94,45 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
 
 
 def dense_spectrum(op) -> np.ndarray:
+    """Every eigenvalue of an operator sum or symmetric matrix, ascending.
+
+    The matrix is block diagonal over the connected components of its
+    graph, the irreducible blocks of Perron-Frobenius, so each component
+    is solved densely on its own: rows are permuted to group components
+    by size, and each size's diagonal blocks go through one stacked
+    ``eigvalsh`` of at most STACK_ENTRIES entries (or one component).
+    Raises DenseLimitError when a component has more than
+    2**dense_limit() rows.
+    """
+    from scipy.sparse.csgraph import connected_components
+
     if isinstance(op, OperatorSum):
-        mat = assemble_dense(op)
+        mat = assemble_sparse(op)
     else:
-        mat = np.asarray(op, dtype=float)
-    return np.linalg.eigvalsh(mat)
-
-
-def eigencount_below(op, threshold: float) -> int:
-    """Number of eigenvalues strictly below threshold (dense path)."""
-    return int(np.sum(dense_spectrum(op) < threshold))
+        mat = sp.csr_matrix(np.asarray(op, dtype=float))
+    _, labels = connected_components(mat, directed=False)
+    sizes = np.bincount(labels)
+    if sizes.max() > 2**dense_limit():
+        raise DenseLimitError(
+            f"a component of {sizes.max()} rows exceeds the dense limit of "
+            f"2**{dense_limit()} rows")
+    order = np.lexsort((labels, sizes[labels]))
+    perm = np.empty_like(order)
+    perm[order] = np.arange(len(order))
+    mat = mat.tocoo()
+    row, col = perm[mat.row], perm[mat.col]
+    evals, start = [], 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        step = size * max(1, STACK_ENTRIES // size**2)
+        for lo in range(start, start + size * count, step):
+            hi = min(lo + step, start + size * count)
+            sel = (row >= lo) & (row < hi)
+            r, c = row[sel] - lo, col[sel] - lo
+            stack = np.zeros(((hi - lo) // size, size, size))
+            stack[r // size, r % size, c % size] = mat.data[sel]
+            evals.append(np.linalg.eigvalsh(stack))
+        start += size * count
+    return np.sort(np.concatenate(evals, axis=None))
 
 
 def level_gap(evals: np.ndarray, merge_tol: float = 1e-8) -> float:

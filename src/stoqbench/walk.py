@@ -111,41 +111,24 @@ class WalkRunner:
         return sorted((y, v) for y, v in row.items() if v > self.eta)
 
     def transition_probabilities(self, x: int):
-        """Steps 3-5: returns (ys, ps, rs, alphas) in ascending y order.
+        """Steps 3-5: returns (ys, ps, rs) in ascending y order.
 
         r = P/G is the amplitude ratio sqrt(<y|Pi|y>/<x|Pi|x>) for the
         smallest projector index with <y|Pi|x> > 0.
         """
-        neigh = self.neighborhood(x)
-        ys, ps, rs, alphas = [], [], [], []
-        for y, gxy in neigh:
-            alpha = None
-            for a, p in enumerate(self.instance.projectors):
-                if p.element(y, x) > self.eta:
-                    alpha = a
-                    break
-            if alpha is None:
-                # G_{x,y} > 0 forces some cross element > 0; tolerance split
-                # can lose it, treat as an unnormalizable direction
-                ys.append(y)
-                ps.append(0.0)
-                rs.append(0.0)
-                alphas.append(-1)
-                continue
-            p = self.instance.projectors[alpha]
-            dx, dy = p.diag(x), p.diag(y)
-            if dx <= self.eta:
-                ys.append(y)
-                ps.append(0.0)
-                rs.append(0.0)
-                alphas.append(alpha)
-                continue
-            r = math.sqrt(dy / dx)
+        ys, ps, rs = [], [], []
+        for y, gxy in self.neighborhood(x):
+            # G_{x,y} > 0 forces some cross element > 0; a tolerance split
+            # can lose it, and r = 0 marks that unnormalizable direction
+            p = next((p for p in self.instance.projectors
+                      if p.element(y, x) > self.eta), None)
+            r = 0.0
+            if p is not None and p.diag(x) > self.eta:
+                r = math.sqrt(p.diag(y) / p.diag(x))
             ys.append(y)
             ps.append(gxy * r)
             rs.append(r)
-            alphas.append(alpha)
-        return ys, ps, rs, alphas
+        return ys, ps, rs
 
     def _row(self, x: int):
         """The compiled row of string x, or the reason the walk rejects there.
@@ -164,7 +147,7 @@ class WalkRunner:
         if not self.diag_positive(x):
             reason = "diag-zero"
         else:
-            ys, ps, rs, _ = self.transition_probabilities(x)
+            ys, ps, rs = self.transition_probabilities(x)
             if (abs(sum(ps) - 1.0) <= self.eta * max(1, len(ys))
                     and all(p >= 0.0 for p in ps)):
                 row = (np.cumsum(ps).tolist()[:-1],

@@ -122,7 +122,20 @@ class TestCompile:
         clock = str(tmp_path / "clock.json")
         assert main(["compile", "--circuit", self.circuit_path(tmp_path),
                      "--to", "clock", "--out", clock]) == EXIT_OK
-        for inst in (sat_instance, clock):
+        # one 16-row component; the CNF's G is diagonal, so its one-row
+        # components stay on the dense path at any limit
+        rand = str(tmp_path / "rand.json")
+        assert main(["gen", "random", "--n", "4", "--k", "2", "--terms", "3",
+                     "--seed", "5", "--out", rand]) == EXIT_OK
+        dense, diag = str(tmp_path / "d.csv"), str(tmp_path / "g.csv")
+        assert main(["spectrum", "--instance", sat_instance, "--out", dense]) \
+            == EXIT_OK
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", "0")
+        assert main(["spectrum", "--instance", sat_instance, "--out", diag]) \
+            == EXIT_OK
+        monkeypatch.delenv("STOQ_DENSE_LIMIT")
+        assert open(diag).read() == open(dense).read()
+        for inst in (rand, clock):
             dense, sparse = str(tmp_path / "d.csv"), str(tmp_path / "s.csv")
             assert main(["spectrum", "--instance", inst, "--out", dense]) \
                 == EXIT_OK
@@ -262,6 +275,24 @@ class TestRobustness:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
         assert not (tmp_path / "v.csv.manifest.json").exists()
+
+    def test_trace_above_dense_limit_is_one_line_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from stoqbench import LhMinInstance, LocalOperator, save
+        # -X on every qubit connects all 16 strings into one component
+        x = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        path = str(tmp_path / "h.json")
+        save(LhMinInstance(4, tuple(LocalOperator((q,), x) for q in range(4)),
+                           -4.0, -3.0), path)
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", "2")
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--instance", path, "--out", str(out)]) \
+            == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dense limit" in err
+        assert not out.exists()
+        assert not (tmp_path / "t.csv.manifest.json").exists()
 
     def test_manifest_records_argv_of_main(self, sat_instance, tmp_path):
         out = str(tmp_path / "v.csv")

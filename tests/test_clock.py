@@ -4,7 +4,7 @@ import pytest
 from stoqbench import (Gate, VerifierCircuit, acceptance_probability,
                        assemble_dense, check_history_invariants,
                        compile_circuit, default_delta, dense_spectrum,
-                       eigencount_below, export_6sat, history_state,
+                       export_6sat, history_state,
                        max_acceptance, meas_expectation,
                        perturbed_hamiltonian, predicted_min_eigenvalue,
                        projector_check, run_walk, spectral_gap, validate,
@@ -101,7 +101,7 @@ class TestGroundSpace:
         assert abs(evals[0]) <= 1e-10
         gap = spectral_gap(h)
         assert gap > 0.0
-        assert eigencount_below(h, gap / 2) == 2**v.n_w
+        assert np.sum(dense_spectrum(h) < gap / 2) == 2**v.n_w
 
     def test_meas_expectation_tracks_acceptance(self):
         clock = compile_circuit(circuit_half(), 0)
@@ -202,6 +202,21 @@ class TestExport:
         assert inst.metadata["epsilon_mode"] == "spectral"
         assert inst.metadata["lambda_max"] < 1.0 - 1e-6
         assert 0.0 < inst.epsilon <= 1.0
+
+    @pytest.mark.parametrize("x,mode", [(0, "spectral"), (1, "spectral-yes")])
+    def test_thirteen_qubit_export_matches_lobpcg(self, x, mode):
+        from stoqbench import build_G, extreme_eigenvalue
+        v = VerifierCircuit(1, 2, 1, 1, (Gate("CNOT", (1, 3)), Gate("X", (0,)),
+                                         Gate("TOFFOLI", (0, 2, 3)),
+                                         Gate("CNOT", (4, 2)), Gate("X", (3,)),
+                                         Gate("CNOT", (3, 1))),
+                            out_basis="zero")
+        clock = compile_circuit(v, x)
+        assert clock.N == 13 and clock.L == 6
+        inst = export_6sat(clock)
+        assert inst.metadata["epsilon_mode"] == mode
+        top = extreme_eigenvalue(build_G(inst), "max").value
+        assert inst.metadata["lambda_max"] == pytest.approx(top, abs=1e-12)
 
     def test_supplied_epsilon_passthrough(self):
         inst = export_6sat(compile_circuit(circuit_xx(), 0), epsilon=0.25)

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from stoqbench import (Gate, LocalOperator, OperatorSum, VerifierCircuit,
-                       assemble_dense, build_G, compile_circuit, dense_spectrum,
-                       eigencount_below, extreme_eigenvalue,
-                       random_projector_instance, spectral_gap)
+                       assemble_dense, build_G, compile_circuit,
+                       cnf_ensemble_from_dimacs, dense_spectrum,
+                       extreme_eigenvalue, from_dimacs, perturbed_hamiltonian,
+                       random_projector_instance, spectral, spectral_gap)
+from stoqbench.ops import DenseLimitError
 from conftest import plus_instance
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -85,12 +91,6 @@ class TestExtremeEigenvalue:
 
 
 class TestDenseDiagnostics:
-    def test_eigencount_identity(self):
-        assert eigencount_below(np.eye(3), 0.5) == 0
-
-    def test_eigencount_diag(self):
-        assert eigencount_below(np.diag([0.0, 0.0, 1.0]), 0.5) == 2
-
     def test_gap_two_level(self):
         assert spectral_gap(np.diag([0.0, 1.0])) == pytest.approx(1.0)
 
@@ -112,4 +112,122 @@ class TestDenseDiagnostics:
                             out_basis="zero")
         h = assemble_dense(compile_circuit(v, 0).hamiltonian().operator())
         gap = spectral_gap(h)
-        assert eigencount_below(h, gap / 2) == 2**v.n_w
+        assert np.sum(dense_spectrum(h) < gap / 2) == 2**v.n_w
+
+
+def _ground_dim(evals):
+    return int(np.sum(evals < evals[0] + 1e-8))
+
+
+def _random_signed_sum(n, seed):
+    """Signed k-local terms (k <= 3) whose blocks keep about half their
+    entries, so the sum splits into several components or none."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(n + 1):
+        k = int(rng.integers(1, min(3, n) + 1))
+        support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+        block = rng.normal(size=(2**k, 2**k)) * (rng.random((2**k, 2**k)) < 0.5)
+        terms.append(LocalOperator(support, block + block.T))
+    return OperatorSum(n, tuple(terms), tuple(rng.normal(size=len(terms))))
+
+
+class TestDenseSpectrum:
+    """Per-component solves against one dense eigvalsh of the whole matrix."""
+
+    def assert_matches_dense(self, op):
+        got = dense_spectrum(op)
+        want = np.linalg.eigvalsh(assemble_dense(op))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert _ground_dim(got) == _ground_dim(want)
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (4, 2), (5, 3),
+                                        (7, 4), (8, 5), (10, 6)])
+    def test_random_signed_sums(self, n, seed):
+        self.assert_matches_dense(_random_signed_sum(n, seed))
+
+    @pytest.mark.parametrize("v", [
+        VerifierCircuit(0, 0, 0, 1, (Gate("X", (0,)), Gate("X", (0,)))),
+        VerifierCircuit(0, 1, 0, 1, (Gate("CNOT", (0, 1)),
+                                     Gate("CNOT", (1, 0)),
+                                     Gate("CNOT", (0, 1))), out_basis="zero"),
+        VerifierCircuit(1, 2, 1, 0, (Gate("CNOT", (1, 3)), Gate("X", (0,))),
+                        out_basis="zero"),
+    ])
+    def test_clock_and_perturbed_clock(self, v):
+        clock = compile_circuit(v, 0)
+        assert clock.N <= 10
+        self.assert_matches_dense(clock.hamiltonian().operator())
+        self.assert_matches_dense(perturbed_hamiltonian(clock, 1e-3).operator())
+
+    @pytest.mark.parametrize("n,m,seed", [(3, 2, 0), (6, 4, 1), (10, 8, 2)])
+    def test_g_of_random_instances(self, n, m, seed):
+        self.assert_matches_dense(build_G(random_projector_instance(
+            n, 2, m, seed=seed)))
+
+    def test_diagonal_operators_bitwise(self):
+        inst = from_dimacs("p cnf 4 4\n1 2 0\n-1 3 0\n2 -3 4 0\n-4 1 0\n")
+        ens = cnf_ensemble_from_dimacs(
+            "p cnf 3 4\n2 1 0\n2 -1 0\n3 1 0\n3 -1 0\n", q_vars=[2, 3])
+        rng = np.random.default_rng(9)
+        diag = OperatorSum(5, tuple(LocalOperator((q, q + 1),
+                                                  np.diag(rng.normal(size=4)))
+                                    for q in range(4)))
+        for op in [build_G(inst), diag] + [ens.realize(r).operator()
+                                           for r in range(2**ens.m)]:
+            assert np.array_equal(dense_spectrum(op),
+                                  np.linalg.eigvalsh(assemble_dense(op)))
+
+    def test_matrix_input(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.3)
+        m = m + m.T
+        assert np.allclose(dense_spectrum(m), np.linalg.eigvalsh(m),
+                           atol=1e-12)
+
+    def test_stacks_split_by_size_agree(self, monkeypatch):
+        h = compile_circuit(VerifierCircuit(
+            1, 2, 1, 0, (Gate("CNOT", (1, 3)), Gate("X", (0,))),
+            out_basis="zero"), 0).hamiltonian().operator()
+        whole = dense_spectrum(h)
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 1)
+        assert np.array_equal(dense_spectrum(h), whole)
+
+    def test_limit_bounds_component_rows(self, monkeypatch):
+        g = build_G(random_projector_instance(4, 2, 3, seed=5))  # 16 rows
+        diag = OperatorSum(6, (LocalOperator((0, 5), np.diag([0., 1, 2, 3])),))
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", "3")
+        with pytest.raises(DenseLimitError, match="16 rows"):
+            dense_spectrum(g)
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", "0")
+        assert np.array_equal(dense_spectrum(diag),
+                              np.repeat([0.0, 1.0, 2.0, 3.0], 16))
+
+    def test_sixteen_qubit_clock(self):
+        # criterion 5's N=16 clock: 2^16 rows, no component above 36
+        big = VerifierCircuit(2, 3, 2, 1,
+                              (Gate("X", (0,)), Gate("CNOT", (2, 5)),
+                               Gate("TOFFOLI", (3, 4, 6)), Gate("CNOT", (4, 1)),
+                               Gate("X", (7,)), Gate("CNOT", (7, 5))),
+                              out_basis="zero")
+        h = compile_circuit(big, 1).hamiltonian().operator()
+        assert h.n == 16
+        evals = dense_spectrum(h)
+        assert len(evals) == 2**16
+        assert evals[0] <= 1e-10
+        assert _ground_dim(evals) == 2**big.n_w
+        assert spectral.level_gap(evals) >= 1e-6
+        assert evals[0] == pytest.approx(extreme_eigenvalue(h, "min").value,
+                                         abs=1e-10)
+
+
+def test_import_loads_no_scipy_solvers():
+    # csgraph and the sparse solvers are imported where they are used,
+    # keeping them out of every command's start-up time
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    code = ("import sys, stoqbench; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.sparse.csgraph', 'scipy.sparse.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

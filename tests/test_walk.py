@@ -66,7 +66,7 @@ class TestTransitionProbabilities:
     def test_plus_projector_splits_evenly(self):
         inst = StoqSatInstance(1, 1.0, (LocalOperator((0,), PLUS),))
         runner = WalkRunner(inst)
-        ys, ps, rs, alphas = runner.transition_probabilities(0)
+        ys, ps, rs = runner.transition_probabilities(0)
         assert ys == [0, 1]
         assert ps == pytest.approx([0.5, 0.5])
         assert sum(ps) == pytest.approx(1.0)
@@ -75,7 +75,7 @@ class TestTransitionProbabilities:
         psi = np.array([1.0, 2.0]) / math.sqrt(5.0)
         inst = StoqSatInstance(1, 1.0,
                                (LocalOperator((0,), np.outer(psi, psi)),))
-        ys, ps, rs, _ = WalkRunner(inst).transition_probabilities(0)
+        ys, ps, rs = WalkRunner(inst).transition_probabilities(0)
         assert ps == pytest.approx([0.2, 0.8])
 
     def test_two_projector_mix_normalizes(self):
@@ -84,7 +84,7 @@ class TestTransitionProbabilities:
             LocalOperator((0,), PLUS),
         ))
         runner = WalkRunner(inst)
-        ys, ps, rs, alphas = runner.transition_probabilities(0)
+        ys, ps, rs = runner.transition_probabilities(0)
         assert sum(ps) == pytest.approx(1.0)
 
     def test_neighborhood_matches_dense_row(self):
@@ -213,7 +213,7 @@ def reference_trial(runner, witness, config, rng):
     for j in range(L + 1):
         if x not in data:
             diag_ok = runner.diag_positive(x)
-            data[x] = (diag_ok, *(runner.transition_probabilities(x)[:3]
+            data[x] = (diag_ok, *(runner.transition_probabilities(x)
                                   if diag_ok else ([], [], [])))
         diag_ok, ys, ps, rs = data[x]
         if not diag_ok:
