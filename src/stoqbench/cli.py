@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-Every stochastic command takes an explicit --seed and is a pure
-function of (inputs, seed); tabular results go to RFC-4180 CSV with 17
-significant digits, and each output file gets a sidecar
-``<out>.manifest.json`` recording the command line, input hashes, seed
-and tool version.
+Every stochastic command takes an explicit non-negative --seed and is a
+pure function of (inputs, seed); tabular results go to RFC-4180 CSV with
+17 significant digits, and each output file gets a sidecar
+``<out>.manifest.json`` recording the command line, input hashes, seed,
+tool version, Python/numpy/scipy versions and the dense limit.
 
 Exit codes: 0 completed, 1 usage or IO error, 2 promise violation or
 inconclusive result.
@@ -17,14 +17,16 @@ import csv
 import hashlib
 import io
 import json
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import circuits, clock, estimators, instances, prover, spectral, walk
-from .ops import DenseLimitError
+from .ops import DenseLimitError, dense_limit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,6 +54,10 @@ def _write_manifest(out_path, argv, inputs, seed=None):
         "command": list(argv),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "seed": seed,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "STOQ_DENSE_LIMIT": dense_limit(),
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "output": str(out_path),
     }
@@ -72,6 +78,18 @@ def _write_csv(path, header, rows):
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
+
+
+def _seed(text: str) -> int:
+    """argparse type of every --seed: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 def _parse_witness(text: str) -> int:
@@ -311,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--n", type=int, required=True)
     gr.add_argument("--k", type=int, default=2)
     gr.add_argument("--terms", type=int, required=True)
-    gr.add_argument("--seed", type=int, required=True)
+    gr.add_argument("--seed", type=_seed, required=True)
     gr.add_argument("--out", required=True)
     gc = gsub.add_parser("cnf-ensemble")
     gc.add_argument("--cnf", required=True)
@@ -346,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness int (0b.., 0x.., decimal) or witness file")
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--steps", type=int, default=0)
-    v.add_argument("--seed", type=int, required=True)
+    v.add_argument("--seed", type=_seed, required=True)
     v.add_argument("--transcripts", default="", help="JSONL transcript path")
     v.add_argument("--out", default="-")
     v.set_defaults(func=cmd_verify)
@@ -356,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--power", type=int, default=None)
     t.add_argument("--paths", type=int, default=0,
                    help="sampled mode with this many closed paths")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--out", default="-")
     t.set_defaults(func=cmd_trace)
 
@@ -364,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--instance", required=True)
     e.add_argument("--samples", type=int, default=100)
     e.add_argument("--replicas", type=int, default=1)
-    e.add_argument("--seed", type=int, required=True)
+    e.add_argument("--seed", type=_seed, required=True)
     e.add_argument("--decide", action="store_true")
     e.add_argument("--lambda-yes", type=float, default=0.0)
     e.add_argument("--lambda-no", type=float, default=1.0)

@@ -15,7 +15,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class WalkConfig:
             raise ValueError("steps must be >= 1")
         if self.eta_walk <= 0:
             raise ValueError("eta_walk must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -163,35 +165,47 @@ class WalkRunner:
     # -- protocol ----------------------------------------------------------
 
     def run(self, witness: int, config: WalkConfig) -> WalkTranscript:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed))
+        rng = next(_generators(config.seed, [np.zeros((1, 0), np.uint32)]))
         return self._run_with_rng(witness, config, rng)
 
     def trials(self, witness: int, config: WalkConfig, count: int,
                majority: int = 1):
         """Yield trials 0..count-1, each as the list of its ``majority``
-        transcripts; vote v of trial i walks on the child seed
-        (config.seed, i, v), so every trial is a pure function of
-        (instance, witness, config, i, v)."""
+        transcripts; vote v of trial i draws the PCG64 stream of numpy's
+        seed sequence with entropy config.seed and spawn key (i, v), so
+        every trial is a pure function of (instance, witness, config, i,
+        v)."""
         if count < 1:
             raise ValueError("trials must be >= 1")
-        for i in range(count):
-            yield [self._run_with_rng(witness, config, np.random.default_rng(
-                np.random.SeedSequence(config.seed, spawn_key=(i, v))))
-                for v in range(majority)]
+        if count > _KEY_LIMIT or majority > _KEY_LIMIT:
+            # a larger i or v would be a two-word spawn key
+            raise ValueError("trials and majority must be <= 2^32")
+        if isinstance(self._start(witness), str):
+            # the walk rejects before its first draw, so no trial draws
+            rngs = repeat(None)
+        else:
+            rngs = _generators(config.seed, _trial_keys(count, majority))
+        for _ in range(count):
+            yield [self._run_with_rng(witness, config, next(rngs))
+                   for _ in range(majority)]
 
-    def _run_with_rng(self, witness: int, config: WalkConfig, rng) -> WalkTranscript:
-        """One trial, Steps 1-11: the protocol's only per-step loop."""
+    def _start(self, witness: int):
+        """The compiled row of the witness, or the reason the walk rejects
+        there, after checking the witness is a basis string."""
         if not 0 <= witness < self._dim:
             raise ValueError(f"witness {witness} out of range "
                              f"[0, 2^{self.instance.n})")
+        return self._rows.get(witness) or self._row(witness)
+
+    def _run_with_rng(self, witness: int, config: WalkConfig, rng) -> WalkTranscript:
+        """One trial, Steps 1-11: the protocol's only per-step loop."""
+        row = self._start(witness)
         rows = self._rows
         L = config.steps
         x = witness
         visited = [x]
         log_r_sum = 0.0
         delta = 0.0
-        row = rows.get(x) or self._row(x)
         if isinstance(row, str):
             return WalkTranscript(visited, log_r_sum, False, 0, row, 0, delta)
         for j, u in enumerate(chain.from_iterable(_uniforms(rng, L))):
@@ -226,6 +240,119 @@ def _uniforms(rng, L: int):
         yield rng.random(min(size, L - start)).tolist()
         start += size
         size *= 2
+
+
+# Trial streams.  Vote v of trial i draws the PCG64 stream of numpy's seed
+# sequence with entropy ``seed`` and spawn key (i, v).  Building that seed
+# sequence and a generator costs about 20 us per trial, so the hash is
+# rebuilt here: the seed's words are mixed into the pool once, in Python
+# ints, the spawn-key words are finished for a block of keys at a time as
+# uint32 arrays, and each key's PCG64 state is assigned to one reused
+# Generator.  The constants are those of numpy/random/bit_generator.pyx
+# and of PCG64's 128-bit LCG; tests compare every step with numpy's.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_KEY_LIMIT = 2**32
+_KEY_BLOCK = 4096
+
+
+def _hash_constants(const: int, mult: int):
+    """The successive (xor, multiply) constant pairs of the seed hash."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hashmix(value, xor, mult):
+    """One hash step, on Python ints or on uint32 arrays (which wrap)."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool, consts, words):
+    """Mix entropy words past the pool size into every word of the (4, 1)
+    or (4, k) uint32 pool; a word is an int or a column of k key words."""
+    for word in words:
+        xor, mult = np.array([next(consts) for _ in range(_POOL)],
+                             np.uint32).T[..., None]
+        pool = _mix(pool, _hashmix(word, xor, mult))
+    return pool
+
+
+def _seed_pool(seed: int):
+    """The seed sequence's pool after mixing in the seed's 32-bit words (zero
+    padded to the pool size) as a (4, 1) uint32 array, and the hash
+    constant it ends on."""
+    seed = int(seed)
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL - len(words))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, *next(consts)) for word in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst],
+                                 _hashmix(pool[src], *next(consts)))
+    pool = _absorb(np.array(pool, np.uint32)[:, None], consts,
+                   words[_POOL:])
+    return pool, next(consts)[0]
+
+
+def _pcg64_words(pool, const: int, keys):
+    """The seed sequence's generate_state(4, uint64) for spawn key ``key``,
+    for each row of the uint32 array ``keys``, as lists of four ints, from
+    the seed's (pool, const)."""
+    pool = _absorb(pool, _hash_constants(const, _MULT_A), keys.T)
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    xor, mult = np.array([next(consts) for _ in range(2 * _POOL)],
+                         np.uint32).T[..., None]
+    words = _hashmix(np.tile(pool, (2, 1)), xor, mult).astype(np.uint64)
+    return (words[0::2] | words[1::2] << 32).T.tolist()
+
+
+def _generators(seed: int, key_blocks):
+    """Yield one Generator per spawn key, in the state numpy seeds a new
+    PCG64 with from entropy ``seed`` and that key; ``key_blocks`` yields
+    uint32 arrays with one key per row.  The same Generator is yielded
+    every time, re-seeded, so it must be used up before the next one is
+    drawn."""
+    pool, const = _seed_pool(seed)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bitgen = rng.bit_generator
+    for keys in key_blocks:
+        for hi0, lo0, hi1, lo1 in _pcg64_words(pool, const, keys):
+            # PCG64 seeding: inc = 2 initseq + 1, then two LCG steps
+            inc = (hi1 << 65 | lo1 << 1 | 1) & _MASK128
+            state = ((hi0 << 64 | lo0) + inc) * _PCG_MULT + inc & _MASK128
+            bitgen.state = {"bit_generator": "PCG64",
+                            "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+def _trial_keys(count: int, majority: int):
+    """Spawn keys (i, v) for i < count and v < majority, i major, in blocks
+    of at most _KEY_BLOCK keys (one trial's votes if majority is larger)."""
+    per = max(1, _KEY_BLOCK // majority)
+    votes = np.arange(majority, dtype=np.uint32)
+    for start in range(0, count, per):
+        trials = np.arange(start, min(start + per, count)).astype(np.uint32)
+        yield np.column_stack([np.repeat(trials, majority),
+                               np.tile(votes, len(trials))])
 
 
 def run_walk(instance: StoqSatInstance, witness: int,
@@ -265,8 +392,11 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
                     majority: int = 1) -> AcceptanceReport:
     """Monte Carlo acceptance over seeded independent trials.
 
-    Trial i uses the child seed (config.seed, i), so results are a pure
-    function of (instance, witness, trials, seed).  ``majority`` > 1
+    Vote v of trial i draws the stream of numpy's seed sequence with
+    entropy config.seed and spawn key (i, v), so results are a pure
+    function of (instance, witness, trials, seed); a witness rejected at
+    step 0 gives the same transcript in every trial, so only trial 0
+    runs.  ``majority`` > 1
     repeats each trial and takes a majority vote (the amplification
     wrapper for delta-perturbed sampling).
     """

@@ -1,10 +1,18 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import stoqbench
 from stoqbench import Gate, VerifierCircuit, load, save_circuit
 from stoqbench.cli import EXIT_ERROR, EXIT_OK, EXIT_PROMISE, main
+from stoqbench.ops import DEFAULT_DENSE_LIMIT
 
 SAT_3 = "p cnf 3 3\n1 2 0\n-1 3 0\n2 -3 0\n"
 UNSAT_2 = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
@@ -301,6 +309,54 @@ class TestRobustness:
         assert main(argv) == EXIT_OK
         manifest = json.loads(open(out + ".manifest.json").read())
         assert manifest["command"] == argv
+
+    @pytest.mark.parametrize("limit", [None, "12"])
+    def test_manifest_records_versions_and_dense_limit(
+            self, sat_instance, tmp_path, monkeypatch, limit):
+        if limit is None:
+            monkeypatch.delenv("STOQ_DENSE_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("STOQ_DENSE_LIMIT", limit)
+        out = str(tmp_path / "v.csv")
+        assert main(["verify", "--instance", sat_instance, "--witness", "6",
+                     "--trials", "3", "--seed", "1", "--out", out]) == EXIT_OK
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["STOQ_DENSE_LIMIT"] == (DEFAULT_DENSE_LIMIT if limit is None
+                                            else 12)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random", "--n", "3", "--terms", "2", "--out", "o.json"],
+        ["verify", "--instance", "i.json", "--witness", "1"],
+        ["trace", "--instance", "h.json"],
+        ["ensemble", "--instance", "e.json"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "-0x10", "1.5"])
+    def test_bad_seed_names_the_flag(self, argv, seed, tmp_path, capsys,
+                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--seed", seed]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --seed: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_python_dash_m(self, tmp_path):
+        src = str(Path(stoqbench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        run = [sys.executable, "-m", "stoqbench"]
+        ok = subprocess.run(run + ["verify", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+        assert ok.returncode == EXIT_OK and "--witness" in ok.stdout
+        bad = subprocess.run(run + ["verify", "--instance", "i.json",
+                                    "--witness", "1", "--seed", "-1"],
+                             env=env, cwd=tmp_path, capture_output=True,
+                             text=True, timeout=60)
+        assert bad.returncode == EXIT_ERROR
+        assert bad.stderr.startswith("error: argument --seed: ")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--instance", "i.json", "--witness", "1", "--seed", "0",

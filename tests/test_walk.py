@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoqbench import (Gate, LocalOperator, StoqSatInstance, VerifierCircuit,
-                       WalkConfig, WalkRunner, WalkTranscript, acceptance_rate, assemble_dense,
+from stoqbench import walk
+from stoqbench import (AcceptanceReport, Gate, LocalOperator, StoqSatInstance,
+                       VerifierCircuit, WalkConfig, WalkRunner, WalkTranscript,
+                       acceptance_rate, assemble_dense,
                        build_G, compile_circuit, export_6sat, from_dimacs,
                        honest_witness, random_projector_instance,
                        required_steps, run_walk, save_circuit,
@@ -172,6 +174,87 @@ class TestAcceptanceRate:
         rep = acceptance_rate(inst, 0, 20, WalkConfig(steps=4, seed=2),
                               majority=3)
         assert rep.rate == 1.0
+
+    @pytest.mark.parametrize("witness, reason", [(1, "diag-zero"),
+                                                 (3, "unnormalized")])
+    def test_deterministic_witness_derives_no_streams(self, monkeypatch,
+                                                      witness, reason):
+        inst = random_projector_instance(3, 2, 3, 0)
+        calls = []
+        derive = walk._pcg64_words
+        monkeypatch.setattr(walk, "_pcg64_words",
+                            lambda *a: calls.append(a) or derive(*a))
+        config = WalkConfig(steps=5, seed=4)
+        assert WalkRunner(inst)._start(witness) == reason
+        rep = acceptance_rate(inst, witness, 300, config, majority=3)
+        assert rep == AcceptanceReport(0.0, 0.0, 0.0, 300, 0,
+                                       deterministic=True)
+        assert calls == []
+        # a witness whose walk draws does derive them, one block per call
+        acceptance_rate(inst, 0, 300, config, majority=3)
+        assert len(calls) == 1
+
+
+class TestTrialStreams:
+    """Trial (i, v) must draw numpy's default_rng(SeedSequence(seed,
+    spawn_key=(i, v))) stream; a numpy release that changes its seeding
+    fails here rather than silently changing verify CSVs."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**128 + 12345, 3**200]
+    KEYS = [(0, 0), (0, 1), (1, 0), (7, 2), (2**31, 1), (2**32 - 1, 2)]
+
+    @staticmethod
+    def assert_streams_match(seed, keys):
+        keys = np.array(keys, dtype=np.uint32).reshape(len(keys), -1)
+        words = walk._pcg64_words(*walk._seed_pool(seed), keys)
+        rngs = walk._generators(seed, [keys])
+        for key, got, rng in zip(keys.tolist(), words, rngs):
+            seq = np.random.SeedSequence(seed, spawn_key=key)
+            assert got == seq.generate_state(4, np.uint64).tolist()
+            expect = np.random.default_rng(seq).random(64)
+            assert np.array_equal(rng.random(64), expect)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_trial_keys_match_seed_sequence(self, seed):
+        self.assert_streams_match(seed, self.KEYS)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_empty_key_matches_run_seed(self, seed):
+        self.assert_streams_match(seed, [()])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**256), st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2)),
+        min_size=1, max_size=5))
+    def test_random_seeds_and_keys(self, seed, keys):
+        self.assert_streams_match(seed, keys)
+
+    @pytest.mark.parametrize("count, majority", [(1, 1), (5, 3), (4097, 1),
+                                                 (3, 5000)])
+    def test_trial_keys_in_order_and_bounded(self, count, majority):
+        blocks = list(walk._trial_keys(count, majority))
+        assert all(len(b) <= max(walk._KEY_BLOCK, majority) for b in blocks)
+        assert np.concatenate(blocks).tolist() == [
+            [i, v] for i in range(count) for v in range(majority)]
+
+    def test_key_limit(self):
+        inst = plus_instance(2, [(0, 1)])
+        config = WalkConfig(steps=3, seed=1)
+        runner = WalkRunner(inst)
+        # 2^32 trials keep every i in one spawn-key word; trial 0 is
+        # drawn from the first block alone
+        [first] = next(runner.trials(0, config, 2**32))
+        seq = np.random.SeedSequence(1, spawn_key=(0, 0))
+        expect = reference_trial(WalkRunner(inst), 0, config,
+                                 np.random.default_rng(seq))
+        assert dataclasses.asdict(first) == dataclasses.asdict(expect)
+        for count, majority in [(2**32 + 1, 1), (1, 2**32 + 1)]:
+            with pytest.raises(ValueError, match="2\\^32"):
+                next(runner.trials(0, config, count, majority))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            WalkConfig(steps=1, seed=-1)
 
 
 class TestWilson:
