@@ -4,7 +4,8 @@ Every stochastic command takes an explicit non-negative --seed and is a
 pure function of (inputs, seed); tabular results go to RFC-4180 CSV with
 17 significant digits, and each output file gets a sidecar
 ``<out>.manifest.json`` recording the command line, input hashes, seed,
-tool version, Python/numpy/scipy versions and the dense limit.
+tool version, Python/numpy/scipy versions, the dense limit and the
+command's wall time.
 
 Exit codes: 0 completed, 1 usage or IO error, 2 promise violation or
 inconclusive result.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -47,21 +49,25 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, argv, inputs, seed=None):
+def _write_manifest(args, argv, inputs):
+    """Write the sidecar of ``args.out``.  The seed is ``args.seed`` where
+    the command takes one, and ``elapsed_s`` counts from ``args.started``,
+    main's entry time."""
     manifest = {
         "tool": "stoqbench",
         "version": __version__,
         "command": list(argv),
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "STOQ_DENSE_LIMIT": dense_limit(),
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "output": str(out_path),
+        "elapsed_s": time.perf_counter() - args.started,
+        "output": str(args.out),
     }
-    with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
 
@@ -105,19 +111,19 @@ def cmd_gen(args, argv) -> int:
         with open(args.dimacs, encoding="utf-8") as fh:
             inst = instances.from_dimacs(fh.read())
         instances.save(inst, args.out)
-        _write_manifest(args.out, argv, [args.dimacs])
+        _write_manifest(args, argv, [args.dimacs])
     elif args.gen_kind == "random":
         inst = instances.random_projector_instance(
             args.n, args.k, args.terms, args.seed)
         instances.save(inst, args.out)
-        _write_manifest(args.out, argv, [], seed=args.seed)
+        _write_manifest(args, argv, [])
     elif args.gen_kind == "cnf-ensemble":
         with open(args.cnf, encoding="utf-8") as fh:
             text = fh.read()
         q_vars = [int(v) for v in args.q_vars.split(",")] if args.q_vars else []
         ens = estimators.cnf_ensemble_from_dimacs(text, q_vars)
         instances.save(ens, args.out)
-        _write_manifest(args.out, argv, [args.cnf])
+        _write_manifest(args, argv, [args.cnf])
     return EXIT_OK
 
 
@@ -132,7 +138,7 @@ def cmd_compile(args, argv) -> int:
         else:
             inst = clock.export_6sat(compiled, epsilon=args.epsilon)
         instances.save(inst, args.out)
-        _write_manifest(args.out, argv, [args.circuit])
+        _write_manifest(args, argv, [args.circuit])
     elif args.to == "verifier":
         h = instances.load(args.instance)
         if not isinstance(h, instances.LhMinInstance):
@@ -155,7 +161,7 @@ def cmd_compile(args, argv) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-        _write_manifest(args.out, argv, [args.instance])
+        _write_manifest(args, argv, [args.instance])
     else:
         print(f"unknown compile target {args.to!r}", file=sys.stderr)
         return EXIT_ERROR
@@ -182,7 +188,7 @@ def cmd_spectrum(args, argv) -> int:
                 ["ground_dim", int(np.sum(evals < evals[0] + 1e-8))]]
     _write_csv(args.out, ["quantity", "value"], rows)
     if args.out != "-":
-        _write_manifest(args.out, argv, [args.instance])
+        _write_manifest(args, argv, [args.instance])
     return EXIT_OK
 
 
@@ -204,7 +210,7 @@ def cmd_prove(args, argv) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    _write_manifest(args.out, argv, [args.instance])
+    _write_manifest(args, argv, [args.instance])
     return EXIT_PROMISE if hw.looks_unsat else EXIT_OK
 
 
@@ -246,7 +252,7 @@ def cmd_verify(args, argv) -> int:
                 fh.write(t.to_json())
                 fh.write("\n")
     if args.out != "-":
-        _write_manifest(args.out, argv, [args.instance], seed=args.seed)
+        _write_manifest(args, argv, [args.instance])
     return EXIT_OK
 
 
@@ -269,7 +275,7 @@ def cmd_trace(args, argv) -> int:
     _write_csv(args.out, ["L", "value", "stderr", "mode", "mu_yes", "mu_no",
                           "bound_yes", "bound_no"], rows)
     if args.out != "-":
-        _write_manifest(args.out, argv, [args.instance], seed=args.seed)
+        _write_manifest(args, argv, [args.instance])
     return EXIT_OK
 
 
@@ -278,8 +284,7 @@ def cmd_ensemble(args, argv) -> int:
     if not isinstance(ens, instances.DisorderEnsemble):
         print("ensemble needs an ensemble instance", file=sys.stderr)
         return EXIT_ERROR
-    if args.replicas > 1:
-        ens = estimators.replica_ensemble(ens, args.replicas)
+    ens = estimators.replica_ensemble(ens, args.replicas)
     code = EXIT_OK
     if args.decide:
         result = estimators.av_decide(ens, args.lambda_yes, args.lambda_no,
@@ -301,7 +306,7 @@ def cmd_ensemble(args, argv) -> int:
         rows.append(["decision", "", decision])
     _write_csv(args.out, ["sample_index", "r", "lambda"], rows)
     if args.out != "-":
-        _write_manifest(args.out, argv, [args.instance], seed=args.seed)
+        _write_manifest(args, argv, [args.instance])
     return code
 
 
@@ -314,7 +319,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every main() call."""
     p = _Parser(
         prog="stoqbench",
         description="Stoquastic SAT / LH-MIN numerical workbench")
@@ -336,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--q-vars", default="", help="comma list of DIMACS vars "
                     "treated as random bits")
     gc.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("compile", help="circuit->clock|6sat, hamiltonian->verifier")
     c.add_argument("--circuit")
@@ -346,17 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--delta", type=float, default=0.0)
     c.add_argument("--epsilon", type=float, default=None)
     c.add_argument("--out", required=True)
-    c.set_defaults(func=cmd_compile)
 
     s = sub.add_parser("spectrum", help="eigenvalue report")
     s.add_argument("--instance", required=True)
     s.add_argument("--out", default="-")
-    s.set_defaults(func=cmd_spectrum)
 
     pr = sub.add_parser("prove", help="honest witness for a stoq-sat instance")
     pr.add_argument("--instance", required=True)
     pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_prove)
 
     v = sub.add_parser("verify", help="run the walk protocol")
     v.add_argument("--instance", required=True)
@@ -367,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=_seed, required=True)
     v.add_argument("--transcripts", default="", help="JSONL transcript path")
     v.add_argument("--out", default="-")
-    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("trace", help="SBP trace functional")
     t.add_argument("--instance", required=True)
@@ -376,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled mode with this many closed paths")
     t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--out", default="-")
-    t.set_defaults(func=cmd_trace)
 
     e = sub.add_parser("ensemble", help="disorder statistics / AV decision")
     e.add_argument("--instance", required=True)
@@ -387,16 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--lambda-yes", type=float, default=0.0)
     e.add_argument("--lambda-no", type=float, default=1.0)
     e.add_argument("--out", default="-")
-    e.set_defaults(func=cmd_ensemble)
 
     return p
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, argv)
+        args.started = started
+        # looked up per call, not held by the once-built parser, so a
+        # cmd_* rebound on this module (bench/instrument.py wraps them)
+        # is the one that runs
+        return globals()[f"cmd_{args.command}"](args, argv)
     except (OSError, ValueError, instances.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -177,6 +177,8 @@ class WalkRunner:
         v)."""
         if count < 1:
             raise ValueError("trials must be >= 1")
+        if majority < 1:
+            raise ValueError("majority must be >= 1")
         if count > _KEY_LIMIT or majority > _KEY_LIMIT:
             # a larger i or v would be a two-word spawn key
             raise ValueError("trials and majority must be <= 2^32")

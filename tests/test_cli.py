@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 import scipy
 
 import stoqbench
-from stoqbench import Gate, VerifierCircuit, load, save_circuit
+from stoqbench import Gate, VerifierCircuit, cli, load, save_circuit
 from stoqbench.cli import EXIT_ERROR, EXIT_OK, EXIT_PROMISE, main
 from stoqbench.ops import DEFAULT_DENSE_LIMIT
 
@@ -327,6 +329,42 @@ class TestRobustness:
         assert manifest["STOQ_DENSE_LIMIT"] == (DEFAULT_DENSE_LIMIT if limit is None
                                             else 12)
 
+    def test_manifest_records_elapsed_time(self, sat_instance, tmp_path,
+                                          capsys):
+        out = tmp_path / "v.csv"
+        argv = ["verify", "--instance", sat_instance, "--witness", "6",
+                "--trials", "20", "--seed", "3"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
+        elapsed = manifest["elapsed_s"]
+        assert type(elapsed) is float and math.isfinite(elapsed)
+        assert elapsed >= 0.0
+        assert manifest["seed"] == 3
+        assert json.loads(open(sat_instance + ".manifest.json").read())[
+            "seed"] is None
+        # the CSV carries no timing: it matches stdout, which gets no
+        # manifest, and the bytes written before manifests timed the run
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4b62eb8ae7c33c36d5b9c27c7f077e9c0da7a8b0ad2593ef07baaee20c31ea1e")
+
+    @pytest.mark.parametrize("replicas", ["0", "-3"])
+    def test_ensemble_nonpositive_replicas(self, tmp_path, capsys, replicas):
+        cnf = write(tmp_path / "e.cnf", UNSAT_BIASED)
+        ens = str(tmp_path / "ens.json")
+        assert main(["gen", "cnf-ensemble", "--cnf", cnf, "--q-vars", "3",
+                     "--out", ens]) == EXIT_OK
+        out = tmp_path / "e.csv"
+        assert main(["ensemble", "--instance", ens, "--samples", "10",
+                     "--replicas", replicas, "--seed", "0",
+                     "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error: replica count must be >= 1\n"
+        assert not out.exists()
+        assert not (tmp_path / "e.csv.manifest.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["gen", "random", "--n", "3", "--terms", "2", "--out", "o.json"],
         ["verify", "--instance", "i.json", "--witness", "1"],
@@ -399,3 +437,53 @@ class TestRobustness:
         bad = write(tmp_path / "bad.json", "{not json")
         assert main(["spectrum", "--instance", bad,
                      "--out", str(tmp_path / "s.csv")]) == EXIT_ERROR
+
+
+class TestParserReuse:
+    """main() parses with one parser per process; no call may see the
+    options, defaults or errors of an earlier one."""
+
+    def verify(self, instance, out, *extra):
+        return main(["verify", "--instance", instance, "--witness", "5",
+                     "--trials", "8", "--seed", "2", "--out", str(out),
+                     *extra])
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_leaves_parser_intact(self, sat_instance, tmp_path,
+                                              capsys):
+        cli.build_parser.cache_clear()
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert self.verify(sat_instance, first) == EXIT_OK
+        assert main(["verify"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert self.verify(sat_instance, second) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_option_value_does_not_leak(self, sat_instance, tmp_path):
+        logs = tmp_path / "t.jsonl"
+        assert self.verify(sat_instance, tmp_path / "a.csv",
+                           "--transcripts", str(logs)) == EXIT_OK
+        assert len(logs.read_text().splitlines()) == 8
+        logs.unlink()
+        assert self.verify(sat_instance, tmp_path / "b.csv") == EXIT_OK
+        assert not logs.exists()
+
+    def test_rebound_command_runs(self, sat_instance, tmp_path, monkeypatch):
+        cli.build_parser()
+        calls = []
+        original = cli.cmd_verify
+        monkeypatch.setattr(cli, "cmd_verify", lambda args, argv: calls.append(
+            args.trials) or original(args, argv))
+        assert self.verify(sat_instance, tmp_path / "v.csv") == EXIT_OK
+        assert calls == [8]
+
+    def test_help_then_call(self, sat_instance, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "verify" in capsys.readouterr().out
+        out = tmp_path / "v.csv"
+        assert self.verify(sat_instance, out) == EXIT_OK
+        assert out.read_text().splitlines()[-1].startswith("rate,0,")

@@ -194,6 +194,15 @@ class TestAcceptanceRate:
         acceptance_rate(inst, 0, 300, config, majority=3)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("majority", [0, -1])
+    @pytest.mark.parametrize("witness", [1, 0], ids=["diag-zero", "walks"])
+    def test_nonpositive_majority_rejected(self, witness, majority):
+        # witness 1 is rejected at step 0; witness 0 walks and draws
+        inst = random_projector_instance(3, 2, 3, 0)
+        config = WalkConfig(steps=5, seed=4)
+        with pytest.raises(ValueError, match="majority must be >= 1"):
+            acceptance_rate(inst, witness, 10, config, majority=majority)
+
 
 class TestTrialStreams:
     """Trial (i, v) must draw numpy's default_rng(SeedSequence(seed,
