@@ -26,6 +26,9 @@ from .instances import LhMinInstance, validate
 
 CIRCUIT_SCHEMA_VERSION = 1
 
+# |+> selector ancillas that realise the dyadic mixture weights.
+SELECTOR_BITS = 20
+
 
 @dataclass(frozen=True)
 class VerifierCircuit:
@@ -182,12 +185,13 @@ def _pair_circuit(x: int, y: int, k: int) -> tuple:
     return tuple(gates)
 
 
-def decompose_stoquastic(h: LhMinInstance, tol: float = ETA) -> StoqDecomposition:
+def decompose_stoquastic(h: LhMinInstance) -> StoqDecomposition:
     """gamma*H + beta*I as a convex combination of conjugated model terms.
 
     Every local term is shifted until entrywise non-positive, then its
     diagonal entries become Z00 parts and its off-diagonal pairs become
-    X0 parts, with weights given by the entry magnitudes.
+    X0 parts, with weights given by the entry magnitudes (those at most
+    ETA are dropped).
     """
     problems = validate(h)
     if problems:
@@ -203,12 +207,12 @@ def decompose_stoquastic(h: LhMinInstance, tol: float = ETA) -> StoqDecompositio
         shift_total += shift
         for x in range(2**k):
             w = -float(block[x, x])
-            if w > tol:
+            if w > ETA:
                 raw_parts.append(StoqPart(w, _x_circuit(x, k), "Z00", term.support))
         for x in range(2**k):
             for y in range(x + 1, 2**k):
                 w = -float(block[x, y])
-                if w > tol:
+                if w > ETA:
                     raw_parts.append(
                         StoqPart(w, _pair_circuit(x, y, k), "X0", term.support))
     total = sum(p.weight for p in raw_parts)
@@ -265,7 +269,7 @@ class MixedVerifier:
     """Convex combination of stoquastic verifiers over a shared witness.
 
     The mixture weights are dyadic approximations realizable with
-    ``selector_bits`` ancillas in |+>; the worst per-part weight error is
+    SELECTOR_BITS ancillas in |+>; the worst per-part weight error is
     recorded in metadata.
     """
 
@@ -298,7 +302,7 @@ def mix(v1, v2) -> MixedVerifier:
     return MixedVerifier(n_w=n1, parts=parts)
 
 
-def dyadic_weights(weights, bits: int = 20):
+def dyadic_weights(weights, bits: int = SELECTOR_BITS):
     """Round weights to multiples of 2^-bits that still sum to one."""
     scale = 1 << bits
     raw = [w * scale for w in weights]
@@ -344,7 +348,7 @@ def _part_verifier(part: StoqPart, n_w: int) -> VerifierCircuit:
                            gates=tuple(gates), out_basis="plus")
 
 
-def hamiltonian_to_verifier(h: LhMinInstance, selector_bits: int = 20):
+def hamiltonian_to_verifier(h: LhMinInstance):
     """Stoquastic verifier V with Pr(V;x,psi) = <psi|(-alpha H + beta' I)|psi>.
 
     Returns (MixedVerifier, alpha, beta_prime).  alpha = gamma/2 and
@@ -352,7 +356,7 @@ def hamiltonian_to_verifier(h: LhMinInstance, selector_bits: int = 20):
     """
     dec = decompose_stoquastic(h)
     weights = [p for p, _ in dec.parts]
-    approx, err = dyadic_weights(weights, bits=selector_bits)
+    approx, err = dyadic_weights(weights)
     parts = []
     for p_hat, (_, part) in zip(approx, dec.parts):
         if p_hat <= 0:
@@ -360,7 +364,7 @@ def hamiltonian_to_verifier(h: LhMinInstance, selector_bits: int = 20):
         parts.append((p_hat, _part_verifier(part, h.n)))
     verifier = MixedVerifier(
         n_w=h.n, parts=tuple(parts),
-        metadata={"selector_bits": selector_bits, "mixing_error": err,
+        metadata={"selector_bits": SELECTOR_BITS, "mixing_error": err,
                   "num_parts": len(parts)},
     )
     alpha = dec.gamma / 2.0

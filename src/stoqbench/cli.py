@@ -113,6 +113,13 @@ def cmd_gen(args, argv) -> int:
         instances.save(inst, args.out)
         _write_manifest(args, argv, [args.dimacs])
     elif args.gen_kind == "random":
+        for flag, value in (("--n", args.n), ("--terms", args.terms)):
+            if value < 1:
+                raise ValueError(f"argument {flag}: must be >= 1, got {value}")
+        k_max = min(args.n, instances.MAX_K)
+        if not 1 <= args.k <= k_max:
+            raise ValueError(f"argument --k: must be between 1 and min(--n, "
+                             f"{instances.MAX_K}) = {k_max}, got {args.k}")
         inst = instances.random_projector_instance(
             args.n, args.k, args.terms, args.seed)
         instances.save(inst, args.out)
@@ -128,6 +135,9 @@ def cmd_gen(args, argv) -> int:
 
 
 def cmd_compile(args, argv) -> int:
+    needs = "instance" if args.to == "verifier" else "circuit"
+    if getattr(args, needs) is None:
+        raise ValueError(f"compile --to {args.to} needs --{needs}")
     if args.to in ("clock", "6sat"):
         circ = circuits.load_circuit(args.circuit)
         compiled = clock.compile_circuit(circ, x=args.input)
@@ -139,7 +149,7 @@ def cmd_compile(args, argv) -> int:
             inst = clock.export_6sat(compiled, epsilon=args.epsilon)
         instances.save(inst, args.out)
         _write_manifest(args, argv, [args.circuit])
-    elif args.to == "verifier":
+    else:
         h = instances.load(args.instance)
         if not isinstance(h, instances.LhMinInstance):
             print("compile --to verifier needs an lh-min instance",
@@ -162,9 +172,6 @@ def cmd_compile(args, argv) -> int:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         _write_manifest(args, argv, [args.instance])
-    else:
-        print(f"unknown compile target {args.to!r}", file=sys.stderr)
-        return EXIT_ERROR
     return EXIT_OK
 
 
@@ -185,7 +192,8 @@ def cmd_spectrum(args, argv) -> int:
     else:
         rows = [["min", float(evals[0])], ["max", float(evals[-1])],
                 ["gap", spectral.level_gap(evals)],
-                ["ground_dim", int(np.sum(evals < evals[0] + 1e-8))]]
+                ["ground_dim",
+                 int(np.sum(evals < evals[0] + spectral.LEVEL_MERGE))]]
     _write_csv(args.out, ["quantity", "value"], rows)
     if args.out != "-":
         _write_manifest(args, argv, [args.instance])
@@ -234,7 +242,7 @@ def cmd_verify(args, argv) -> int:
     witness = _load_witness(args.witness)
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
     config = walk.WalkConfig(steps=steps, seed=args.seed)
-    runner = walk.WalkRunner(inst, config.eta_walk)
+    runner = walk.WalkRunner(inst)
     transcripts = [votes[0] for votes in
                    runner.trials(witness, config, args.trials)]
     rows = [[i, int(t.accepted), len(t.visited) - 1,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import (Gate, LocalOperator, OperatorSum, assemble_sparse,
+from .ops import (ETA, Gate, LocalOperator, OperatorSum, assemble_sparse,
                   circuit_permutation, local_term)
 from .instances import LhMinInstance, StoqSatInstance
 from .circuits import VerifierCircuit, acceptance_probability, initial_state
@@ -52,10 +52,6 @@ class ClockInstance:
     @property
     def work_qubits(self) -> int:
         return self.circuit.total_qubits
-
-    @property
-    def clock_base(self) -> int:
-        return self.work_qubits
 
     @property
     def N(self) -> int:
@@ -149,7 +145,7 @@ def history_state(clock: ClockInstance, psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     work = initial_state(v, clock.x, psi)
     L = clock.L
-    base = clock.clock_base
+    base = clock.work_qubits
     state = np.zeros(2**clock.N)
     norm = 1.0 / math.sqrt(L + 1)
     clock_mask = 1 << base  # clock state j: bits base..base+j set
@@ -172,7 +168,7 @@ def meas_expectation(clock: ClockInstance, psi) -> float:
     return float(phi @ (meas @ phi))
 
 
-def check_history_invariants(clock: ClockInstance, psi, tol: float = 1e-10):
+def check_history_invariants(clock: ClockInstance, psi):
     """Residuals: |H6 phi| and the measurement identity of the history state."""
     phi = history_state(clock, psi)
     h = clock.hamiltonian().operator()
@@ -205,13 +201,13 @@ def predicted_min_eigenvalue(delta: float, L: int, max_pr: float) -> float:
     return delta * (1.0 - max_pr) / (L + 1)
 
 
-def export_6sat(clock: ClockInstance, epsilon: float = None,
-                eta_floor: float = 1e-9) -> StoqSatInstance:
+def export_6sat(clock: ClockInstance, epsilon: float = None) -> StoqSatInstance:
     """All clock projectors as a stoquastic SAT instance.
 
     epsilon is measured spectrally at desk scale: M (1 - lambda_max(G)).
-    A top eigenvalue at 1 marks a yes-instance, whose epsilon is moot;
-    it is pinned to 1 so the instance still validates.
+    A top eigenvalue at 1 (a measured epsilon of at most ETA) marks a
+    yes-instance, whose epsilon is moot; it is pinned to 1 so the
+    instance still validates.
     """
     projectors = clock.all_projectors()
     m = len(projectors)
@@ -223,7 +219,7 @@ def export_6sat(clock: ClockInstance, epsilon: float = None,
         eps = m * (1.0 - lam)
         meta["lambda_max"] = lam
         meta["epsilon_spectral"] = eps
-        if eps <= eta_floor:
+        if eps <= ETA:
             epsilon = 1.0  # yes-instance; epsilon plays no role
             meta["epsilon_mode"] = "spectral-yes"
         else:

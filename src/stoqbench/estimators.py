@@ -85,9 +85,9 @@ def trace_power(g: OperatorSum, L: int, mode: str = "exact",
     return TraceReport(L=L, value=value, stderr=stderr, mode="sampled")
 
 
-def sbp_bounds(lambda_yes: float, lambda_no: float, p: float, n: int,
-               target_ratio: float = 0.5):
-    """Thresholds mu = (1 - lambda/p)/2 and the L separating the trace bounds."""
+def sbp_bounds(lambda_yes: float, lambda_no: float, p: float, n: int):
+    """Thresholds mu = (1 - lambda/p)/2 and the smallest L at which the no
+    bound 2^n mu_no^L is at most half the yes bound mu_yes^L."""
     if not lambda_yes < lambda_no:
         raise ValueError("lambda_yes must be below lambda_no")
     mu_yes = 0.5 * (1.0 - lambda_yes / p)
@@ -98,7 +98,7 @@ def sbp_bounds(lambda_yes: float, lambda_no: float, p: float, n: int,
         return mu_yes, mu_no, 1
     ratio = mu_no / mu_yes
     L = 1
-    while (2.0**n) * ratio**L > target_ratio:
+    while (2.0**n) * ratio**L > 0.5:
         L += 1
     return mu_yes, mu_no, L
 
@@ -220,39 +220,37 @@ class AvDecision:
 
 
 def av_decide(ens: DisorderEnsemble, lambda_yes: float, lambda_no: float,
-              samples: int = 200, seed: int = 0, pilot: int = 30,
-              sigma_margin: float = 100.0, sigma_shift: float = 10.0,
-              confidence: float = 0.99, max_replicas: int = 1 << 20) -> AvDecision:
+              samples: int = 200, seed: int = 0,
+              sigma_margin: float = 100.0) -> AvDecision:
     """Replica-averaged classification against shifted thresholds.
 
-    Picks N so the replica std is below (lambda_no - lambda_yes) /
-    sigma_margin, shifts both thresholds inward by sigma_shift stds, and
-    classifies by which Chebyshev prediction the samples satisfy.
+    A pilot of 30 samples measures the std sigma; N, at most 2^20, is
+    picked so the replica std is below (lambda_no - lambda_yes) /
+    sigma_margin.  Both thresholds shift inward by 10 replica stds, and
+    the decision is the side that holds at least 99% of the samples.
+    A replica ensemble of k copies is drawn as k N base replicas.
     """
     gap = lambda_no - lambda_yes
     if gap <= 0:
         raise ValueError("lambda_no must exceed lambda_yes")
-    pilot_stats = lambda_stats(ens, pilot, seed=seed + 1)
-    sigma = pilot_stats.std
+    sigma = lambda_stats(ens, 30, seed=seed + 1).std
     target = gap / sigma_margin
     n_replicas = 1 if sigma <= target else math.ceil((sigma / target) ** 2)
-    if n_replicas > max_replicas:
-        raise ValueError(f"would need {n_replicas} replicas (cap {max_replicas})")
-    if n_replicas == 1:
-        stats = lambda_stats(ens, samples, seed=seed)
-    else:
-        # what lambda_stats(replica_ensemble(ens, n_replicas)) computes,
-        # without building n_replicas copies of the templates
-        stats = _LambdaSolver(ens, n_replicas).stats(samples, seed)
+    if n_replicas > 1 << 20:
+        raise ValueError(f"would need {n_replicas} replicas (cap {1 << 20})")
+    base, k = ens.replica_of or (ens, 1)
+    # what lambda_stats(replica_ensemble(base, k * n_replicas)) computes,
+    # without building that many copies of the templates
+    stats = _LambdaSolver(base, k * n_replicas).stats(samples, seed)
     sigma_prime = sigma / math.sqrt(n_replicas)
-    thr_yes = lambda_yes + sigma_shift * sigma_prime
-    thr_no = lambda_no - sigma_shift * sigma_prime
+    thr_yes = lambda_yes + 10.0 * sigma_prime
+    thr_no = lambda_no - 10.0 * sigma_prime
     arr = np.asarray(stats.lambdas)
     frac_yes = float(np.mean(arr <= thr_yes))
     frac_no = float(np.mean(arr >= thr_no))
-    if frac_yes >= confidence:
+    if frac_yes >= 0.99:
         decision = "yes"
-    elif frac_no >= confidence:
+    elif frac_no >= 0.99:
         decision = "no"
     else:
         decision = "inconclusive"

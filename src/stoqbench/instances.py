@@ -19,6 +19,9 @@ from .ops import ETA, LocalOperator, OperatorSum, projector_check
 
 SCHEMA_VERSION = 1
 
+# Most qubits a generated or parsed term acts on: the clock is 6-local.
+MAX_K = 6
+
 
 class SchemaError(ValueError):
     pass
@@ -90,21 +93,21 @@ class DisorderEnsemble:
     def __post_init__(self):
         object.__setattr__(self, "templates", tuple(self.templates))
 
-    def realize(self, r: int, lambda_yes: float = 0.0,
-                lambda_no: float = 1.0) -> LhMinInstance:
+    def realize(self, r: int) -> LhMinInstance:
+        """Realisation r, with the promise thresholds 0 and 1."""
         if not 0 <= r < 2**self.m:
             raise ValueError("random string out of range")
         terms = [
             LocalOperator(t.support, t.block_for(r), tag=f"r={r:b}")
             for t in self.templates
         ]
-        return LhMinInstance(self.n, tuple(terms), lambda_yes, lambda_no)
+        return LhMinInstance(self.n, tuple(terms), 0.0, 1.0)
 
 
-def _stoquastic_violations(block: np.ndarray, tol: float = ETA):
+def _stoquastic_violations(block: np.ndarray):
     off = block - np.diag(np.diag(block))
     worst = float(np.max(off)) if off.size else 0.0
-    return worst if worst > tol else None
+    return worst if worst > ETA else None
 
 
 def validate(instance) -> list:
@@ -209,7 +212,7 @@ def clause_projector(clause, n: int) -> LocalOperator:
     return LocalOperator(qubits, block, tag=f"clause{tuple(clause)}")
 
 
-def from_dimacs(text: str, k_limit: int = 6) -> StoqSatInstance:
+def from_dimacs(text: str) -> StoqSatInstance:
     """Classical CNF as diagonal stoquastic SAT: one projector per clause."""
     num_vars, clauses = parse_dimacs(text)
     if not clauses:
@@ -217,8 +220,8 @@ def from_dimacs(text: str, k_limit: int = 6) -> StoqSatInstance:
     projectors = []
     for cl in clauses:
         width = len({abs(lit) for lit in cl})
-        if width > k_limit:
-            raise SchemaError(f"clause {cl} wider than k limit {k_limit}")
+        if width > MAX_K:
+            raise SchemaError(f"clause {cl} wider than k limit {MAX_K}")
         proj = clause_projector(cl, num_vars)
         if proj is None:
             warnings.warn(f"dropping tautological clause {cl}")
@@ -238,11 +241,11 @@ def from_dimacs(text: str, k_limit: int = 6) -> StoqSatInstance:
 # ---------------------------------------------------------------------------
 # generators
 
-def random_projector_instance(n: int, k: int, m_terms: int, seed: int,
-                              max_k: int = 6) -> StoqSatInstance:
+def random_projector_instance(n: int, k: int, m_terms: int,
+                              seed: int) -> StoqSatInstance:
     """Random non-negative projectors built block by block (Proposition-1 form)."""
-    if k > max_k:
-        raise ValueError(f"k={k} exceeds limit {max_k}")
+    if k > MAX_K:
+        raise ValueError(f"k={k} exceeds limit {MAX_K}")
     if m_terms < 1:
         raise ValueError("need at least one term")
     rng = np.random.default_rng(seed)

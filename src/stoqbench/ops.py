@@ -348,23 +348,24 @@ def make_block_projector(components, dim: int) -> np.ndarray:
     return out
 
 
-def block_decompose(pi, tol: float = ETA):
+def block_decompose(pi):
     """Split a non-negative projector into its rank-1 positive blocks.
 
     Each block carries the positive unit vector whose outer product is
-    the restriction of the projector to that connected component.
+    the restriction of the projector to that connected component.  Input
+    must pass projector_check to 1e-8; entries at most ETA are zero.
     """
     mat = np.asarray(pi, dtype=float)
     dim = mat.shape[0]
-    ok, residual = projector_check(mat, tol=max(tol, 1e-8))
+    ok, residual = projector_check(mat, tol=1e-8)
     if not ok:
         raise ValueError(f"input is not a non-negative projector (residual {residual:g})")
     from scipy.sparse.csgraph import connected_components
 
-    _, labels = connected_components(sp.csr_matrix(mat > tol), directed=False)
+    _, labels = connected_components(sp.csr_matrix(mat > ETA), directed=False)
     groups: dict = {}
     for x in range(dim):
-        if mat[x, x] > tol:
+        if mat[x, x] > ETA:
             groups.setdefault(labels[x], []).append(x)
     components = []
     for members in groups.values():
@@ -382,11 +383,12 @@ def block_decompose(pi, tol: float = ETA):
     return components
 
 
-def amplitude_ratio(pi, x: int, y: int, tol: float = ETA) -> float:
-    """theta_y / theta_x for the invariant state of the block containing x, y."""
+def amplitude_ratio(pi, x: int, y: int) -> float:
+    """theta_y / theta_x for the invariant state of the block containing
+    x, y; entries at most ETA count as zero."""
     mat = np.asarray(pi, dtype=float)
-    if mat[x, x] <= tol:
+    if mat[x, x] <= ETA:
         raise ValueError(f"zero diagonal at {x}: no invariant state touches it")
-    if mat[x, y] <= tol:
+    if mat[x, y] <= ETA:
         raise ValueError(f"<{x}|Pi|{y}> = 0: strings lie in different blocks")
     return float(np.sqrt(mat[y, y] / mat[x, x]))

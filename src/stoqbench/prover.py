@@ -31,11 +31,11 @@ class HonestWitness:
     looks_unsat: bool  # top eigenvalue fell short of 1; kept for adversaries
 
 
-def honest_witness(instance: StoqSatInstance,
-                   tol: float = 1e-8) -> HonestWitness:
+def honest_witness(instance: StoqSatInstance) -> HonestWitness:
     """Top eigenvector of G, pruned at eta; argmax ties go to the smallest
     basis index.  On a degenerate top eigenspace the vector is the
-    all-ones vector projected onto all of it (see extreme_eigenvalue)."""
+    all-ones vector projected onto all of it (see extreme_eigenvalue).
+    The instance looks unsat when the top eigenvalue is below 1 - 1e-8."""
     res = extreme_eigenvalue(build_G(instance), "max")
     amplitudes = {int(x): float(a) for x, a in enumerate(res.vector)
                   if a > ETA}
@@ -45,7 +45,7 @@ def honest_witness(instance: StoqSatInstance,
     argmax = min(x for x, a in amplitudes.items() if a >= peak - 1e-12)
     witness = WitnessVector(amplitudes=amplitudes, argmax=argmax)
     return HonestWitness(vector=witness, argmax=argmax, eigenvalue=res.value,
-                         looks_unsat=res.value < 1.0 - tol)
+                         looks_unsat=res.value < 1.0 - 1e-8)
 
 
 def adversarial_witnesses(instance: StoqSatInstance, mode: str = "all-basis",

@@ -23,6 +23,9 @@ LOBPCG_MIN_DIM = 5
 # Entries per stacked eigvalsh call in dense_spectrum (128 MiB of floats).
 STACK_ENTRIES = 1 << 24
 
+# Eigenvalues closer than this are one level (level_gap, ground_dim).
+LEVEL_MERGE = 1e-8
+
 
 @dataclass
 class SpectralResult:
@@ -135,15 +138,15 @@ def dense_spectrum(op) -> np.ndarray:
     return np.sort(np.concatenate(evals, axis=None))
 
 
-def level_gap(evals: np.ndarray, merge_tol: float = 1e-8) -> float:
+def level_gap(evals: np.ndarray) -> float:
     """Distance from the lowest of ascending evals to the next distinct one.
 
-    Eigenvalues closer than merge_tol are treated as one level, so exact
+    Eigenvalues closer than LEVEL_MERGE are treated as one level, so exact
     ground-space degeneracy reports the gap to the next level up.
     """
-    above = evals[evals > evals[0] + merge_tol]
+    above = evals[evals > evals[0] + LEVEL_MERGE]
     return float(above[0] - evals[0]) if above.size else 0.0
 
 
-def spectral_gap(op, merge_tol: float = 1e-8) -> float:
-    return level_gap(dense_spectrum(op), merge_tol)
+def spectral_gap(op) -> float:
+    return level_gap(dense_spectrum(op))

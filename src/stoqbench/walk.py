@@ -19,7 +19,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .ops import OperatorSum, apply_to_basis
+from .ops import ETA, OperatorSum, apply_to_basis
 from .instances import StoqSatInstance
 
 
@@ -27,13 +27,10 @@ from .instances import StoqSatInstance
 class WalkConfig:
     steps: int
     seed: int = 0
-    eta_walk: float = 1e-9
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.eta_walk <= 0:
-            raise ValueError("eta_walk must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -88,12 +85,12 @@ class WalkRunner:
 
     The per-string work (diagonal checks, neighborhoods, transition
     weights) is deterministic, so each string is compiled once, on its
-    first visit, and every later trial walks the cached row.
+    first visit, and every later trial walks the cached row.  Every
+    positivity, normalization and product test is against ETA.
     """
 
-    def __init__(self, instance: StoqSatInstance, eta_walk: float = 1e-9):
+    def __init__(self, instance: StoqSatInstance):
         self.instance = instance
-        self.eta = eta_walk
         self.g = build_G(instance)
         self._dim = 2**instance.n
         # compiled rows and reject reasons are kept apart so that the
@@ -105,12 +102,12 @@ class WalkRunner:
 
     def diag_positive(self, x: int) -> bool:
         """Step 2: <x|Pi_a|x> > 0 for every projector."""
-        return all(p.diag(x) > self.eta for p in self.instance.projectors)
+        return all(p.diag(x) > ETA for p in self.instance.projectors)
 
     def neighborhood(self, x: int) -> list:
         """Step 3: all y with G_{x,y} above tolerance, with the entries."""
         row = apply_to_basis(self.g, x)
-        return sorted((y, v) for y, v in row.items() if v > self.eta)
+        return sorted((y, v) for y, v in row.items() if v > ETA)
 
     def transition_probabilities(self, x: int):
         """Steps 3-5: returns (ys, ps, rs) in ascending y order.
@@ -123,9 +120,9 @@ class WalkRunner:
             # G_{x,y} > 0 forces some cross element > 0; a tolerance split
             # can lose it, and r = 0 marks that unnormalizable direction
             p = next((p for p in self.instance.projectors
-                      if p.element(y, x) > self.eta), None)
+                      if p.element(y, x) > ETA), None)
             r = 0.0
-            if p is not None and p.diag(x) > self.eta:
+            if p is not None and p.diag(x) > ETA:
                 r = math.sqrt(p.diag(y) / p.diag(x))
             ys.append(y)
             ps.append(gxy * r)
@@ -150,7 +147,7 @@ class WalkRunner:
             reason = "diag-zero"
         else:
             ys, ps, rs = self.transition_probabilities(x)
-            if (abs(sum(ps) - 1.0) <= self.eta * max(1, len(ys))
+            if (abs(sum(ps) - 1.0) <= ETA * max(1, len(ys))
                     and all(p >= 0.0 for p in ps)):
                 row = (np.cumsum(ps).tolist()[:-1],
                        [(y, math.log(r) if r > 0.0 else None)
@@ -226,7 +223,7 @@ class WalkRunner:
                 if isinstance(row, str):
                     return WalkTranscript(visited, log_r_sum, False, j + 1,
                                           row, j + 1, delta)
-        if log_r_sum > config.eta_walk * L:
+        if log_r_sum > ETA * L:
             return WalkTranscript(visited, log_r_sum, False, L,
                                   "product-exceeds-one", L, delta)
         return WalkTranscript(visited, log_r_sum, True, rng_draws=L,
@@ -247,11 +244,11 @@ def _uniforms(rng, L: int):
 # Trial streams.  Vote v of trial i draws the PCG64 stream of numpy's seed
 # sequence with entropy ``seed`` and spawn key (i, v).  Building that seed
 # sequence and a generator costs about 20 us per trial, so the hash is
-# rebuilt here: the seed's words are mixed into the pool once, in Python
-# ints, the spawn-key words are finished for a block of keys at a time as
-# uint32 arrays, and each key's PCG64 state is assigned to one reused
-# Generator.  The constants are those of numpy/random/bit_generator.pyx
-# and of PCG64's 128-bit LCG; tests compare every step with numpy's.
+# rebuilt here: numpy mixes the seed into the pool once, the spawn-key
+# words are finished for a block of keys at a time as uint32 arrays, and
+# each key's PCG64 state is assigned to one reused Generator.  The
+# constants are those of numpy/random/bit_generator.pyx and of PCG64's
+# 128-bit LCG; tests compare every step with numpy's.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _POOL = 4
@@ -272,7 +269,7 @@ def _hash_constants(const: int, mult: int):
 
 
 def _hashmix(value, xor, mult):
-    """One hash step, on Python ints or on uint32 arrays (which wrap)."""
+    """One hash step on uint32 arrays (which wrap)."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
@@ -282,43 +279,24 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _absorb(pool, consts, words):
-    """Mix entropy words past the pool size into every word of the (4, 1)
-    or (4, k) uint32 pool; a word is an int or a column of k key words."""
-    for word in words:
-        xor, mult = np.array([next(consts) for _ in range(_POOL)],
-                             np.uint32).T[..., None]
-        pool = _mix(pool, _hashmix(word, xor, mult))
-    return pool
-
-
 def _seed_pool(seed: int):
-    """The seed sequence's pool after mixing in the seed's 32-bit words (zero
-    padded to the pool size) as a (4, 1) uint32 array, and the hash
-    constant it ends on."""
-    seed = int(seed)
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    words += [0] * (_POOL - len(words))
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, *next(consts)) for word in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst],
-                                 _hashmix(pool[src], *next(consts)))
-    pool = _absorb(np.array(pool, np.uint32)[:, None], consts,
-                   words[_POOL:])
-    return pool, next(consts)[0]
+    """The seed sequence's pool after mixing in the seed, as a (4, 1) uint32
+    array, and the hash constant it ends on: mixing w words (the seed's
+    32-bit words, zero padded to the pool size) takes 4 w hash steps."""
+    words = max(_POOL, -(-int(seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, _POOL * words, 1 << 32) & _MASK32
+    return np.random.SeedSequence(seed).pool[:, None], const
 
 
 def _pcg64_words(pool, const: int, keys):
     """The seed sequence's generate_state(4, uint64) for spawn key ``key``,
     for each row of the uint32 array ``keys``, as lists of four ints, from
     the seed's (pool, const)."""
-    pool = _absorb(pool, _hash_constants(const, _MULT_A), keys.T)
+    consts = _hash_constants(const, _MULT_A)
+    for word in keys.T:  # mixed into every pool word, as entropy words are
+        xor, mult = np.array([next(consts) for _ in range(_POOL)],
+                             np.uint32).T[..., None]
+        pool = _mix(pool, _hashmix(word, xor, mult))
     consts = _hash_constants(_INIT_B, _MULT_B)
     xor, mult = np.array([next(consts) for _ in range(2 * _POOL)],
                          np.uint32).T[..., None]
@@ -360,14 +338,15 @@ def _trial_keys(count: int, majority: int):
 def run_walk(instance: StoqSatInstance, witness: int,
              config: WalkConfig) -> WalkTranscript:
     """Single protocol run (Steps 1-11)."""
-    return WalkRunner(instance, config.eta_walk).run(witness, config)
+    return WalkRunner(instance).run(witness, config)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion (z = 1.95996...)."""
     if trials == 0:
         return 0.0, 0.0, 1.0
     p = successes / trials
+    z = 1.959963984540054
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
@@ -403,7 +382,7 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
     wrapper for delta-perturbed sampling).
     """
     if runner is None:
-        runner = WalkRunner(instance, config.eta_walk)
+        runner = WalkRunner(instance)
     accepted = 0
     for i, votes in enumerate(runner.trials(witness, config, trials, majority)):
         outcome = sum(t.accepted for t in votes) * 2 > majority

@@ -381,6 +381,36 @@ class TestRobustness:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "random", "--n", "0", "--terms", "2"], "--n"),
+        (["gen", "random", "--n", "-1", "--terms", "2"], "--n"),
+        (["gen", "random", "--n", "3", "--terms", "0"], "--terms"),
+        (["gen", "random", "--n", "3", "--k", "4", "--terms", "2"], "--k"),
+        (["gen", "random", "--n", "8", "--k", "7", "--terms", "2"], "--k"),
+        (["gen", "random", "--n", "3", "--k", "0", "--terms", "2"], "--k"),
+    ])
+    def test_gen_random_bad_count_names_the_flag(self, argv, flag, tmp_path,
+                                                 capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--seed", "0", "--out", "g.json"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compile", "--to", "clock"], "--circuit"),
+        (["compile", "--to", "6sat"], "--circuit"),
+        (["compile", "--to", "verifier"], "--instance"),
+    ])
+    def test_compile_without_input_names_the_flag(self, argv, flag, tmp_path,
+                                                  capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "c.json"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {' '.join(argv[:3])} needs {flag}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_python_dash_m(self, tmp_path):
         src = str(Path(stoqbench.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -237,6 +237,22 @@ class TestAvDecide:
         with pytest.raises(ValueError):
             av_decide(one_qubit_ensemble(), 0.0, 0.0)
 
+    def test_replica_ensemble_draws_base_replicas(self, monkeypatch):
+        """On a k-replica ensemble the pilot and the main draw both solve
+        base realisations only: N samples of k copies are k N base
+        replicas, and every r is a base draw."""
+        base = one_qubit_ensemble()
+        solve, sizes = estimators.dense_spectrum, []
+        monkeypatch.setattr(estimators, "dense_spectrum",
+                            lambda op: sizes.append(op.n) or solve(op))
+        out = av_decide(replica_ensemble(base, 3), lambda_yes=-1.0,
+                        lambda_no=-0.8, samples=20, seed=3, sigma_margin=30.0)
+        assert out.replicas > 1 and set(sizes) == {base.n}
+        assert all(len(r) == 3 * out.replicas and max(r) < 2**base.m
+                   for r in out.stats.rs)
+        rep = replica_ensemble(base, 3 * out.replicas, qubit_ceiling=10**9)
+        assert_same_bits(out.stats, reference_lambda_stats(rep, 20, 3))
+
 
 # ---------------------------------------------------------------------------
 # the scalar loops the array estimators replaced, kept as references

@@ -16,6 +16,7 @@ from stoqbench import (AcceptanceReport, Gate, LocalOperator, StoqSatInstance,
                        required_steps, run_walk, save_circuit,
                        wilson_interval)
 from stoqbench.cli import main as cli_main
+from stoqbench.ops import ETA
 from conftest import plus_instance
 from test_acceptance import planted_sat_dimacs, rejecting_circuits
 
@@ -311,7 +312,7 @@ def reference_trial(runner, witness, config, rng):
         if not diag_ok:
             return WalkTranscript(visited, log_r_sum, False, j, "diag-zero",
                                   draws, delta)
-        if not (abs(sum(ps) - 1.0) <= runner.eta * max(1, len(ys))
+        if not (abs(sum(ps) - 1.0) <= ETA * max(1, len(ys))
                 and all(p >= 0.0 for p in ps)):
             return WalkTranscript(visited, log_r_sum, False, j,
                                   "unnormalized", draws, delta)
@@ -330,7 +331,7 @@ def reference_trial(runner, witness, config, rng):
         log_r_sum += math.log(r)
         x = ys[idx]
         visited.append(x)
-    if log_r_sum > config.eta_walk * L:
+    if log_r_sum > ETA * L:
         return WalkTranscript(visited, log_r_sum, False, L,
                               "product-exceeds-one", draws, delta)
     return WalkTranscript(visited, log_r_sum, True, rng_draws=draws,
