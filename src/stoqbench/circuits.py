@@ -22,7 +22,7 @@ import numpy as np
 
 from .ops import (ETA, Gate, LocalOperator, circuit_permutation,
                   conjugate_by_circuit)
-from .instances import LhMinInstance, validate
+from .instances import LhMinInstance, validate, write_json
 
 CIRCUIT_SCHEMA_VERSION = 1
 
@@ -399,9 +399,7 @@ def circuit_from_document(doc: dict) -> VerifierCircuit:
 
 
 def save_circuit(v: VerifierCircuit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_document(v), fh, indent=1)
-        fh.write("\n")
+    write_json(path, circuit_to_document(v))
 
 
 def load_circuit(path) -> VerifierCircuit:

@@ -67,9 +67,7 @@ def _write_manifest(args, argv, inputs):
         "elapsed_s": time.perf_counter() - args.started,
         "output": str(args.out),
     }
-    with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    instances.write_json(str(args.out) + ".manifest.json", manifest)
 
 
 def _write_csv(path, header, rows):
@@ -168,9 +166,7 @@ def cmd_compile(args, argv) -> int:
                 for p, v in verifier.parts
             ],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        instances.write_json(args.out, doc)
         _write_manifest(args, argv, [args.instance])
     return EXIT_OK
 
@@ -215,9 +211,7 @@ def cmd_prove(args, argv) -> int:
         "amplitudes": {str(x): a for x, a in
                        sorted(hw.vector.amplitudes.items())},
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    instances.write_json(args.out, doc)
     _write_manifest(args, argv, [args.instance])
     return EXIT_PROMISE if hw.looks_unsat else EXIT_OK
 

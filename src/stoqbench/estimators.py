@@ -149,15 +149,15 @@ def replica_ensemble(ens: DisorderEnsemble, n_replicas: int,
 
 
 class _LambdaSolver:
-    """Ground-energy evaluation with a per-r cache.
+    """Ground-energy evaluation of a base ensemble with a per-r cache.
 
     Replica ensembles are evaluated replica by replica: disjoint
     registers make the ground energy additive, so the full 2^(nN)
     problem never has to be assembled.
     """
 
-    def __init__(self, base: DisorderEnsemble, replicas: int):
-        self.base, self.replicas = base, replicas
+    def __init__(self, base: DisorderEnsemble):
+        self.base = base
         self._cache: dict = {}
 
     def base_lambda(self, r: int) -> float:
@@ -168,7 +168,7 @@ class _LambdaSolver:
         except DenseLimitError:
             return extreme_eigenvalue(op, which="min").value
 
-    def stats(self, samples: int, seed: int) -> EnsembleStats:
+    def stats(self, samples: int, seed: int, replicas: int) -> EnsembleStats:
         """Mean ground energy of ``replicas`` draws of r, ``samples`` times.
 
         The draws come sample-major from one stream, whole samples at a
@@ -180,12 +180,11 @@ class _LambdaSolver:
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = np.random.default_rng(seed)
-        N = self.replicas
-        rows = max(1, DRAW_CHUNK // N)
+        rows = max(1, DRAW_CHUNK // replicas)
         lams, rs = [], []
         for start in range(0, samples, rows):
             r = rng.integers(0, 2**self.base.m,
-                             size=(min(rows, samples - start), N))
+                             size=(min(rows, samples - start), replicas))
             keys, where = np.unique(r, return_inverse=True)
             keys = keys.tolist()
             for x in keys:
@@ -193,18 +192,18 @@ class _LambdaSolver:
                     self._cache[x] = self.base_lambda(x)
             table = np.array([self._cache[x] for x in keys])
             lam = np.hstack([np.zeros((len(r), 1)), table[where.reshape(r.shape)]])
-            lams.extend((np.add.accumulate(lam, axis=1)[:, -1] / N).tolist())
+            lams.extend((np.add.accumulate(lam, axis=1)[:, -1] / replicas).tolist())
             rs.extend(map(tuple, r.tolist()))
         arr = np.asarray(lams)
         std = float(np.std(arr, ddof=1)) if samples > 1 else 0.0
         return EnsembleStats(samples=samples, mean=float(np.mean(arr)), std=std,
-                             lambdas=lams, replicas=N, rs=rs)
+                             lambdas=lams, replicas=replicas, rs=rs)
 
 
 def lambda_stats(ens: DisorderEnsemble, samples: int, seed: int = 0) -> EnsembleStats:
     """Sampled mean and std of the ground energy over the disorder."""
     base, replicas = ens.replica_of or (ens, 1)
-    return _LambdaSolver(base, replicas).stats(samples, seed)
+    return _LambdaSolver(base).stats(samples, seed, replicas)
 
 
 @dataclass
@@ -233,15 +232,16 @@ def av_decide(ens: DisorderEnsemble, lambda_yes: float, lambda_no: float,
     gap = lambda_no - lambda_yes
     if gap <= 0:
         raise ValueError("lambda_no must exceed lambda_yes")
-    sigma = lambda_stats(ens, 30, seed=seed + 1).std
+    base, k = ens.replica_of or (ens, 1)
+    solver = _LambdaSolver(base)  # the pilot's solves serve the main draw
+    sigma = solver.stats(30, seed + 1, k).std
     target = gap / sigma_margin
     n_replicas = 1 if sigma <= target else math.ceil((sigma / target) ** 2)
     if n_replicas > 1 << 20:
         raise ValueError(f"would need {n_replicas} replicas (cap {1 << 20})")
-    base, k = ens.replica_of or (ens, 1)
     # what lambda_stats(replica_ensemble(base, k * n_replicas)) computes,
     # without building that many copies of the templates
-    stats = _LambdaSolver(base, k * n_replicas).stats(samples, seed)
+    stats = solver.stats(samples, seed, k * n_replicas)
     sigma_prime = sigma / math.sqrt(n_replicas)
     thr_yes = lambda_yes + 10.0 * sigma_prime
     thr_no = lambda_no - 10.0 * sigma_prime

@@ -244,8 +244,10 @@ def from_dimacs(text: str) -> StoqSatInstance:
 def random_projector_instance(n: int, k: int, m_terms: int,
                               seed: int) -> StoqSatInstance:
     """Random non-negative projectors built block by block (Proposition-1 form)."""
-    if k > MAX_K:
-        raise ValueError(f"k={k} exceeds limit {MAX_K}")
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+    if not 1 <= k <= min(n, MAX_K):
+        raise ValueError(f"k={k} must be between 1 and min(n, {MAX_K})")
     if m_terms < 1:
         raise ValueError("need at least one term")
     rng = np.random.default_rng(seed)
@@ -280,7 +282,7 @@ def random_projector_instance(n: int, k: int, m_terms: int,
 # serialization
 
 def _matrix_to_json(block: np.ndarray):
-    return [float(v) for v in np.asarray(block).ravel()]
+    return np.asarray(block, dtype=float).ravel().tolist()
 
 
 def _matrix_from_json(flat, dim: int) -> np.ndarray:
@@ -392,10 +394,14 @@ def from_document(doc: dict):
     return inst
 
 
-def save(instance, path) -> None:
+def write_json(path, doc) -> None:
+    """One line of JSON; only an unindented ``json.dumps`` runs the C encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_document(instance), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
+
+
+def save(instance, path) -> None:
+    write_json(path, to_document(instance))
 
 
 def load(path):

@@ -278,19 +278,21 @@ def local_term(support, factors) -> np.ndarray:
     """
     support = tuple(sorted(support))
     k = len(support)
-    out = np.ones((1, 1))
-    order = []  # qubit of each tensor axis, most significant first
+    mats, order = [], []  # order: qubit of each tensor axis, most significant first
     for qubits, mat in factors:
         qubits = tuple(qubits)
         if not set(qubits) <= set(support):
             raise ValueError(f"factor qubits {qubits} outside support {support}")
         if set(qubits) & set(order) or len(set(qubits)) != len(qubits):
             raise ValueError(f"factor qubits {qubits} overlap another factor")
-        out = np.kron(out, np.asarray(mat, dtype=float))
+        mats.append(np.asarray(mat, dtype=float))
         order.extend(reversed(qubits))
     free = [q for q in support if q not in order]
-    out = np.kron(out, np.eye(2 ** len(free)))
+    mats.append(np.eye(2 ** len(free)))
     order.extend(free)
+    out = np.ones((1, 1))
+    for mat in mats:  # np.kron(out, mat)'s products as one broadcast multiply
+        out = (out[:, None, :, None] * mat[:, None]).reshape(len(out) * len(mat), -1)
     axes = [order.index(q) for q in reversed(support)]
     out = out.reshape((2,) * (2 * k)).transpose(axes + [k + a for a in axes])
     return out.reshape(2**k, 2**k)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -12,7 +13,10 @@ import pytest
 import scipy
 
 import stoqbench
-from stoqbench import Gate, VerifierCircuit, cli, load, save_circuit
+from stoqbench import (DisorderEnsemble, Gate, LhMinInstance, LocalOperator,
+                       TermTemplate, VerifierCircuit, circuits, cli, instances,
+                       load, load_circuit, random_projector_instance, save,
+                       save_circuit)
 from stoqbench.cli import EXIT_ERROR, EXIT_OK, EXIT_PROMISE, main
 from stoqbench.ops import DEFAULT_DENSE_LIMIT
 
@@ -517,3 +521,97 @@ class TestParserReuse:
         out = tmp_path / "v.csv"
         assert self.verify(sat_instance, out) == EXIT_OK
         assert out.read_text().splitlines()[-1].startswith("rate,0,")
+
+
+class TestJsonArtifacts:
+    """Every JSON file is one compact line holding exactly its document,
+    and files pretty-printed by earlier versions still load."""
+
+    def test_every_writer_writes_one_line(self, sat_instance, tmp_path,
+                                          monkeypatch):
+        docs = {}
+        write_json = instances.write_json
+
+        def spy(path, doc):
+            docs[str(path)] = doc
+            write_json(path, doc)
+
+        monkeypatch.setattr(instances, "write_json", spy)
+        monkeypatch.setattr(circuits, "write_json", spy)
+        x = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        lhmin = str(tmp_path / "h.json")
+        save(LhMinInstance(1, (LocalOperator((0,), x),), -1.0 - 1e-6, 0.0),
+             lhmin)
+        circ = str(tmp_path / "circ.json")
+        save_circuit(VerifierCircuit(n=0, n_w=0, n_0=0, n_plus=1,
+                                     gates=(Gate("X", (0,)),)), circ)
+        cnf = write(tmp_path / "e.cnf", UNSAT_BIASED)
+        for argv in (
+                ["gen", "random", "--n", "4", "--k", "2", "--terms", "3",
+                 "--seed", "5", "--out", str(tmp_path / "rand.json")],
+                ["gen", "cnf-ensemble", "--cnf", cnf, "--q-vars", "3",
+                 "--out", str(tmp_path / "ens.json")],
+                ["compile", "--instance", lhmin, "--to", "verifier",
+                 "--out", str(tmp_path / "ver.json")],
+                ["prove", "--instance", sat_instance,
+                 "--out", str(tmp_path / "wit.json")]):
+            assert main(argv) == EXIT_OK
+        kinds = set()
+        for path, doc in docs.items():
+            text = Path(path).read_text(encoding="utf-8")
+            assert text.endswith("\n") and text.count("\n") == 1, path
+            assert json.loads(text) == doc, path
+            kinds.add(doc.get("kind") or doc.get("tool") or "circuit")
+        assert kinds == {"stoq-sat", "lh-min", "ensemble", "circuit",
+                         "mixed-verifier", "witness", "stoqbench"}
+
+    def test_round_trip_is_bitwise(self, tmp_path):
+        rng = np.random.default_rng(4)
+        block = -np.abs(rng.normal(size=(4, 4)))
+        block = block + block.T
+        block[0, 3] = block[3, 0] = -0.0
+        tables = {0: np.diag([0.1, 0.2]), 1: np.array([[1.0 / 3, -0.7],
+                                                       [-0.7, 0.0]])}
+        for inst, blocks in (
+                (random_projector_instance(5, 3, 4, seed=9),
+                 lambda i: [p.block for p in i.projectors]),
+                (LhMinInstance(3, (LocalOperator((0, 2), block),), -1.0, 0.5),
+                 lambda i: [t.block for t in i.terms]),
+                (DisorderEnsemble(2, 1, (TermTemplate((1,), (0,), tables),)),
+                 lambda i: list(i.templates[0].tables.values()))):
+            path = tmp_path / "inst.json"
+            save(inst, path)
+            back = load(path)
+            assert [b.tobytes() for b in blocks(back)] == \
+                [b.tobytes() for b in blocks(inst)]
+        v = VerifierCircuit(1, 1, 1, 0, (Gate("TOFFOLI", (0, 1, 2)),
+                                         Gate("X", (2,))), out_basis="zero")
+        save_circuit(v, tmp_path / "c.json")
+        assert load_circuit(tmp_path / "c.json") == v
+
+    def test_indented_files_still_load(self, tmp_path):
+        inst = random_projector_instance(4, 2, 3, seed=2)
+        v = VerifierCircuit(0, 0, 0, 1, (Gate("X", (0,)),))
+        for doc, name in ((instances.to_document(inst), "inst.json"),
+                          (circuits.circuit_to_document(v), "c.json")):
+            with open(tmp_path / name, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1)
+                fh.write("\n")
+        back = load(tmp_path / "inst.json")
+        assert [p.block.tobytes() for p in back.projectors] == \
+            [p.block.tobytes() for p in inst.projectors]
+        assert load_circuit(tmp_path / "c.json") == v
+
+    def test_one_json_writer(self):
+        """No module but the helper writes JSON: ``json.dump`` and any
+        ``indent=`` run the pure-Python encoder."""
+        src = Path(stoqbench.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute) and node.attr == "dump"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "json") or (
+                        isinstance(node, ast.keyword) and node.arg == "indent"):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert not found, f"JSON written outside instances.write_json: {found}"

@@ -237,6 +237,17 @@ class TestAvDecide:
         with pytest.raises(ValueError):
             av_decide(one_qubit_ensemble(), 0.0, 0.0)
 
+    def test_each_realisation_solved_once(self, monkeypatch):
+        """The pilot and the main draw share one ground-energy cache."""
+        solved = []
+        base_lambda = estimators._LambdaSolver.base_lambda
+        monkeypatch.setattr(estimators._LambdaSolver, "base_lambda",
+                            lambda solver, r: solved.append(r)
+                            or base_lambda(solver, r))
+        ens = cnf_ensemble_from_dimacs(BIASED, q_vars=[2, 3])
+        av_decide(ens, 0.0, 2.0 / 3.0, samples=200, seed=1)
+        assert sorted(solved) == list(range(2**ens.m))
+
     def test_replica_ensemble_draws_base_replicas(self, monkeypatch):
         """On a k-replica ensemble the pilot and the main draw both solve
         base realisations only: N samples of k copies are k N base

@@ -80,6 +80,12 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_projector_instance(8, 7, 1, seed=0)
 
+    @pytest.mark.parametrize("n, k, prefix", [(3, 0, "k=0 "), (3, 4, "k=4 "),
+                                              (0, 1, "n=0 ")])
+    def test_bad_size_names_the_argument(self, n, k, prefix):
+        with pytest.raises(ValueError, match=f"^{prefix}[^\n]*$"):
+            random_projector_instance(n, k, 2, 0)
+
 
 class TestValidate:
     def test_pauli_x_flagged_as_non_projector(self):

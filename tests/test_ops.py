@@ -6,6 +6,7 @@ from stoqbench import (Gate, LocalOperator, OperatorSum, amplitude_ratio,
                        apply_to_basis, assemble_dense, assemble_sparse,
                        block_decompose, conjugate_by_circuit, make_block_projector,
                        matrix_element, projector_check)
+from stoqbench import ops
 from stoqbench.ops import (BlockComponent, DenseLimitError, _support_maps,
                            dense_limit, local_term, matrix_elements)
 
@@ -271,6 +272,23 @@ def ref_local_term(support, factors):
     return out
 
 
+def kron_local_term(support, factors):
+    """local_term as written with np.kron, before the broadcast product."""
+    support = tuple(sorted(support))
+    k = len(support)
+    out = np.ones((1, 1))
+    order = []
+    for qubits, mat in factors:
+        out = np.kron(out, np.asarray(mat, dtype=float))
+        order.extend(reversed(qubits))
+    free = [q for q in support if q not in order]
+    out = np.kron(out, np.eye(2 ** len(free)))
+    order.extend(free)
+    axes = [order.index(q) for q in reversed(support)]
+    out = out.reshape((2,) * (2 * k)).transpose(axes + [k + a for a in axes])
+    return out.reshape(2**k, 2**k)
+
+
 def ref_embed_block(block, old_support, new_support):
     pos = {q: i for i, q in enumerate(new_support)}
     old_bits = [pos[q] for q in old_support]
@@ -370,6 +388,30 @@ class TestLayoutMatchesLoopReference:
             block[rng.random(block.shape) < 0.3] = 0.0
             assert (local_term(support, [(old, block)]).tobytes()
                     == ref_embed_block(block, old, support).tobytes())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_local_term_matches_kron(self, seed):
+        """Same single products as np.kron, so equal bytes, signed zeros
+        included; random_factors leaves some qubits to the identity."""
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(25):
+            k = int(rng.integers(1, 7))
+            support = sorted(int(q) for q in rng.choice(10, size=k, replace=False))
+            factors = random_factors(rng, support, signed=True)
+            assert (local_term(support, factors).tobytes()
+                    == kron_local_term(support, factors).tobytes())
+
+    def test_conjugated_block_matches_kron(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        block = rng.normal(size=(4, 4))
+        block[rng.random(block.shape) < 0.3] = 0.0
+        op = LocalOperator((1, 4), block + block.T)
+        gates = [Gate("CNOT", (4, 2)), Gate("TOFFOLI", (1, 2, 6)), Gate("X", (0,))]
+        got = conjugate_by_circuit(op, gates)
+        monkeypatch.setattr(ops, "local_term", kron_local_term)
+        want = conjugate_by_circuit(op, gates)
+        assert got.support == want.support == (1, 2, 4, 6)
+        assert got.block.tobytes() == want.block.tobytes()
 
     def test_support_maps(self):
         rng = np.random.default_rng(3)
