@@ -389,13 +389,21 @@ def circuit_to_document(v: VerifierCircuit) -> dict:
 
 
 def circuit_from_document(doc: dict) -> VerifierCircuit:
+    """The circuit a JSON document holds; ValueError if malformed or invalid."""
+    if not isinstance(doc, dict):
+        raise ValueError("circuit document is not a JSON object")
     if doc.get("version") != CIRCUIT_SCHEMA_VERSION:
         raise ValueError(f"unsupported circuit schema version {doc.get('version')}")
-    gates = tuple(Gate(g["kind"], tuple(g["qubits"])) for g in doc["gates"])
-    return VerifierCircuit(
-        n=int(doc["n"]), n_w=int(doc["n_w"]), n_0=int(doc["n_0"]),
-        n_plus=int(doc["n_plus"]), gates=gates, out_basis=doc["out_basis"],
-    )
+    try:
+        gates = tuple(Gate(g["kind"], tuple(g["qubits"])) for g in doc["gates"])
+        return VerifierCircuit(
+            n=int(doc["n"]), n_w=int(doc["n_w"]), n_0=int(doc["n_0"]),
+            n_plus=int(doc["n_plus"]), gates=gates, out_basis=doc["out_basis"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"circuit document has no {exc} field") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed circuit document: {exc}") from None
 
 
 def save_circuit(v: VerifierCircuit, path) -> None:

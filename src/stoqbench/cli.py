@@ -96,8 +96,19 @@ def _seed(text: str) -> int:
         f"expected a non-negative integer, got {text!r}")
 
 
-def _parse_witness(text: str) -> int:
-    return int(text, 0)
+_KINDS = {instances.StoqSatInstance: "a stoq-sat",
+          instances.LhMinInstance: "an lh-min",
+          instances.DisorderEnsemble: "an ensemble"}
+
+
+def _load(args, *kinds):
+    """The instance at ``args.instance``, which must be one of ``kinds``,
+    classes that _KINDS names."""
+    inst = instances.load(args.instance)
+    if not isinstance(inst, kinds):
+        raise ValueError(f"{args.command} needs "
+                         f"{' or '.join(_KINDS[k] for k in kinds)} instance")
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +122,12 @@ def cmd_gen(args, argv) -> int:
         instances.save(inst, args.out)
         _write_manifest(args, argv, [args.dimacs])
     elif args.gen_kind == "random":
-        for flag, value in (("--n", args.n), ("--terms", args.terms)):
-            if value < 1:
-                raise ValueError(f"argument {flag}: must be >= 1, got {value}")
-        k_max = min(args.n, instances.MAX_K)
-        if not 1 <= args.k <= k_max:
-            raise ValueError(f"argument --k: must be between 1 and min(--n, "
-                             f"{instances.MAX_K}) = {k_max}, got {args.k}")
-        inst = instances.random_projector_instance(
-            args.n, args.k, args.terms, args.seed)
+        try:
+            inst = instances.random_projector_instance(
+                args.n, args.k, args.terms, args.seed)
+        except ValueError as exc:  # "<argument>=<value> must ...", --<argument>
+            flag = str(exc).partition("=")[0]
+            raise ValueError(f"argument --{flag}: {exc}") from None
         instances.save(inst, args.out)
         _write_manifest(args, argv, [])
     elif args.gen_kind == "cnf-ensemble":
@@ -148,11 +156,7 @@ def cmd_compile(args, argv) -> int:
         instances.save(inst, args.out)
         _write_manifest(args, argv, [args.circuit])
     else:
-        h = instances.load(args.instance)
-        if not isinstance(h, instances.LhMinInstance):
-            print("compile --to verifier needs an lh-min instance",
-                  file=sys.stderr)
-            return EXIT_ERROR
+        h = _load(args, instances.LhMinInstance)
         verifier, alpha, beta_prime = circuits.hamiltonian_to_verifier(h)
         doc = {
             "version": 1,
@@ -172,14 +176,11 @@ def cmd_compile(args, argv) -> int:
 
 
 def cmd_spectrum(args, argv) -> int:
-    inst = instances.load(args.instance)
+    inst = _load(args, instances.StoqSatInstance, instances.LhMinInstance)
     if isinstance(inst, instances.StoqSatInstance):
         op = walk.build_G(inst)
-    elif isinstance(inst, instances.LhMinInstance):
-        op = inst.operator()
     else:
-        print("spectrum needs a stoq-sat or lh-min instance", file=sys.stderr)
-        return EXIT_ERROR
+        op = inst.operator()
     try:
         evals = spectral.dense_spectrum(op)
     except DenseLimitError:
@@ -197,10 +198,7 @@ def cmd_spectrum(args, argv) -> int:
 
 
 def cmd_prove(args, argv) -> int:
-    inst = instances.load(args.instance)
-    if not isinstance(inst, instances.StoqSatInstance):
-        print("prove needs a stoq-sat instance", file=sys.stderr)
-        return EXIT_ERROR
+    inst = _load(args, instances.StoqSatInstance)
     hw = prover.honest_witness(inst)
     doc = {
         "version": 1,
@@ -216,24 +214,23 @@ def cmd_prove(args, argv) -> int:
     return EXIT_PROMISE if hw.looks_unsat else EXIT_OK
 
 
-def _load_witness(text: str) -> int:
+def _load_witness(text: str):
+    """The witness and the files it came from: ``text`` is an int literal
+    (0b.., 0x.. or decimal) or the path of a witness file."""
     try:
-        return _parse_witness(text)
+        return int(text, 0), []
     except ValueError:
         with open(text, encoding="utf-8") as fh:
             doc = json.load(fh)
     argmax = doc.get("argmax") if isinstance(doc, dict) else None
     if type(argmax) is not int:
         raise ValueError(f"witness file {text} has no integer \"argmax\"")
-    return argmax
+    return argmax, [text]
 
 
 def cmd_verify(args, argv) -> int:
-    inst = instances.load(args.instance)
-    if not isinstance(inst, instances.StoqSatInstance):
-        print("verify needs a stoq-sat instance", file=sys.stderr)
-        return EXIT_ERROR
-    witness = _load_witness(args.witness)
+    inst = _load(args, instances.StoqSatInstance)
+    witness, witness_files = _load_witness(args.witness)
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
     config = walk.WalkConfig(steps=steps, seed=args.seed)
     runner = walk.WalkRunner(inst)
@@ -254,15 +251,12 @@ def cmd_verify(args, argv) -> int:
                 fh.write(t.to_json())
                 fh.write("\n")
     if args.out != "-":
-        _write_manifest(args, argv, [args.instance])
+        _write_manifest(args, argv, [args.instance, *witness_files])
     return EXIT_OK
 
 
 def cmd_trace(args, argv) -> int:
-    inst = instances.load(args.instance)
-    if not isinstance(inst, instances.LhMinInstance):
-        print("trace needs an lh-min instance", file=sys.stderr)
-        return EXIT_ERROR
+    inst = _load(args, instances.LhMinInstance)
     mode = "sampled" if args.paths else "exact"
     rep = estimators.trace_report(inst, L=args.power, mode=mode,
                                   paths=args.paths, seed=args.seed)
@@ -282,11 +276,8 @@ def cmd_trace(args, argv) -> int:
 
 
 def cmd_ensemble(args, argv) -> int:
-    ens = instances.load(args.instance)
-    if not isinstance(ens, instances.DisorderEnsemble):
-        print("ensemble needs an ensemble instance", file=sys.stderr)
-        return EXIT_ERROR
-    ens = estimators.replica_ensemble(ens, args.replicas)
+    ens = estimators.replica_ensemble(
+        _load(args, instances.DisorderEnsemble), args.replicas)
     code = EXIT_OK
     if args.decide:
         result = estimators.av_decide(ens, args.lambda_yes, args.lambda_no,

@@ -207,8 +207,10 @@ def export_6sat(clock: ClockInstance, epsilon: float = None) -> StoqSatInstance:
     epsilon is measured spectrally at desk scale: M (1 - lambda_max(G)).
     A top eigenvalue at 1 (a measured epsilon of at most ETA) marks a
     yes-instance, whose epsilon is moot; it is pinned to 1 so the
-    instance still validates.
+    instance still validates.  A supplied epsilon must lie in (0, 1].
     """
+    if epsilon is not None and not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon {epsilon} outside (0, 1]")
     projectors = clock.all_projectors()
     m = len(projectors)
     meta = {"source_circuit": "clock", "input": clock.x, "L": clock.L,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .ops import DenseLimitError, LocalOperator, OperatorSum, matrix_elements
 from .instances import (DisorderEnsemble, LhMinInstance, TermTemplate,
-                        parse_dimacs, validate)
+                        clause_projector, parse_dimacs, validate)
 from .spectral import dense_spectrum, extreme_eigenvalue
 
 # Random integers drawn per block by the samplers, which bounds their
@@ -50,7 +50,7 @@ def sbp_matrix(h: LhMinInstance):
     problems = validate(h)
     if problems:
         raise ValueError("not a valid stoquastic instance: " + "; ".join(problems))
-    p = 1.0 + sum((2**t.k) * float(np.max(np.abs(t.block))) for t in h.terms)
+    p = 1.0 + float(h.operator().norm_bound())
     ident = LocalOperator((0,), np.eye(2), tag="identity")
     terms = (ident,) + h.terms
     weights = (0.5,) + tuple(-0.5 / p for _ in h.terms)
@@ -273,6 +273,9 @@ def cnf_ensemble(num_vars: int, clauses, q_vars) -> DisorderEnsemble:
     over its (single) random bit.
     """
     q_set = set(q_vars)
+    if not q_set <= set(range(1, num_vars + 1)):
+        raise ValueError(f"random bits {sorted(q_set)} must be variables "
+                         f"1..{num_vars} of the CNF")
     work_vars = [v for v in range(1, num_vars + 1) if v not in q_set]
     qubit_of = {v: i for i, v in enumerate(work_vars)}
     bit_of = {v: i for i, v in enumerate(sorted(q_set))}
@@ -289,21 +292,10 @@ def cnf_ensemble(num_vars: int, clauses, q_vars) -> DisorderEnsemble:
             raise ValueError(f"clause {clause} wider than 3 work variables")
         support = tuple(qubit_of[v] for v in w_vars)
         dim = 2 ** len(support)
-        # violating work assignment: all work literals false
-        sign = {}
-        tautology = False
-        for lit in w_lits:
-            v, s = abs(lit), lit > 0
-            if v in sign and sign[v] != s:
-                tautology = True
-            sign[v] = s
-        violating = np.zeros((dim, dim))
-        if not tautology:
-            b = 0
-            for i, v in enumerate(w_vars):
-                if not sign[v]:
-                    b |= 1 << i
-            violating[b, b] = 1.0
+        # I - |b><b| for the violating work assignment b; None for a
+        # tautology
+        proj = clause_projector(w_lits, num_vars)
+        violating = np.eye(dim) - proj.block if proj else np.zeros((dim, dim))
         if q_lits:
             lit = q_lits[0]
             bit = bit_of[abs(lit)]

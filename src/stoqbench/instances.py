@@ -241,19 +241,21 @@ def from_dimacs(text: str) -> StoqSatInstance:
 # ---------------------------------------------------------------------------
 # generators
 
-def random_projector_instance(n: int, k: int, m_terms: int,
+def random_projector_instance(n: int, k: int, terms: int,
                               seed: int) -> StoqSatInstance:
-    """Random non-negative projectors built block by block (Proposition-1 form)."""
+    """Random non-negative projectors built block by block (Proposition-1
+    form).  Each ValueError starts ``<argument>=<value>``."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     if not 1 <= k <= min(n, MAX_K):
-        raise ValueError(f"k={k} must be between 1 and min(n, {MAX_K})")
-    if m_terms < 1:
-        raise ValueError("need at least one term")
+        raise ValueError(f"k={k} must be between 1 and min(n, {MAX_K}) = "
+                         f"{min(n, MAX_K)}")
+    if terms < 1:
+        raise ValueError(f"terms={terms} must be >= 1")
     rng = np.random.default_rng(seed)
     projectors = []
     dim = 2**k
-    for t in range(m_terms):
+    for t in range(terms):
         support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         # random partition of the local basis into blocks
         labels = rng.integers(0, max(2, dim // 2), size=dim)
@@ -353,41 +355,50 @@ def to_document(instance) -> dict:
 
 
 def from_document(doc: dict):
-    if doc.get("version") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {doc.get('version')}")
-    kind = doc.get("kind")
-    n = int(doc["n"])
-    metadata = doc.get("metadata", {})
-    if kind == "stoq-sat":
-        inst = StoqSatInstance(
-            n=n,
-            epsilon=float(doc["epsilon"]),
-            projectors=tuple(_term_from_json(t) for t in doc["terms"]),
-            metadata=metadata,
-        )
-    elif kind == "lh-min":
-        inst = LhMinInstance(
-            n=n,
-            terms=tuple(_term_from_json(t) for t in doc["terms"]),
-            lambda_yes=float(doc["lambda_yes"]),
-            lambda_no=float(doc["lambda_no"]),
-            metadata=metadata,
-        )
-    elif kind == "ensemble":
-        templates = []
-        for t in doc["terms"]:
-            bits = tuple(int(b) for b in t["random_bits"])
-            dim = int(t["dim"])
-            tables = {}
-            for key, flat in t["tables"].items():
-                a = int(key, 2) if key else 0
-                tables[a] = _matrix_from_json(flat, dim)
-            templates.append(TermTemplate(tuple(int(q) for q in t["qubits"]),
-                                          bits, tables))
-        inst = DisorderEnsemble(n=n, m=int(doc["m"]),
-                                templates=tuple(templates), metadata=metadata)
-    else:
-        raise SchemaError(f"unknown instance kind {kind!r}")
+    """The instance a JSON document holds; SchemaError (or ValueError for
+    a value that does not parse) if it is malformed or invalid."""
+    if not isinstance(doc, dict):
+        raise SchemaError("instance document is not a JSON object")
+    try:
+        if doc.get("version") != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema version {doc.get('version')}")
+        kind = doc.get("kind")
+        n = int(doc["n"])
+        metadata = doc.get("metadata", {})
+        if kind == "stoq-sat":
+            inst = StoqSatInstance(
+                n=n,
+                epsilon=float(doc["epsilon"]),
+                projectors=tuple(_term_from_json(t) for t in doc["terms"]),
+                metadata=metadata,
+            )
+        elif kind == "lh-min":
+            inst = LhMinInstance(
+                n=n,
+                terms=tuple(_term_from_json(t) for t in doc["terms"]),
+                lambda_yes=float(doc["lambda_yes"]),
+                lambda_no=float(doc["lambda_no"]),
+                metadata=metadata,
+            )
+        elif kind == "ensemble":
+            templates = []
+            for t in doc["terms"]:
+                bits = tuple(int(b) for b in t["random_bits"])
+                dim = int(t["dim"])
+                tables = {}
+                for key, flat in t["tables"].items():
+                    a = int(key, 2) if key else 0
+                    tables[a] = _matrix_from_json(flat, dim)
+                templates.append(TermTemplate(tuple(int(q) for q in t["qubits"]),
+                                              bits, tables))
+            inst = DisorderEnsemble(n=n, m=int(doc["m"]),
+                                    templates=tuple(templates), metadata=metadata)
+        else:
+            raise SchemaError(f"unknown instance kind {kind!r}")
+    except KeyError as exc:
+        raise SchemaError(f"instance document has no {exc} field") from None
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"malformed instance document: {exc}") from None
     report = validate(inst)
     if report:
         raise SchemaError("instance fails validation: " + "; ".join(report))

@@ -58,6 +58,8 @@ class Gate:
             raise ValueError(f"{kind} takes {self._ARITY[kind]} qubits")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
+        if min(self.qubits) < 0:
+            raise ValueError(f"gate qubits {self.qubits} must be non-negative")
 
     def apply(self, z: int) -> int:
         """Image of basis state z under this gate."""
@@ -103,6 +105,8 @@ class LocalOperator:
         support = tuple(int(q) for q in self.support)
         if list(support) != sorted(set(support)):
             raise ValueError("support must be strictly increasing")
+        if support and support[0] < 0:
+            raise ValueError(f"support {support} must be non-negative")
         block = np.asarray(self.block, dtype=float)
         k = len(support)
         if block.shape != (2**k, 2**k):
@@ -314,13 +318,10 @@ def conjugate_by_circuit(op, gates):
 
 
 def projector_check(op, tol: float = ETA):
-    """Is op a projector with non-negative entries?  Returns (ok, residual)."""
-    if isinstance(op, LocalOperator):
-        mat = np.asarray(op.block)
-    elif isinstance(op, OperatorSum):
-        mat = assemble_dense(op)
-    else:
-        mat = np.asarray(op, dtype=float)
+    """Is op, a LocalOperator or a matrix, a projector with non-negative
+    entries?  Returns (ok, residual)."""
+    mat = np.asarray(op.block if isinstance(op, LocalOperator) else op,
+                     dtype=float)
     res_proj = np.max(np.abs(mat @ mat - mat))
     res_herm = np.max(np.abs(mat - mat.T))
     res_neg = max(0.0, float(-np.min(mat)))

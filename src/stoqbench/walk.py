@@ -46,15 +46,9 @@ class WalkTranscript:
     sampling_delta: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "visited": self.visited,
-            "log_r_sum": self.log_r_sum,
-            "accepted": self.accepted,
-            "reject_step": self.reject_step,
-            "reject_reason": self.reject_reason,
-            "rng_draws": self.rng_draws,
-            "sampling_delta": self.sampling_delta,
-        })
+        # the fields in declaration order; dataclasses.asdict would deep-copy
+        # ``visited`` first
+        return json.dumps(vars(self))
 
 
 def build_G(instance: StoqSatInstance) -> OperatorSum:

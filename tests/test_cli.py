@@ -472,6 +472,150 @@ class TestRobustness:
         assert main(["spectrum", "--instance", bad,
                      "--out", str(tmp_path / "s.csv")]) == EXIT_ERROR
 
+    @staticmethod
+    def one_line_error(argv, tmp_path, capsys, monkeypatch, inputs=()):
+        """main(argv) in tmp_path exits 1 with one ``error:`` line on
+        stderr, and writes nothing there but ``inputs``."""
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+        return err
+
+    # per command: argv without --instance, a kind it takes, a kind it
+    # rejects, and the kinds its error message names
+    KIND_ARGV = {
+        "compile": (["compile", "--to", "verifier", "--out", "o.json"],
+                    "lh-min", "stoq-sat", "an lh-min"),
+        "spectrum": (["spectrum", "--out", "o.csv"], "stoq-sat", "ensemble",
+                     "a stoq-sat or an lh-min"),
+        "prove": (["prove", "--out", "o.json"], "stoq-sat", "lh-min",
+                  "a stoq-sat"),
+        "verify": (["verify", "--witness", "1", "--trials", "2", "--seed", "0",
+                    "--out", "o.csv"], "stoq-sat", "ensemble", "a stoq-sat"),
+        "trace": (["trace", "--out", "o.csv"], "lh-min", "stoq-sat",
+                  "an lh-min"),
+        "ensemble": (["ensemble", "--samples", "2", "--seed", "0",
+                      "--out", "o.csv"], "ensemble", "lh-min", "an ensemble"),
+    }
+
+    @staticmethod
+    def instance_of_kind(kind):
+        x = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        if kind == "stoq-sat":
+            return random_projector_instance(2, 1, 2, seed=0)
+        if kind == "lh-min":
+            return LhMinInstance(1, (LocalOperator((0,), x),), -1.0 - 1e-6, 0.0)
+        return DisorderEnsemble(1, 1, (TermTemplate((0,), (0,), {
+            0: x, 1: np.diag([0.0, 1.0])}),))
+
+    @pytest.mark.parametrize("command", sorted(KIND_ARGV))
+    def test_wrong_instance_kind_is_one_line(self, command, tmp_path, capsys,
+                                             monkeypatch):
+        argv, right, wrong, needs = self.KIND_ARGV[command]
+        for kind in (right, wrong):
+            save(self.instance_of_kind(kind), tmp_path / f"{kind}.json")
+        inputs = [f"{right}.json", f"{wrong}.json"]
+        err = self.one_line_error(argv + ["--instance", f"{wrong}.json"],
+                                  tmp_path, capsys, monkeypatch, inputs)
+        assert err == f"error: {command} needs {needs} instance\n"
+        # the right kind passes the check
+        assert main(argv + ["--instance", f"{right}.json"]) in (EXIT_OK,
+                                                               EXIT_PROMISE)
+
+    LH_MIN = {"version": 1, "kind": "lh-min", "n": 1, "lambda_yes": -1.5,
+              "lambda_no": 0.0, "metadata": {},
+              "terms": [{"qubits": [0], "dim": 2,
+                         "matrix": [0.0, -1.0, -1.0, 0.0]}]}
+    CIRCUIT = {"version": 1, "n": 0, "n_w": 0, "n_0": 0, "n_plus": 1,
+               "out_basis": "plus",
+               "gates": [{"kind": "X", "qubits": [0]},
+                         {"kind": "X", "qubits": [0]}]}
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({k: v for k, v in LH_MIN.items() if k != "n"}, id="no-n"),
+        pytest.param({**LH_MIN, "terms": 5}, id="terms-5"),
+        pytest.param({**LH_MIN, "terms": [
+            {"dim": 2, "matrix": [0.0, -1.0, -1.0, 0.0]}]},
+            id="term-without-qubits"),
+        pytest.param({**LH_MIN, "terms": [
+            {"qubits": [-1], "dim": 2, "matrix": [0.0, -1.0, -1.0, 0.0]}]},
+            id="term-on-qubit-minus-1"),
+        pytest.param([LH_MIN], id="top-level-list"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--out", "o.csv"],
+        ["compile", "--to", "verifier", "--out", "o.json"],
+    ], ids=["spectrum", "compile"])
+    def test_malformed_instance_is_one_line(self, doc, command, tmp_path,
+                                            capsys, monkeypatch):
+        (tmp_path / "h.json").write_text(json.dumps(doc))
+        self.one_line_error(command + ["--instance", "h.json"], tmp_path,
+                            capsys, monkeypatch, ["h.json"])
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({k: v for k, v in CIRCUIT.items() if k != "gates"},
+                     id="no-gates"),
+        pytest.param({**CIRCUIT, "gates": [{"qubits": [0]}]},
+                     id="gate-without-kind"),
+        pytest.param({**CIRCUIT, "gates": [{"kind": 5, "qubits": [0]}]},
+                     id="gate-kind-5"),
+        pytest.param({**CIRCUIT, "gates": [{"kind": "X", "qubits": [-1]}]},
+                     id="gate-on-qubit-minus-1"),
+        pytest.param([CIRCUIT], id="top-level-list"),
+    ])
+    @pytest.mark.parametrize("target", ["clock", "6sat"])
+    def test_malformed_circuit_is_one_line(self, doc, target, tmp_path,
+                                           capsys, monkeypatch):
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        self.one_line_error(["compile", "--to", target, "--circuit", "c.json",
+                             "--out", "o.json"], tmp_path, capsys,
+                            monkeypatch, ["c.json"])
+
+    def test_malformed_cases_start_from_valid_documents(self, tmp_path):
+        (tmp_path / "h.json").write_text(json.dumps(self.LH_MIN))
+        (tmp_path / "c.json").write_text(json.dumps(self.CIRCUIT))
+        assert isinstance(load(tmp_path / "h.json"), LhMinInstance)
+        assert load_circuit(tmp_path / "c.json").num_gates == 2
+
+    @pytest.mark.parametrize("epsilon", ["0", "2.5", "-1", "nan"])
+    def test_compile_6sat_epsilon_outside_unit_interval(
+            self, epsilon, tmp_path, capsys, monkeypatch):
+        save_circuit(VerifierCircuit(0, 0, 0, 1, (Gate("X", (0,)),)),
+                     tmp_path / "c.json")
+        err = self.one_line_error(
+            ["compile", "--to", "6sat", "--circuit", "c.json",
+             "--epsilon", epsilon, "--out", "o.json"],
+            tmp_path, capsys, monkeypatch, ["c.json"])
+        assert "outside (0, 1]" in err
+        assert main(["compile", "--to", "6sat", "--circuit", "c.json",
+                     "--epsilon", "0.5", "--out", "o.json"]) == EXIT_OK
+
+    def test_cnf_ensemble_random_bit_outside_cnf(self, tmp_path, capsys,
+                                                 monkeypatch):
+        write(tmp_path / "f.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
+        for q_vars in ("7", "2,3"):
+            self.one_line_error(["gen", "cnf-ensemble", "--cnf", "f.cnf",
+                                 "--q-vars", q_vars, "--out", "e.json"],
+                                tmp_path, capsys, monkeypatch, ["f.cnf"])
+
+    def test_verify_manifest_hashes_witness_file(self, sat_instance, tmp_path):
+        wit = str(tmp_path / "wit.json")
+        assert main(["prove", "--instance", sat_instance, "--out", wit]) \
+            == EXIT_OK
+        for witness, inputs in ((wit, [sat_instance, wit]),
+                                ("0b110", [sat_instance])):
+            out = str(tmp_path / "v.csv")
+            assert main(["verify", "--instance", sat_instance, "--witness",
+                         witness, "--trials", "3", "--seed", "0",
+                         "--out", out]) == EXIT_OK
+            manifest = json.loads(open(out + ".manifest.json").read())
+            assert manifest["inputs"] == {
+                p: hashlib.sha256(open(p, "rb").read()).hexdigest()
+                for p in inputs}
+
 
 class TestParserReuse:
     """main() parses with one parser per process; no call may see the

@@ -180,6 +180,21 @@ class TestCnfEnsemble:
         t = ens.templates[0]
         assert np.array_equal(t.block_for(1), np.zeros((2, 2)))
         assert np.array_equal(t.block_for(0), np.diag([1.0, 0.0]))
+        # a tautology over work bits (w1 or not w1 or q), negated work
+        # literals with and without a random bit, and a one-literal clause;
+        # each table pinned bitwise to the violating-assignment projector
+        text = "p cnf 3 4\n1 -1 3 0\n-1 2 -3 0\n-1 -2 0\n-2 0\n"
+        ens = cnf_ensemble_from_dimacs(text, q_vars=[3])
+        assert (ens.n, ens.m) == (2, 1)
+        want = [((0,), (0,), {0: [0.0, 0.0], 1: [0.0, 0.0]}),
+                ((0, 1), (0,), {0: [0.0] * 4, 1: [0.0, 1.0, 0.0, 0.0]}),
+                ((0, 1), (), {0: [0.0, 0.0, 0.0, 1.0]}),
+                ((1,), (), {0: [0.0, 1.0]})]
+        for t, (support, bits, diags) in zip(ens.templates, want, strict=True):
+            assert (t.support, t.random_bits) == (support, bits)
+            assert sorted(t.tables) == sorted(diags)
+            for a, diag in diags.items():
+                assert t.tables[a].tobytes() == np.diag(diag).tobytes()
 
     def test_lambda_table_exhaustive(self):
         ens = cnf_ensemble_from_dimacs(UNSAT_BIASED, q_vars=[3])
@@ -205,6 +220,11 @@ class TestCnfEnsemble:
         text = "p cnf 3 1\n1 2 3 0\n"
         with pytest.raises(ValueError):
             cnf_ensemble_from_dimacs(text, q_vars=[2, 3])
+
+    @pytest.mark.parametrize("q_vars", [[7], [0], [-1], [2, 3]])
+    def test_random_bit_outside_cnf_rejected(self, q_vars):
+        with pytest.raises(ValueError, match="must be variables 1..2 "):
+            cnf_ensemble_from_dimacs("p cnf 2 1\n1 2 0\n", q_vars=q_vars)
 
 
 class TestAvDecide:

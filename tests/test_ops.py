@@ -44,6 +44,17 @@ class TestGate:
         with pytest.raises(ValueError):
             Gate("HADAMARD", (0,))
 
+    @pytest.mark.parametrize("kind, qubits", [("X", (-1,)), ("CNOT", (0, -2)),
+                                              ("TOFFOLI", (-3, 0, 1))])
+    def test_negative_qubit_rejected(self, kind, qubits):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            Gate(kind, qubits)
+
+    @pytest.mark.parametrize("support", [(-1,), (-1, 1, 2, 3)])
+    def test_negative_support_rejected(self, support):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            LocalOperator(support, np.eye(2 ** len(support)))
+
 
 class TestApplyToBasis:
     def test_plus_projector_row(self):
