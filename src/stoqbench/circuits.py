@@ -40,6 +40,10 @@ class VerifierCircuit:
     out_basis: str = "plus"  # plus = stoquastic, zero = coherent classical
 
     def __post_init__(self):
+        for name in ("n", "n_w", "n_0", "n_plus"):
+            size = getattr(self, name)
+            if size < 0:
+                raise ValueError(f"{name} must be >= 0, got {size}")
         gates = tuple(g if isinstance(g, Gate) else Gate(*g) for g in self.gates)
         if not gates:
             raise ValueError("circuit needs at least one gate")

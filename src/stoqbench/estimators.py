@@ -11,6 +11,7 @@ from .ops import DenseLimitError, LocalOperator, OperatorSum, matrix_elements
 from .instances import (DisorderEnsemble, LhMinInstance, TermTemplate,
                         clause_projector, parse_dimacs, validate)
 from .spectral import dense_spectrum, extreme_eigenvalue
+from .walk import smallest_power
 
 # Random integers drawn per block by the samplers, which bounds their
 # temporary arrays.  Numpy's PCG64 serves bounded integers from
@@ -96,11 +97,7 @@ def sbp_bounds(lambda_yes: float, lambda_no: float, p: float, n: int):
         raise ValueError("thresholds inverted: mu_no >= mu_yes")
     if mu_no <= 0:
         return mu_yes, mu_no, 1
-    ratio = mu_no / mu_yes
-    L = 1
-    while (2.0**n) * ratio**L > 0.5:
-        L += 1
-    return mu_yes, mu_no, L
+    return mu_yes, mu_no, smallest_power(2.0**n, mu_no / mu_yes, 0.5)
 
 
 def trace_report(h: LhMinInstance, L: int = None, mode: str = "exact",
@@ -297,14 +294,13 @@ def cnf_ensemble(num_vars: int, clauses, q_vars) -> DisorderEnsemble:
         proj = clause_projector(w_lits, num_vars)
         violating = np.eye(dim) - proj.block if proj else np.zeros((dim, dim))
         if q_lits:
-            lit = q_lits[0]
-            bit = bit_of[abs(lit)]
-            satisfied_when = 1 if lit > 0 else 0
-            tables = {
-                satisfied_when: np.zeros((dim, dim)),
-                1 - satisfied_when: violating,
-            }
-            templates.append(TermTemplate(support, (bit,), tables))
+            # bit value b satisfies the clause if any random literal
+            # holds at b: q at 1, not q at 0, both at either
+            tables = {b: np.zeros((dim, dim))
+                      if any((lit > 0) == b for lit in q_lits) else violating
+                      for b in (0, 1)}
+            templates.append(TermTemplate(support, (bit_of[abs(q_lits[0])],),
+                                          tables))
         else:
             templates.append(TermTemplate(support, (), {0: violating}))
     return DisorderEnsemble(

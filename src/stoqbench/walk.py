@@ -66,10 +66,15 @@ def required_steps(n: int, epsilon: float, m: int) -> int:
     base = 1.0 - epsilon / m
     if base <= 0.0:
         return 1
-    # ln(3 * 2^(n/2)) / -ln(base), then fix rounding by direct check
-    est = (math.log(3.0) + 0.5 * n * math.log(2.0)) / (-math.log(base))
+    return smallest_power(2 ** (n / 2.0), base, 1.0 / 3.0)
+
+
+def smallest_power(scale: float, base: float, bound: float) -> int:
+    """Smallest L >= 1 with scale * base^L <= bound, for 0 < base < 1."""
+    # ln(scale / bound) / -ln(base), then fix rounding by direct check
+    est = math.log(scale / bound) / -math.log(base)
     L = max(1, math.ceil(est) - 2)
-    while 2 ** (n / 2.0) * base**L > 1.0 / 3.0:
+    while scale * base**L > bound:
         L += 1
     return L
 
@@ -156,28 +161,24 @@ class WalkRunner:
     # -- protocol ----------------------------------------------------------
 
     def run(self, witness: int, config: WalkConfig) -> WalkTranscript:
-        rng = next(_generators(config.seed, [np.zeros((1, 0), np.uint32)]))
+        rng = next(_generators(config.seed, 1, 1))
         return self._run_with_rng(witness, config, rng)
 
     def trials(self, witness: int, config: WalkConfig, count: int,
                majority: int = 1):
         """Yield trials 0..count-1, each as the list of its ``majority``
-        transcripts; vote v of trial i draws the PCG64 stream of numpy's
-        seed sequence with entropy config.seed and spawn key (i, v), so
-        every trial is a pure function of (instance, witness, config, i,
-        v)."""
+        transcripts; vote v of trial i draws numpy's Philox stream with the
+        key of Philox(config.seed) and counter [0, 0, i, v], so every trial
+        is a pure function of (instance, witness, config, i, v)."""
         if count < 1:
             raise ValueError("trials must be >= 1")
         if majority < 1:
             raise ValueError("majority must be >= 1")
-        if count > _KEY_LIMIT or majority > _KEY_LIMIT:
-            # a larger i or v would be a two-word spawn key
-            raise ValueError("trials and majority must be <= 2^32")
         if isinstance(self._start(witness), str):
             # the walk rejects before its first draw, so no trial draws
             rngs = repeat(None)
         else:
-            rngs = _generators(config.seed, _trial_keys(count, majority))
+            rngs = _generators(config.seed, count, majority)
         for _ in range(count):
             yield [self._run_with_rng(witness, config, next(rngs))
                    for _ in range(majority)]
@@ -235,98 +236,21 @@ def _uniforms(rng, L: int):
         size *= 2
 
 
-# Trial streams.  Vote v of trial i draws the PCG64 stream of numpy's seed
-# sequence with entropy ``seed`` and spawn key (i, v).  Building that seed
-# sequence and a generator costs about 20 us per trial, so the hash is
-# rebuilt here: numpy mixes the seed into the pool once, the spawn-key
-# words are finished for a block of keys at a time as uint32 arrays, and
-# each key's PCG64 state is assigned to one reused Generator.  The
-# constants are those of numpy/random/bit_generator.pyx and of PCG64's
-# 128-bit LCG; tests compare every step with numpy's.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_KEY_LIMIT = 2**32
-_KEY_BLOCK = 4096
-
-
-def _hash_constants(const: int, mult: int):
-    """The successive (xor, multiply) constant pairs of the seed hash."""
-    while True:
-        nxt = const * mult & _MASK32
-        yield const, nxt
-        const = nxt
-
-
-def _hashmix(value, xor, mult):
-    """One hash step on uint32 arrays (which wrap)."""
-    value = (value ^ xor) * mult & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _seed_pool(seed: int):
-    """The seed sequence's pool after mixing in the seed, as a (4, 1) uint32
-    array, and the hash constant it ends on: mixing w words (the seed's
-    32-bit words, zero padded to the pool size) takes 4 w hash steps."""
-    words = max(_POOL, -(-int(seed).bit_length() // 32))
-    const = _INIT_A * pow(_MULT_A, _POOL * words, 1 << 32) & _MASK32
-    return np.random.SeedSequence(seed).pool[:, None], const
-
-
-def _pcg64_words(pool, const: int, keys):
-    """The seed sequence's generate_state(4, uint64) for spawn key ``key``,
-    for each row of the uint32 array ``keys``, as lists of four ints, from
-    the seed's (pool, const)."""
-    consts = _hash_constants(const, _MULT_A)
-    for word in keys.T:  # mixed into every pool word, as entropy words are
-        xor, mult = np.array([next(consts) for _ in range(_POOL)],
-                             np.uint32).T[..., None]
-        pool = _mix(pool, _hashmix(word, xor, mult))
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    xor, mult = np.array([next(consts) for _ in range(2 * _POOL)],
-                         np.uint32).T[..., None]
-    words = _hashmix(np.tile(pool, (2, 1)), xor, mult).astype(np.uint64)
-    return (words[0::2] | words[1::2] << 32).T.tolist()
-
-
-def _generators(seed: int, key_blocks):
-    """Yield one Generator per spawn key, in the state numpy seeds a new
-    PCG64 with from entropy ``seed`` and that key; ``key_blocks`` yields
-    uint32 arrays with one key per row.  The same Generator is yielded
-    every time, re-seeded, so it must be used up before the next one is
-    drawn."""
-    pool, const = _seed_pool(seed)
-    rng = np.random.Generator(np.random.PCG64(0))
+def _generators(seed: int, count: int, majority: int):
+    """Yield one Generator per vote, i major: vote v of trial i draws
+    numpy's Generator(Philox(key=k, counter=[0, 0, i, v])), where k is the
+    key Philox(seed) derives, so every vote owns a counter block.  One
+    Philox is built per call and the same Generator is yielded every time,
+    reset, so it must be used up before the next one is drawn."""
+    rng = np.random.Generator(np.random.Philox(seed))
     bitgen = rng.bit_generator
-    for keys in key_blocks:
-        for hi0, lo0, hi1, lo1 in _pcg64_words(pool, const, keys):
-            # PCG64 seeding: inc = 2 initseq + 1, then two LCG steps
-            inc = (hi1 << 65 | lo1 << 1 | 1) & _MASK128
-            state = ((hi0 << 64 | lo0) + inc) * _PCG_MULT + inc & _MASK128
-            bitgen.state = {"bit_generator": "PCG64",
-                            "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
+    # the initial state has buffer_pos 4: no buffered word carries over
+    state = bitgen.state
+    for i in range(count):
+        for v in range(majority):
+            state["state"]["counter"] = [0, 0, i, v]
+            bitgen.state = state
             yield rng
-
-
-def _trial_keys(count: int, majority: int):
-    """Spawn keys (i, v) for i < count and v < majority, i major, in blocks
-    of at most _KEY_BLOCK keys (one trial's votes if majority is larger)."""
-    per = max(1, _KEY_BLOCK // majority)
-    votes = np.arange(majority, dtype=np.uint32)
-    for start in range(0, count, per):
-        trials = np.arange(start, min(start + per, count)).astype(np.uint32)
-        yield np.column_stack([np.repeat(trials, majority),
-                               np.tile(votes, len(trials))])
 
 
 def run_walk(instance: StoqSatInstance, witness: int,
@@ -367,11 +291,10 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
                     majority: int = 1) -> AcceptanceReport:
     """Monte Carlo acceptance over seeded independent trials.
 
-    Vote v of trial i draws the stream of numpy's seed sequence with
-    entropy config.seed and spawn key (i, v), so results are a pure
-    function of (instance, witness, trials, seed); a witness rejected at
-    step 0 gives the same transcript in every trial, so only trial 0
-    runs.  ``majority`` > 1
+    Vote v of trial i draws the Philox stream with counter [0, 0, i, v]
+    (see WalkRunner.trials), so results are a pure function of (instance,
+    witness, trials, seed); a witness rejected at step 0 gives the same
+    transcript in every trial, so only trial 0 runs.  ``majority`` > 1
     repeats each trial and takes a majority vote (the amplification
     wrapper for delta-perturbed sampling).
     """

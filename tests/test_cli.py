@@ -574,6 +574,19 @@ class TestRobustness:
                              "--out", "o.json"], tmp_path, capsys,
                             monkeypatch, ["c.json"])
 
+    @pytest.mark.parametrize("registers", [(-1, 1, 1, 2), (1, -1, 1, 2),
+                                           (1, 1, -1, 2), (1, 1, 2, -1)])
+    def test_negative_register_is_one_line(self, registers, tmp_path, capsys,
+                                           monkeypatch):
+        # each total is 3 qubits, enough for the gates on qubit 0
+        sizes = dict(zip(("n", "n_w", "n_0", "n_plus"), registers))
+        (tmp_path / "c.json").write_text(json.dumps({**self.CIRCUIT, **sizes}))
+        err = self.one_line_error(["compile", "--to", "clock", "--circuit",
+                                   "c.json", "--out", "o.json"], tmp_path,
+                                  capsys, monkeypatch, ["c.json"])
+        field = next(k for k, v in sizes.items() if v < 0)
+        assert err == f"error: {field} must be >= 0, got -1\n"
+
     def test_malformed_cases_start_from_valid_documents(self, tmp_path):
         (tmp_path / "h.json").write_text(json.dumps(self.LH_MIN))
         (tmp_path / "c.json").write_text(json.dumps(self.CIRCUIT))

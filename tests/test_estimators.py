@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -114,6 +115,42 @@ class TestSbpBounds:
         with pytest.raises(ValueError):
             sbp_bounds(1.0, 0.0, 2.0, 1)
 
+    @staticmethod
+    def linear_L(mu_yes, mu_no, n):
+        """The smallest L by the linear search from 1."""
+        L = 1
+        while (2.0**n) * (mu_no / mu_yes)**L > 0.5:
+            L += 1
+        return L
+
+    @pytest.mark.parametrize("gap", [1e-3, 0.01, 0.1, 0.5, 1.0, 3.0])
+    def test_L_matches_linear_search(self, gap):
+        for p in (1.5, 2.0, 4.0):
+            for n in (1, 2, 5, 12):
+                for lambda_yes in (-1.0, 0.0, 0.2):
+                    mu_yes, mu_no, L = sbp_bounds(lambda_yes,
+                                                  lambda_yes + gap, p, n)
+                    if mu_no > 0:
+                        assert L == self.linear_L(mu_yes, mu_no, n)
+                    else:
+                        assert L == 1
+
+    def test_tiny_gap_is_fast(self, tmp_path):
+        # the linear search takes about 10^10 steps here
+        start = time.perf_counter()
+        mu_yes, mu_no, L = sbp_bounds(0.0, 1e-9, 2.0, 10)
+        assert time.perf_counter() - start < 0.1
+        ratio = mu_no / mu_yes
+        assert 2.0**10 * ratio**L <= 0.5 < 2.0**10 * ratio**(L - 1)
+        # --power fixes L; the bounds are still computed
+        h = LhMinInstance(1, (LocalOperator((0,), -X),), -1.0, -1.0 + 1e-9)
+        save(h, tmp_path / "h.json")
+        start = time.perf_counter()
+        assert cli_main(["trace", "--instance", str(tmp_path / "h.json"),
+                         "--power", "2", "--out",
+                         str(tmp_path / "t.csv")]) == 0
+        assert time.perf_counter() - start < 1.0
+
 
 class TestReplicaEnsemble:
     def test_mean_preserved_std_shrinks(self):
@@ -181,15 +218,17 @@ class TestCnfEnsemble:
         assert np.array_equal(t.block_for(1), np.zeros((2, 2)))
         assert np.array_equal(t.block_for(0), np.diag([1.0, 0.0]))
         # a tautology over work bits (w1 or not w1 or q), negated work
-        # literals with and without a random bit, and a one-literal clause;
-        # each table pinned bitwise to the violating-assignment projector
-        text = "p cnf 3 4\n1 -1 3 0\n-1 2 -3 0\n-1 -2 0\n-2 0\n"
+        # literals with and without a random bit, a one-literal clause, and
+        # a tautology over the random bit (w1 or q or not q); each table
+        # pinned bitwise to the violating-assignment projector
+        text = "p cnf 3 5\n1 -1 3 0\n-1 2 -3 0\n-1 -2 0\n-2 0\n1 3 -3 0\n"
         ens = cnf_ensemble_from_dimacs(text, q_vars=[3])
         assert (ens.n, ens.m) == (2, 1)
         want = [((0,), (0,), {0: [0.0, 0.0], 1: [0.0, 0.0]}),
                 ((0, 1), (0,), {0: [0.0] * 4, 1: [0.0, 1.0, 0.0, 0.0]}),
                 ((0, 1), (), {0: [0.0, 0.0, 0.0, 1.0]}),
-                ((1,), (), {0: [0.0, 1.0]})]
+                ((1,), (), {0: [0.0, 1.0]}),
+                ((0,), (0,), {0: [0.0, 0.0], 1: [0.0, 0.0]})]
         for t, (support, bits, diags) in zip(ens.templates, want, strict=True):
             assert (t.support, t.random_bits) == (support, bits)
             assert sorted(t.tables) == sorted(diags)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -147,6 +148,14 @@ class TestRunWalk:
         t = run_walk(inst, 0, WalkConfig(steps=2, seed=0))
         assert '"accepted": true' in t.to_json()
 
+    @pytest.mark.parametrize("witness", [0, 5])
+    def test_run_is_trial_zero(self, witness):
+        inst = plus_instance(3, [(0, 1), (1, 2)])
+        config = WalkConfig(steps=30, seed=11)
+        [first] = next(WalkRunner(inst).trials(witness, config, 1))
+        t = run_walk(inst, witness, config)
+        assert dataclasses.asdict(t) == dataclasses.asdict(first)
+
     def test_out_of_range_witness_rejected(self):
         inst = plus_instance(2, [(0, 1)])
         with pytest.raises(ValueError):
@@ -182,16 +191,16 @@ class TestAcceptanceRate:
                                                       witness, reason):
         inst = random_projector_instance(3, 2, 3, 0)
         calls = []
-        derive = walk._pcg64_words
-        monkeypatch.setattr(walk, "_pcg64_words",
-                            lambda *a: calls.append(a) or derive(*a))
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *a, **k: calls.append(a) or philox(*a, **k))
         config = WalkConfig(steps=5, seed=4)
         assert WalkRunner(inst)._start(witness) == reason
         rep = acceptance_rate(inst, witness, 300, config, majority=3)
         assert rep == AcceptanceReport(0.0, 0.0, 0.0, 300, 0,
                                        deterministic=True)
         assert calls == []
-        # a witness whose walk draws does derive them, one block per call
+        # a witness whose walk draws does derive them, one Philox per call
         acceptance_rate(inst, 0, 300, config, majority=3)
         assert len(calls) == 1
 
@@ -205,62 +214,94 @@ class TestAcceptanceRate:
             acceptance_rate(inst, witness, 10, config, majority=majority)
 
 
+def philox_stream(seed, i=0, v=0):
+    """numpy's own generator for vote v of trial i: the key Philox(seed)
+    derives from the seed sequence, and counter [0, 0, i, v]."""
+    key = np.random.Philox(seed).state["state"]["key"]
+    return np.random.Generator(np.random.Philox(
+        key=key, counter=np.array([0, 0, i, v], np.uint64)))
+
+
 class TestTrialStreams:
-    """Trial (i, v) must draw numpy's default_rng(SeedSequence(seed,
-    spawn_key=(i, v))) stream; a numpy release that changes its seeding
-    fails here rather than silently changing verify CSVs."""
+    """Vote v of trial i must draw numpy's Generator(Philox(key=k,
+    counter=[0, 0, i, v])), k the key Philox(seed) derives; a numpy
+    release that changes Philox or its seeding fails here rather than
+    silently changing verify CSVs."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**128 + 12345, 3**200]
-    KEYS = [(0, 0), (0, 1), (1, 0), (7, 2), (2**31, 1), (2**32 - 1, 2)]
+    # doubles drawn per stream, in turn, so a buffered word that leaked
+    # into the next stream would shift it
+    DRAWS = (1, 3, 64)
 
-    @staticmethod
-    def assert_streams_match(seed, keys):
-        keys = np.array(keys, dtype=np.uint32).reshape(len(keys), -1)
-        words = walk._pcg64_words(*walk._seed_pool(seed), keys)
-        rngs = walk._generators(seed, [keys])
-        for key, got, rng in zip(keys.tolist(), words, rngs):
-            seq = np.random.SeedSequence(seed, spawn_key=key)
-            assert got == seq.generate_state(4, np.uint64).tolist()
-            expect = np.random.default_rng(seq).random(64)
-            assert np.array_equal(rng.random(64), expect)
+    @classmethod
+    def assert_streams_match(cls, seed, count, majority, keys):
+        """The first len(keys) streams of _generators(seed, count,
+        majority) are those of the (i, v) in ``keys``, in order."""
+        rngs = walk._generators(seed, count, majority)
+        for k, (i, v) in enumerate(keys):
+            n = cls.DRAWS[k % len(cls.DRAWS)]
+            expect = philox_stream(seed, i, v).random(n)
+            assert np.array_equal(next(rngs).random(n), expect), (i, v)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_keys_match_seed_sequence(self, seed):
-        self.assert_streams_match(seed, self.KEYS)
+        # Philox(seed) keys every stream with the seed sequence's state
+        assert np.array_equal(
+            np.random.Philox(seed).state["state"]["key"],
+            np.random.SeedSequence(seed).generate_state(2, np.uint64))
+        for count, majority in [(1, 1), (5, 3)]:
+            keys = [(i, v) for i in range(count) for v in range(majority)]
+            self.assert_streams_match(seed, count, majority, keys)
+            assert len(list(walk._generators(seed, count, majority))) \
+                == len(keys)
+        # drawn partway, across the first trial boundary
+        self.assert_streams_match(seed, 3, 5000, [(0, v) for v in range(5000)]
+                                  + [(1, 0), (1, 1)])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_empty_key_matches_run_seed(self, seed):
-        self.assert_streams_match(seed, [()])
+        # run takes no (i, v): it draws trial (0, 0), the zero counter,
+        # which is Generator(Philox(seed))
+        inst = plus_instance(2, [(0, 1)])
+        config = WalkConfig(steps=40, seed=seed)
+        self.assert_streams_match(seed, 1, 1, [(0, 0)])
+        expect = np.random.Generator(np.random.Philox(seed)).random(64)
+        assert np.array_equal(philox_stream(seed).random(64), expect)
+        ref = reference_trial(WalkRunner(inst), 0, config,
+                              np.random.Generator(np.random.Philox(seed)))
+        assert dataclasses.asdict(run_walk(inst, 0, config)) \
+            == dataclasses.asdict(ref)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**256), st.lists(
-        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2)),
-        min_size=1, max_size=5))
-    def test_random_seeds_and_keys(self, seed, keys):
-        self.assert_streams_match(seed, keys)
+    @given(st.integers(0, 2**256), st.integers(1, 6), st.integers(1, 4),
+           st.integers(0, 30))
+    def test_random_seeds_and_keys(self, seed, count, majority, stop):
+        keys = [(i, v) for i in range(count) for v in range(majority)]
+        self.assert_streams_match(seed, count, majority, keys[:stop])
 
     @pytest.mark.parametrize("count, majority", [(1, 1), (5, 3), (4097, 1),
                                                  (3, 5000)])
     def test_trial_keys_in_order_and_bounded(self, count, majority):
-        blocks = list(walk._trial_keys(count, majority))
-        assert all(len(b) <= max(walk._KEY_BLOCK, majority) for b in blocks)
-        assert np.concatenate(blocks).tolist() == [
-            [i, v] for i in range(count) for v in range(majority)]
+        # one Generator, reset to counter [0, 0, i, v], i major; the
+        # stream is lazy, so a prefix is drawn without the rest
+        keys = [(i, v) for i in range(min(count, 3)) for v in range(majority)]
+        seen = []
+        for rng in itertools.islice(walk._generators(5, count, majority),
+                                    len(keys)):
+            seen.append(tuple(rng.bit_generator.state["state"]["counter"]))
+            rng.random(2)
+        assert seen == [(0, 0, i, v) for i, v in keys]
 
     def test_key_limit(self):
         inst = plus_instance(2, [(0, 1)])
         config = WalkConfig(steps=3, seed=1)
         runner = WalkRunner(inst)
-        # 2^32 trials keep every i in one spawn-key word; trial 0 is
-        # drawn from the first block alone
-        [first] = next(runner.trials(0, config, 2**32))
-        seq = np.random.SeedSequence(1, spawn_key=(0, 0))
+        # a 64-bit counter word holds every trial index; trial 0 is drawn
+        # without the others
+        [first] = next(runner.trials(0, config, 2**64))
         expect = reference_trial(WalkRunner(inst), 0, config,
-                                 np.random.default_rng(seq))
+                                 philox_stream(1, 0, 0))
         assert dataclasses.asdict(first) == dataclasses.asdict(expect)
-        for count, majority in [(2**32 + 1, 1), (1, 2**32 + 1)]:
-            with pytest.raises(ValueError, match="2\\^32"):
-                next(runner.trials(0, config, count, majority))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -374,12 +415,11 @@ def assert_engine_matches_reference(inst, data):
     for i, votes in enumerate(runner.trials(witness, config, count, majority)):
         assert len(votes) == majority
         for v, t in enumerate(votes):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(config.seed, spawn_key=(i, v)))
+            rng = philox_stream(config.seed, i, v)
             expect = reference_trial(ref, witness, config, rng)
             assert dataclasses.asdict(t) == dataclasses.asdict(expect)
-    expect = reference_trial(ref, witness, config, np.random.default_rng(
-        np.random.SeedSequence(config.seed)))
+    expect = reference_trial(ref, witness, config, np.random.Generator(
+        np.random.Philox(config.seed)))
     assert dataclasses.asdict(runner.run(witness, config)) \
         == dataclasses.asdict(expect)
 
@@ -396,8 +436,8 @@ class TestEngineEquivalence:
         assert_engine_matches_reference(soundness_exports()[which], data)
 
     def test_verify_output_pinned(self, tmp_path):
-        """verify CSV and transcripts of a clock export, as written before
-        the compiled-row engine."""
+        """verify CSV and transcripts of a clock export on the Philox trial
+        streams (the compiled-row engine left the earlier pin unchanged)."""
         circ = str(tmp_path / "c.json")
         save_circuit(VerifierCircuit(1, 1, 1, 0, (Gate("X", (2,)),
                                                   Gate("X", (2,))),
@@ -412,8 +452,8 @@ class TestEngineEquivalence:
         digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in (out, logs)}
         assert digest == {
-            "v.csv": "895cc8aa318b355722cb0fd91c5ed4149b1edc7a"
-                     "3f5e094fe877412e4ddb8ce6",
-            "t.jsonl": "0e1444105475b4c05872505939da81430da6b864"
-                       "900684f8070668364a7242a5",
+            "v.csv": "8a5081bd9d90b251ecedb783512bf4be8d20920b"
+                     "1a7c5a8cb5cd62f48e36e791",
+            "t.jsonl": "bd94c00fdd2b280fe41551b0a26a906eb67573d5"
+                       "e4b37ead25305495aa81e4bb",
         }
