@@ -256,6 +256,9 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_trace(args, argv) -> int:
+    if args.paths < 0 or args.paths == 1:  # one path has no stderr
+        raise ValueError(f"argument --paths: expected 0 (exact) or at least "
+                         f"2, got {args.paths}")
     inst = _load(args, instances.LhMinInstance)
     mode = "sampled" if args.paths else "exact"
     rep = estimators.trace_report(inst, L=args.power, mode=mode,
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--instance", required=True)
     t.add_argument("--power", type=int, default=None)
     t.add_argument("--paths", type=int, default=0,
-                   help="sampled mode with this many closed paths")
+                   help="sampled mode with this many (>= 2) closed paths")
     t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--out", default="-")
 
@@ -395,7 +398,7 @@ def main(argv=None) -> int:
         # cmd_* rebound on this module (bench/instrument.py wraps them)
         # is the one that runs
         return globals()[f"cmd_{args.command}"](args, argv)
-    except (OSError, ValueError, instances.SchemaError) as exc:
+    except (OSError, ValueError, MemoryError, instances.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -186,8 +186,8 @@ def default_delta(L: int) -> float:
 
 def perturbed_hamiltonian(clock: ClockInstance, delta: float) -> LhMinInstance:
     """H~ = H6 + delta (I - Pi_meas); stoquastic by construction."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     h = clock.hamiltonian()
     eye = np.eye(clock.meas.block.shape[0])
     extra = LocalOperator(clock.meas.support,

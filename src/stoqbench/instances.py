@@ -296,61 +296,45 @@ def _matrix_from_json(flat, dim: int) -> np.ndarray:
     return arr.reshape(dim, dim)
 
 
-def _term_to_json(t: LocalOperator):
-    return {
-        "qubits": list(t.support),
-        "matrix": _matrix_to_json(t.block),
-        "dim": 2 ** len(t.support),
-    }
+def _term_to_json(t) -> dict:
+    """A LocalOperator as qubits, matrix, dim; a TermTemplate as qubits,
+    dim, random_bits and one matrix per bit assignment, keyed in binary."""
+    if isinstance(t, LocalOperator):
+        return {"qubits": list(t.support), "matrix": _matrix_to_json(t.block),
+                "dim": 2 ** len(t.support)}
+    l = len(t.random_bits)
+    return {"qubits": list(t.support), "dim": len(t.tables[0]),
+            "random_bits": list(t.random_bits),
+            "tables": {format(a, f"0{l}b") if l else "": _matrix_to_json(t.tables[a])
+                       for a in range(2**l)}}
 
 
-def _term_from_json(doc) -> LocalOperator:
+def _term_from_json(doc, template: bool):
+    """Inverse of _term_to_json: a TermTemplate if ``template``."""
     qubits = tuple(int(q) for q in doc["qubits"])
-    return LocalOperator(qubits, _matrix_from_json(doc["matrix"], int(doc["dim"])))
+    if not template:
+        return LocalOperator(qubits, _matrix_from_json(doc["matrix"], int(doc["dim"])))
+    dim = int(doc["dim"])
+    tables = {int(key, 2) if key else 0: _matrix_from_json(flat, dim)
+              for key, flat in doc["tables"].items()}
+    return TermTemplate(qubits, tuple(int(b) for b in doc["random_bits"]), tables)
+
+
+# kind -> (class, {each field between n and the terms: its parser}, terms attribute)
+_KINDS = {
+    "stoq-sat": (StoqSatInstance, {"epsilon": float}, "projectors"),
+    "lh-min": (LhMinInstance, {"lambda_yes": float, "lambda_no": float}, "terms"),
+    "ensemble": (DisorderEnsemble, {"m": int}, "templates"),
+}
 
 
 def to_document(instance) -> dict:
-    if isinstance(instance, StoqSatInstance):
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "stoq-sat",
-            "n": instance.n,
-            "epsilon": instance.epsilon,
-            "terms": [_term_to_json(t) for t in instance.projectors],
-            "metadata": instance.metadata,
-        }
-    if isinstance(instance, LhMinInstance):
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "lh-min",
-            "n": instance.n,
-            "lambda_yes": instance.lambda_yes,
-            "lambda_no": instance.lambda_no,
-            "terms": [_term_to_json(t) for t in instance.terms],
-            "metadata": instance.metadata,
-        }
-    if isinstance(instance, DisorderEnsemble):
-        terms = []
-        for t in instance.templates:
-            l = len(t.random_bits)
-            dim = int(next(iter(t.tables.values())).shape[0])
-            terms.append({
-                "qubits": list(t.support),
-                "dim": dim,
-                "random_bits": list(t.random_bits),
-                "tables": {
-                    format(a, f"0{l}b") if l else "": _matrix_to_json(t.tables[a])
-                    for a in range(2**l)
-                },
-            })
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "ensemble",
-            "n": instance.n,
-            "m": instance.m,
-            "terms": terms,
-            "metadata": instance.metadata,
-        }
+    for kind, (cls, fields, terms) in _KINDS.items():
+        if isinstance(instance, cls):
+            return {"version": SCHEMA_VERSION, "kind": kind, "n": instance.n,
+                    **{f: getattr(instance, f) for f in fields},
+                    "terms": [_term_to_json(t) for t in getattr(instance, terms)],
+                    "metadata": instance.metadata}
     raise TypeError(f"cannot serialize {type(instance).__name__}")
 
 
@@ -363,38 +347,14 @@ def from_document(doc: dict):
         if doc.get("version") != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema version {doc.get('version')}")
         kind = doc.get("kind")
-        n = int(doc["n"])
-        metadata = doc.get("metadata", {})
-        if kind == "stoq-sat":
-            inst = StoqSatInstance(
-                n=n,
-                epsilon=float(doc["epsilon"]),
-                projectors=tuple(_term_from_json(t) for t in doc["terms"]),
-                metadata=metadata,
-            )
-        elif kind == "lh-min":
-            inst = LhMinInstance(
-                n=n,
-                terms=tuple(_term_from_json(t) for t in doc["terms"]),
-                lambda_yes=float(doc["lambda_yes"]),
-                lambda_no=float(doc["lambda_no"]),
-                metadata=metadata,
-            )
-        elif kind == "ensemble":
-            templates = []
-            for t in doc["terms"]:
-                bits = tuple(int(b) for b in t["random_bits"])
-                dim = int(t["dim"])
-                tables = {}
-                for key, flat in t["tables"].items():
-                    a = int(key, 2) if key else 0
-                    tables[a] = _matrix_from_json(flat, dim)
-                templates.append(TermTemplate(tuple(int(q) for q in t["qubits"]),
-                                              bits, tables))
-            inst = DisorderEnsemble(n=n, m=int(doc["m"]),
-                                    templates=tuple(templates), metadata=metadata)
-        else:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise SchemaError(f"unknown instance kind {kind!r}")
+        cls, fields, terms = _KINDS[kind]
+        inst = cls(n=int(doc["n"]),
+                   **{f: parse(doc[f]) for f, parse in fields.items()},
+                   **{terms: tuple(_term_from_json(t, cls is DisorderEnsemble)
+                                   for t in doc["terms"])},
+                   metadata=doc.get("metadata", {}))
     except KeyError as exc:
         raise SchemaError(f"instance document has no {exc} field") from None
     except (TypeError, AttributeError) as exc:

@@ -111,6 +111,8 @@ class LocalOperator:
         k = len(support)
         if block.shape != (2**k, 2**k):
             raise ValueError("block shape does not match support size")
+        if not np.isfinite(block).all():  # a NaN passes the symmetry check
+            raise ValueError("block has a non-finite entry")
         if np.max(np.abs(block - block.T)) > 1e-8:
             raise ValueError("block is not symmetric")
         block = block.copy()

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -605,6 +606,43 @@ class TestRobustness:
         assert "outside (0, 1]" in err
         assert main(["compile", "--to", "6sat", "--circuit", "c.json",
                      "--epsilon", "0.5", "--out", "o.json"]) == EXIT_OK
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_compile_clock_non_finite_delta(self, delta, tmp_path, capsys,
+                                            monkeypatch):
+        save_circuit(VerifierCircuit(0, 0, 0, 1, (Gate("X", (0,)),)),
+                     tmp_path / "c.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.one_line_error(
+                ["compile", "--to", "clock", "--circuit", "c.json",
+                 "--delta", delta, "--out", "o.json"],
+                tmp_path, capsys, monkeypatch, ["c.json"])
+        assert caught == []
+        assert err == f"error: delta must be positive and finite, got {delta}\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "prove", "trace"])
+    def test_register_too_large_is_one_line(self, command, tmp_path, capsys,
+                                            monkeypatch):
+        # a 2^50-entry index array (8 PiB) is beyond any address space,
+        # so its allocation fails at once
+        x = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        inst = (LhMinInstance(50, (LocalOperator((0,), x),), -1.5, 0.0)
+                if command == "trace" else random_projector_instance(50, 2, 3, 0))
+        save(inst, tmp_path / "big.json")
+        self.one_line_error([command, "--instance", "big.json", "--out", "o"],
+                            tmp_path, capsys, monkeypatch, ["big.json"])
+
+    @pytest.mark.parametrize("paths", ["1", "-1"])
+    def test_trace_paths_below_two(self, paths, tmp_path, capsys, monkeypatch):
+        x = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        save(LhMinInstance(2, (LocalOperator((0,), x), LocalOperator((1,), x)),
+                           -2.5, -1.5), tmp_path / "h.json")
+        err = self.one_line_error(
+            ["trace", "--instance", "h.json", "--power", "2", "--paths", paths,
+             "--seed", "0", "--out", "o.csv"],
+            tmp_path, capsys, monkeypatch, ["h.json"])
+        assert err.startswith("error: argument --paths: ")
 
     def test_cnf_ensemble_random_bit_outside_cnf(self, tmp_path, capsys,
                                                  monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from stoqbench import (LhMinInstance, LocalOperator, OperatorSum, SchemaError,
                        StoqSatInstance, TermTemplate, assemble_dense,
                        clause_projector, from_dimacs, parse_dimacs,
                        projector_check, random_projector_instance, validate)
+from stoqbench import cli, instances
 from stoqbench.instances import (DisorderEnsemble, from_document, load, save,
                                  to_document)
 
@@ -178,6 +180,57 @@ class TestSerialization:
         }
         with pytest.raises(SchemaError):
             from_document(doc)
+
+
+class TestCodec:
+    X = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    # one small instance per kind; the ensemble has a 2-bit template with
+    # int tables, which the writer turns into floats, and a 0-bit one
+    FIXTURES = {
+        "stoq-sat": StoqSatInstance(3, 0.25, (
+            LocalOperator((0, 2), np.diag([1.0, 1.0, 0.0, 1.0])),
+            LocalOperator((1,), np.full((2, 2), 0.5))),
+            metadata={"source": "pin", "k": 2}),
+        "lh-min": LhMinInstance(2, (
+            LocalOperator((0, 1), np.array([[0, 0, -1, 0], [0, 0, 0, -1],
+                                            [-1, 0, 0, 0], [0, -1, 0, 0]]) / 3),
+            LocalOperator((1,), np.diag([0.0, 0.1]))), -0.75, 0.125,
+            metadata={"delta": 0.1}),
+        "ensemble": DisorderEnsemble(2, 3, (
+            TermTemplate((0, 1), (0, 2), {a: np.diag([0, a, 1, 1])
+                                          for a in range(4)}),
+            TermTemplate((1,), (), {0: X})), metadata={"replicas": [1, 2]}),
+    }
+    # sha256 of each saved file: bytes that move here break every stored
+    # instance's hash in a manifest
+    SHA256 = {
+        "stoq-sat": "c5778a6fd523313f9c039ed0472892840424c21abb9d90d3c1cbc5a506a4891c",
+        "lh-min": "96f5c20920e0acf02b45b616cc7d93f222bdad164dc693f63ad1b949dcef7a65",
+        "ensemble": "bc405d5ab8d5b112f331cb697b8924723ff494a561bebe00a9d58e6c37a0796e",
+    }
+    FIELDS = {"stoq-sat": ["epsilon"], "lh-min": ["lambda_yes", "lambda_no"],
+              "ensemble": ["m"]}
+
+    @pytest.mark.parametrize("kind", sorted(FIXTURES))
+    def test_document_bytes_pinned(self, kind, tmp_path):
+        path = tmp_path / "inst.json"
+        save(self.FIXTURES[kind], path)
+        data = path.read_bytes()
+        assert list(json.loads(data)) == ["version", "kind", "n",
+                                          *self.FIELDS[kind], "terms",
+                                          "metadata"]
+        assert hashlib.sha256(data).hexdigest() == self.SHA256[kind]
+        save(load(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == data
+
+    def test_kind_table_validate_and_cli_agree(self):
+        table = {cls for cls, _, _ in instances._KINDS.values()}
+        assert table == set(cli._KINDS)
+        assert {type(i) for i in self.FIXTURES.values()} == table
+        for kind, inst in self.FIXTURES.items():
+            assert validate(inst) == []
+            assert to_document(inst)["kind"] == kind
+        assert validate(object()) == ["unknown instance type object"]
 
 
 class TestEnsembleRealization:

@@ -55,6 +55,13 @@ class TestGate:
         with pytest.raises(ValueError, match="must be non-negative"):
             LocalOperator(support, np.eye(2 ** len(support)))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, entry):
+        block = np.eye(2)
+        block[1, 1] = entry  # symmetric, so only the finiteness check sees it
+        with pytest.raises(ValueError, match="non-finite"):
+            LocalOperator((0,), block)
+
 
 class TestApplyToBasis:
     def test_plus_projector_row(self):
