@@ -2,13 +2,14 @@
 
 Every stochastic command takes an explicit non-negative --seed and is a
 pure function of (inputs, seed); tabular results go to RFC-4180 CSV with
-17 significant digits, and each output file gets a sidecar
-``<out>.manifest.json`` recording the command line, input hashes, seed,
-tool version, Python/numpy/scipy versions, the dense limit and the
-command's wall time.
+17 significant digits.  Each ``cmd_*`` writes ``--out`` (``-`` is stdout)
+and returns its exit code and the files it read; ``main`` alone writes
+the sidecar ``<out>.manifest.json`` of a file: command line, input
+hashes, seed, tool version, Python/numpy/scipy versions, dense limit
+and wall time.
 
-Exit codes: 0 completed, 1 usage or IO error, 2 promise violation or
-inconclusive result.
+Exit codes: 0 completed, 1 usage or IO error, 2 promise violation
+(``PromiseError``, no output) or inconclusive result.
 """
 
 from __future__ import annotations
@@ -49,9 +50,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args, argv, inputs):
+class PromiseError(Exception):
+    """The input is valid but outside the command's promise: exit 2."""
+
+
+def _write_manifest(args, argv, inputs, started):
     """Write the sidecar of ``args.out``.  The seed is ``args.seed`` where
-    the command takes one, and ``elapsed_s`` counts from ``args.started``,
+    the command takes one, and ``elapsed_s`` counts from ``started``,
     main's entry time."""
     manifest = {
         "tool": "stoqbench",
@@ -64,7 +69,7 @@ def _write_manifest(args, argv, inputs):
         "scipy": scipy.__version__,
         "STOQ_DENSE_LIMIT": dense_limit(),
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "elapsed_s": time.perf_counter() - args.started,
+        "elapsed_s": time.perf_counter() - started,
         "output": str(args.out),
     }
     instances.write_json(str(args.out) + ".manifest.json", manifest)
@@ -74,8 +79,7 @@ def _write_csv(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     data = buf.getvalue()
     if path == "-":
         sys.stdout.write(data)
@@ -115,12 +119,11 @@ def _load(args, *kinds):
 # subcommands
 
 
-def cmd_gen(args, argv) -> int:
+def cmd_gen(args):
     if args.gen_kind == "from-dimacs":
         with open(args.dimacs, encoding="utf-8") as fh:
             inst = instances.from_dimacs(fh.read())
-        instances.save(inst, args.out)
-        _write_manifest(args, argv, [args.dimacs])
+        inputs = [args.dimacs]
     elif args.gen_kind == "random":
         try:
             inst = instances.random_projector_instance(
@@ -128,19 +131,18 @@ def cmd_gen(args, argv) -> int:
         except ValueError as exc:  # "<argument>=<value> must ...", --<argument>
             flag = str(exc).partition("=")[0]
             raise ValueError(f"argument --{flag}: {exc}") from None
-        instances.save(inst, args.out)
-        _write_manifest(args, argv, [])
-    elif args.gen_kind == "cnf-ensemble":
+        inputs = []
+    else:  # cnf-ensemble
         with open(args.cnf, encoding="utf-8") as fh:
             text = fh.read()
         q_vars = [int(v) for v in args.q_vars.split(",")] if args.q_vars else []
-        ens = estimators.cnf_ensemble_from_dimacs(text, q_vars)
-        instances.save(ens, args.out)
-        _write_manifest(args, argv, [args.cnf])
-    return EXIT_OK
+        inst = estimators.cnf_ensemble_from_dimacs(text, q_vars)
+        inputs = [args.cnf]
+    instances.save(inst, args.out)
+    return EXIT_OK, inputs
 
 
-def cmd_compile(args, argv) -> int:
+def cmd_compile(args):
     needs = "instance" if args.to == "verifier" else "circuit"
     if getattr(args, needs) is None:
         raise ValueError(f"compile --to {args.to} needs --{needs}")
@@ -154,7 +156,6 @@ def cmd_compile(args, argv) -> int:
         else:
             inst = clock.export_6sat(compiled, epsilon=args.epsilon)
         instances.save(inst, args.out)
-        _write_manifest(args, argv, [args.circuit])
     else:
         h = _load(args, instances.LhMinInstance)
         verifier, alpha, beta_prime = circuits.hamiltonian_to_verifier(h)
@@ -171,11 +172,10 @@ def cmd_compile(args, argv) -> int:
             ],
         }
         instances.write_json(args.out, doc)
-        _write_manifest(args, argv, [args.instance])
-    return EXIT_OK
+    return EXIT_OK, [getattr(args, needs)]
 
 
-def cmd_spectrum(args, argv) -> int:
+def cmd_spectrum(args):
     inst = _load(args, instances.StoqSatInstance, instances.LhMinInstance)
     if isinstance(inst, instances.StoqSatInstance):
         op = walk.build_G(inst)
@@ -192,12 +192,10 @@ def cmd_spectrum(args, argv) -> int:
                 ["ground_dim",
                  int(np.sum(evals < evals[0] + spectral.LEVEL_MERGE))]]
     _write_csv(args.out, ["quantity", "value"], rows)
-    if args.out != "-":
-        _write_manifest(args, argv, [args.instance])
-    return EXIT_OK
+    return EXIT_OK, [args.instance]
 
 
-def cmd_prove(args, argv) -> int:
+def cmd_prove(args):
     inst = _load(args, instances.StoqSatInstance)
     hw = prover.honest_witness(inst)
     doc = {
@@ -210,8 +208,7 @@ def cmd_prove(args, argv) -> int:
                        sorted(hw.vector.amplitudes.items())},
     }
     instances.write_json(args.out, doc)
-    _write_manifest(args, argv, [args.instance])
-    return EXIT_PROMISE if hw.looks_unsat else EXIT_OK
+    return EXIT_PROMISE if hw.looks_unsat else EXIT_OK, [args.instance]
 
 
 def _load_witness(text: str):
@@ -228,7 +225,7 @@ def _load_witness(text: str):
     return argmax, [text]
 
 
-def cmd_verify(args, argv) -> int:
+def cmd_verify(args):
     inst = _load(args, instances.StoqSatInstance)
     witness, witness_files = _load_witness(args.witness)
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
@@ -247,15 +244,11 @@ def cmd_verify(args, argv) -> int:
                           "reject_reason", "log_r_sum"], rows)
     if args.transcripts:
         with open(args.transcripts, "w", encoding="utf-8") as fh:
-            for t in transcripts:
-                fh.write(t.to_json())
-                fh.write("\n")
-    if args.out != "-":
-        _write_manifest(args, argv, [args.instance, *witness_files])
-    return EXIT_OK
+            fh.writelines(t.to_json() + "\n" for t in transcripts)
+    return EXIT_OK, [args.instance, *witness_files]
 
 
-def cmd_trace(args, argv) -> int:
+def cmd_trace(args):
     if args.paths < 0 or args.paths == 1:  # one path has no stderr
         raise ValueError(f"argument --paths: expected 0 (exact) or at least "
                          f"2, got {args.paths}")
@@ -266,29 +259,23 @@ def cmd_trace(args, argv) -> int:
     if mode == "sampled" and rep.value == 0.0:
         # G is entrywise non-negative: a zero mean means no path carried
         # weight, and 0 +- 0 would misstate a nonzero trace
-        print(f"error: none of the {args.paths} sampled paths has nonzero "
-              "weight; raise --paths or use the exact trace", file=sys.stderr)
-        return EXIT_PROMISE
+        raise PromiseError(f"none of the {args.paths} sampled paths has "
+                           "nonzero weight; raise --paths or use the exact "
+                           "trace")
     rows = [[rep.L, rep.value, rep.stderr, rep.mode, rep.mu_yes, rep.mu_no,
              rep.bound_yes, rep.bound_no]]
     _write_csv(args.out, ["L", "value", "stderr", "mode", "mu_yes", "mu_no",
                           "bound_yes", "bound_no"], rows)
-    if args.out != "-":
-        _write_manifest(args, argv, [args.instance])
-    return EXIT_OK
+    return EXIT_OK, [args.instance]
 
 
-def cmd_ensemble(args, argv) -> int:
+def cmd_ensemble(args):
     ens = estimators.replica_ensemble(
         _load(args, instances.DisorderEnsemble), args.replicas)
-    code = EXIT_OK
     if args.decide:
         result = estimators.av_decide(ens, args.lambda_yes, args.lambda_no,
                                       samples=args.samples, seed=args.seed)
-        stats = result.stats
-        decision = result.decision
-        if decision == "inconclusive":
-            code = EXIT_PROMISE
+        stats, decision = result.stats, result.decision
     else:
         stats = estimators.lambda_stats(ens, args.samples, seed=args.seed)
         decision = ""
@@ -301,9 +288,8 @@ def cmd_ensemble(args, argv) -> int:
     if decision:
         rows.append(["decision", "", decision])
     _write_csv(args.out, ["sample_index", "r", "lambda"], rows)
-    if args.out != "-":
-        _write_manifest(args, argv, [args.instance])
-    return code
+    code = EXIT_PROMISE if decision == "inconclusive" else EXIT_OK
+    return code, [args.instance]
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +379,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-        args.started = started
+        dense_limit()  # a bad STOQ_DENSE_LIMIT fails before any output
         # looked up per call, not held by the once-built parser, so a
         # cmd_* rebound on this module (bench/instrument.py wraps them)
         # is the one that runs
-        return globals()[f"cmd_{args.command}"](args, argv)
-    except (OSError, ValueError, MemoryError, instances.SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        code, inputs = globals()[f"cmd_{args.command}"](args)
+        if args.out != "-":
+            _write_manifest(args, argv, inputs, started)
+        return code
+    except (PromiseError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # SchemaError is a ValueError
+        return EXIT_PROMISE if isinstance(exc, PromiseError) else EXIT_ERROR
 
 
 if __name__ == "__main__":

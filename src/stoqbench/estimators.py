@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,12 @@ def trace_power(g: OperatorSum, L: int, mode: str = "exact",
         raise ValueError("mode must be 'exact' or 'sampled'")
     if paths < 1:
         raise ValueError("sampled mode needs paths >= 1")
-    rng = np.random.default_rng(seed)
     n = g.n
+    if n * L >= sys.float_info.max_exp:
+        raise ValueError(f"sampled trace at L={L} on n={n} qubits needs the "
+                         f"path weight 2**(n*L) = 2**{n * L}, beyond a float; "
+                         f"n*L must stay below {sys.float_info.max_exp}")
+    rng = np.random.default_rng(seed)
     scale = 2.0 ** (n * L)
     rows = max(1, DRAW_CHUNK // L)
     vals = np.empty(paths)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -343,6 +344,9 @@ def from_document(doc: dict):
     a value that does not parse) if it is malformed or invalid."""
     if not isinstance(doc, dict):
         raise SchemaError("instance document is not a JSON object")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("instance metadata is not a JSON object")
     try:
         if doc.get("version") != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema version {doc.get('version')}")
@@ -354,7 +358,7 @@ def from_document(doc: dict):
                    **{f: parse(doc[f]) for f, parse in fields.items()},
                    **{terms: tuple(_term_from_json(t, cls is DisorderEnsemble)
                                    for t in doc["terms"])},
-                   metadata=doc.get("metadata", {}))
+                   metadata=metadata)
     except KeyError as exc:
         raise SchemaError(f"instance document has no {exc} field") from None
     except (TypeError, AttributeError) as exc:
@@ -366,9 +370,14 @@ def from_document(doc: dict):
 
 
 def write_json(path, doc) -> None:
-    """One line of JSON; only an unindented ``json.dumps`` runs the C encoder."""
+    """One line of JSON, on stdout if ``path`` is "-"; only an unindented
+    ``json.dumps`` runs the C encoder."""
+    line = json.dumps(doc) + "\n"
+    if path == "-":
+        sys.stdout.write(line)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(line)
 
 
 def save(instance, path) -> None:

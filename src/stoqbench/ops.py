@@ -25,7 +25,11 @@ DEFAULT_DENSE_LIMIT = 14
 
 def dense_limit() -> int:
     """Max qubit count for dense assembly (env STOQ_DENSE_LIMIT overrides)."""
-    return int(os.environ.get("STOQ_DENSE_LIMIT", DEFAULT_DENSE_LIMIT))
+    text = os.environ.get("STOQ_DENSE_LIMIT", str(DEFAULT_DENSE_LIMIT))
+    if not text.strip().isdecimal():
+        raise ValueError("STOQ_DENSE_LIMIT must be a non-negative integer, "
+                         f"got {text!r}")
+    return int(text)
 
 
 class DenseLimitError(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -668,6 +669,141 @@ class TestRobustness:
                 for p in inputs}
 
 
+    def test_non_object_metadata_is_one_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        doc = instances.to_document(self.instance_of_kind("ensemble"))
+        (tmp_path / "e.json").write_text(json.dumps({**doc, "metadata": 5}))
+        err = self.one_line_error(
+            ["ensemble", "--instance", "e.json", "--replicas", "2",
+             "--samples", "2", "--seed", "0", "--out", "o.csv"],
+            tmp_path, capsys, monkeypatch, ["e.json"])
+        assert err == "error: instance metadata is not a JSON object\n"
+
+    def test_sampled_trace_overflow_is_one_line(self, tmp_path, capsys,
+                                                monkeypatch):
+        x = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        save(LhMinInstance(2, (LocalOperator((0,), x), LocalOperator((1,), x)),
+                           -2.5, -1.5), tmp_path / "h.json")
+        err = self.one_line_error(
+            ["trace", "--instance", "h.json", "--power", "600", "--paths", "10",
+             "--seed", "0", "--out", "o.csv"],
+            tmp_path, capsys, monkeypatch, ["h.json"])
+        assert "L=600" in err and "n=2" in err
+        assert main(["trace", "--instance", "h.json", "--power", "600",
+                     "--out", "o.csv"]) == EXIT_OK
+
+
+class TestRunEnvelope:
+    """main writes the one manifest of a file-producing run; a run to
+    stdout, an exit 1 and a PromiseError exit 2 leave none."""
+
+    # per run: argv without --out, the files it reads, its exit code
+    RUNS = {
+        "gen-from-dimacs": (["gen", "from-dimacs", "--dimacs", "f.cnf"],
+                            ["f.cnf"], EXIT_OK),
+        "gen-random": (["gen", "random", "--n", "4", "--k", "2", "--terms",
+                        "3", "--seed", "5"], [], EXIT_OK),
+        "gen-cnf-ensemble": (["gen", "cnf-ensemble", "--cnf", "e.cnf",
+                              "--q-vars", "3"], ["e.cnf"], EXIT_OK),
+        "compile-clock": (["compile", "--circuit", "c.json", "--to", "clock"],
+                          ["c.json"], EXIT_OK),
+        "compile-6sat": (["compile", "--circuit", "c.json", "--to", "6sat"],
+                         ["c.json"], EXIT_OK),
+        "compile-verifier": (["compile", "--instance", "h.json", "--to",
+                              "verifier"], ["h.json"], EXIT_OK),
+        "spectrum": (["spectrum", "--instance", "sat.json"], ["sat.json"],
+                     EXIT_OK),
+        "prove": (["prove", "--instance", "sat.json"], ["sat.json"], EXIT_OK),
+        "prove-unsat": (["prove", "--instance", "unsat.json"], ["unsat.json"],
+                        EXIT_PROMISE),
+        "verify": (["verify", "--instance", "sat.json", "--witness", "w.json",
+                    "--trials", "5", "--seed", "1"], ["sat.json", "w.json"],
+                   EXIT_OK),
+        "trace": (["trace", "--instance", "h.json", "--power", "2"],
+                  ["h.json"], EXIT_OK),
+        "ensemble": (["ensemble", "--instance", "ens.json", "--samples", "20",
+                      "--seed", "4"], ["ens.json"], EXIT_OK),
+        "ensemble-inconclusive": (
+            ["ensemble", "--instance", "ens.json", "--samples", "40", "--seed",
+             "0", "--decide", "--lambda-yes", "-2.0", "--lambda-no", "2.0"],
+            ["ens.json"], EXIT_PROMISE),
+    }
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        """tmp_path as the working directory, holding every input of RUNS
+        and no manifest."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in (("f.cnf", SAT_3), ("e.cnf", UNSAT_BIASED),
+                           ("w.json", '{"argmax": 6}')):
+            write(tmp_path / name, text)
+        save(instances.from_dimacs(SAT_3), "sat.json")
+        save(instances.from_dimacs(UNSAT_2), "unsat.json")
+        save(LhMinInstance(1, (LocalOperator((0,), np.array(
+            [[0.0, -1.0], [-1.0, 0.0]])),), -1.0 - 1e-6, 0.0), "h.json")
+        save(stoqbench.estimators.cnf_ensemble_from_dimacs(UNSAT_BIASED, [3]),
+             "ens.json")
+        save_circuit(VerifierCircuit(0, 0, 0, 1, (Gate("X", (0,)),
+                                                  Gate("X", (0,)))), "c.json")
+        return tmp_path
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_file_gets_one_manifest(self, run, workdir):
+        argv, inputs, code = self.RUNS[run]
+        before = set(os.listdir())
+        assert main(argv + ["--out", "out"]) == code
+        assert set(os.listdir()) - before == {"out", "out.manifest.json"}
+        manifest = json.loads(Path("out.manifest.json").read_text())
+        assert manifest["command"] == argv + ["--out", "out"]
+        assert manifest["output"] == "out"
+        assert manifest["inputs"] == {
+            p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_stdout_gets_no_manifest(self, run, workdir, capsys):
+        argv, inputs, code = self.RUNS[run]
+        assert main(argv + ["--out", "out"]) == code
+        capsys.readouterr()
+        before = sorted(os.listdir())
+        assert main(argv + ["--out", "-"]) == code
+        # the bytes of the file, and no file named "-" or "-.manifest.json"
+        assert capsys.readouterr().out == Path("out").read_text()
+        assert sorted(os.listdir()) == before
+
+    @pytest.mark.parametrize("limit", ["abc", "-3"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_bad_dense_limit_writes_nothing(self, run, limit, workdir, capsys,
+                                            monkeypatch):
+        argv, inputs, code = self.RUNS[run]
+        before = sorted(os.listdir())
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", limit)
+        assert main(argv + ["--out", "out"]) == EXIT_ERROR
+        assert capsys.readouterr().err == ("error: STOQ_DENSE_LIMIT must be a "
+                                           f"non-negative integer, got {limit!r}\n")
+        assert sorted(os.listdir()) == before
+
+
+def test_every_flag_is_read():
+    """Every option and subcommand dest is read as ``args.<dest>`` in the
+    cli module, so no flag goes unread."""
+    def dests(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                yield action.dest
+                for sub in action.choices.values():
+                    yield from dests(sub)
+            elif not isinstance(action, argparse._HelpAction):
+                yield action.dest
+
+    flags = set(dests(cli.build_parser()))
+    assert {"command", "gen_kind", "q_vars", "lambda_no", "out"} <= flags
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    assert not flags - read, f"flags nothing reads: {sorted(flags - read)}"
+
+
 class TestParserReuse:
     """main() parses with one parser per process; no call may see the
     options, defaults or errors of an earlier one."""
@@ -703,8 +839,8 @@ class TestParserReuse:
         cli.build_parser()
         calls = []
         original = cli.cmd_verify
-        monkeypatch.setattr(cli, "cmd_verify", lambda args, argv: calls.append(
-            args.trials) or original(args, argv))
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(
+            args.trials) or original(args))
         assert self.verify(sat_instance, tmp_path / "v.csv") == EXIT_OK
         assert calls == [8]
 

@@ -95,6 +95,17 @@ class TestTracePower:
         with pytest.raises(ValueError):
             trace_power(g, 2, mode="sampled", paths=0)
 
+    def test_sampled_weight_beyond_float_range(self):
+        # 2**(n*L) is a float up to n*L = 1023; the check precedes any draw
+        g, p = sbp_matrix(LhMinInstance(
+            2, tuple(LocalOperator((q,), -np.array([[0.0, 1.0], [1.0, 0.0]]))
+                     for q in range(2)), -2.5, -1.5))
+        assert math.isfinite(trace_power(g, 511, mode="sampled", paths=2).value)
+        with mock.patch("numpy.random.default_rng") as rng, \
+                pytest.raises(ValueError, match=r"L=512 on n=2 qubits"):
+            trace_power(g, 512, mode="sampled", paths=2)
+        rng.assert_not_called()
+
 
 class TestSbpBounds:
     def test_example_thresholds(self):

@@ -181,6 +181,16 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             from_document(doc)
 
+    @pytest.mark.parametrize("metadata", [5, [], "x", None])
+    def test_non_object_metadata_rejected(self, metadata):
+        doc = {
+            "version": 1, "kind": "stoq-sat", "n": 1, "epsilon": 1.0,
+            "terms": [{"qubits": [0], "matrix": [1.0, 0.0, 0.0, 0.0], "dim": 2}],
+            "metadata": metadata,
+        }
+        with pytest.raises(SchemaError, match="metadata is not a JSON object"):
+            from_document(doc)
+
 
 class TestCodec:
     X = np.array([[0.0, -1.0], [-1.0, 0.0]])

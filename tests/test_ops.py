@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +248,13 @@ class TestAssembly:
         op = OperatorSum(4, (LocalOperator((0,), PLUS),))
         with pytest.raises(DenseLimitError):
             assemble_dense(op)
+
+    @pytest.mark.parametrize("text", ["abc", "-3", "", "1.5"])
+    def test_dense_limit_must_be_non_negative_integer(self, text, monkeypatch):
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"STOQ_DENSE_LIMIT must be a non-negative integer, got {text!r}")):
+            dense_limit()
 
     def test_nonnegative_blocks_assemble_nonnegative(self):
         rng = np.random.default_rng(2)
