@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import (ETA, Gate, LocalOperator, circuit_permutation,
-                  conjugate_by_circuit)
+from .ops import ETA, Gate, LocalOperator, conjugate_by_circuit
 from .instances import LhMinInstance, validate, write_json
 
 CIRCUIT_SCHEMA_VERSION = 1
@@ -64,8 +63,10 @@ class VerifierCircuit:
         return len(self.gates)
 
     def permutation(self) -> np.ndarray:
-        ident = {q: q for q in range(self.total_qubits)}
-        return circuit_permutation(self.gates, ident, 2**self.total_qubits)
+        perm = np.arange(2**self.total_qubits, dtype=np.int64)
+        for g in self.gates:
+            perm = g.apply(perm)
+        return perm
 
 
 def initial_state(v: VerifierCircuit, x: int, psi: np.ndarray) -> np.ndarray:

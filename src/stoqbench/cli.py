@@ -20,6 +20,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 import time
@@ -240,10 +241,17 @@ def cmd_verify(args):
     accepted = sum(int(t.accepted) for t in transcripts)
     rate, lo, hi = walk.wilson_interval(accepted, args.trials)
     rows.append(["rate", rate, lo, hi, accepted, args.trials])
-    _write_csv(args.out, ["trial", "accepted", "steps_taken", "reject_step",
-                          "reject_reason", "log_r_sum"], rows)
-    if args.transcripts:
-        with open(args.transcripts, "w", encoding="utf-8") as fh:
+    # --transcripts is opened first and removed if writing --out fails, so
+    # an exit 1 leaves neither file, whichever path is bad
+    with open(args.transcripts or os.devnull, "w", encoding="utf-8") as fh:
+        try:
+            _write_csv(args.out, ["trial", "accepted", "steps_taken",
+                                  "reject_step", "reject_reason", "log_r_sum"], rows)
+        except OSError:
+            if args.transcripts:
+                os.remove(args.transcripts)
+            raise
+        if args.transcripts:
             fh.writelines(t.to_json() + "\n" for t in transcripts)
     return EXIT_OK, [args.instance, *witness_files]
 

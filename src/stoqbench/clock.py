@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ops import (ETA, Gate, LocalOperator, OperatorSum, assemble_sparse,
-                  circuit_permutation, local_term)
+                  gather, local_term, scatter)
 from .instances import LhMinInstance, StoqSatInstance
 from .circuits import VerifierCircuit, acceptance_probability, initial_state
 from .spectral import dense_spectrum
@@ -29,8 +29,8 @@ _RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Permutation matrix of a gate on its own qubits (sorted order)."""
     qubits = sorted(gate.qubits)
-    perm = circuit_permutation((gate,), {q: i for i, q in enumerate(qubits)},
-                               2 ** len(qubits))
+    local = np.arange(2 ** len(qubits), dtype=np.int64)
+    perm = gather(gate.apply(scatter(local, qubits)), qubits)
     return np.eye(len(perm))[:, perm]
 
 
@@ -149,13 +149,12 @@ def history_state(clock: ClockInstance, psi) -> np.ndarray:
     state = np.zeros(2**clock.N)
     norm = 1.0 / math.sqrt(L + 1)
     clock_mask = 1 << base  # clock state j: bits base..base+j set
-    idx = np.arange(work.shape[0])
-    ident = {q: q for q in range(v.total_qubits)}
+    idx = np.arange(work.shape[0], dtype=np.int64)
     cur = work
     for j in range(L + 1):
         if j > 0:
-            # X, CNOT and Toffoli are involutions: the gather is the scatter
-            cur = cur[circuit_permutation((v.gates[j - 1],), ident, len(cur))]
+            # gates are involutions: cur[g(idx)] moves amplitude z to g(z)
+            cur = cur[v.gates[j - 1].apply(idx)]
             clock_mask |= 1 << (base + j)
         state[idx + clock_mask] += norm * cur
     return state

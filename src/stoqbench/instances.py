@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ETA, LocalOperator, OperatorSum, projector_check
+from .ops import ETA, LocalOperator, OperatorSum, gather, projector_check
 
 SCHEMA_VERSION = 1
 
@@ -76,10 +76,7 @@ class TermTemplate:
             raise ValueError(f"tables must cover all {want} bit assignments")
 
     def block_for(self, r: int) -> np.ndarray:
-        a = 0
-        for i, b in enumerate(self.random_bits):
-            a |= ((r >> b) & 1) << i
-        return self.tables[a]
+        return self.tables[gather(r, self.random_bits)]
 
 
 @dataclass(frozen=True)
@@ -202,11 +199,9 @@ def clause_projector(clause, n: int) -> LocalOperator:
             return None  # tautology, projector is the identity
         sign[v] = s
     qubits = tuple(v - 1 for v in variables)
-    b = 0
-    for i, v in enumerate(variables):
-        # positive literal is falsified by 0, negative by 1
-        if not sign[v]:
-            b |= 1 << i
+    # local index of the falsifying assignment: a positive literal is
+    # falsified by 0, a negative one by 1
+    b = sum(1 << i for i, v in enumerate(variables) if not sign[v])
     dim = 2 ** len(qubits)
     block = np.eye(dim)
     block[b, b] = 0.0

@@ -5,8 +5,13 @@ Conventions used everywhere in this package:
 * a computational basis state of an n-qubit register is a plain int
   ``x`` with ``0 <= x < 2**n``; qubit 0 is the least significant bit.
 * a :class:`LocalOperator` stores a dense real block on a sorted tuple
-  of qubit indices; bit ``i`` of a local index corresponds to qubit
-  ``support[i]``.
+  of qubit indices.
+
+Two bit rules, each written once here for an int or an int64 array:
+bit ``i`` of a local index is qubit ``bits[i]`` (:func:`gather` reads a
+local index out of a basis state, :func:`scatter` writes it back), and
+a gate flips its target where all its controls are set
+(:meth:`Gate.apply`, so a reversible circuit permutes basis states).
 """
 
 from __future__ import annotations
@@ -30,6 +35,22 @@ def dense_limit() -> int:
         raise ValueError("STOQ_DENSE_LIMIT must be a non-negative integer, "
                          f"got {text!r}")
     return int(text)
+
+
+def gather(x, bits):
+    """Local index of basis state(s) ``x``: bit i is bit ``bits[i]`` of x."""
+    out = x & 0
+    for i, q in enumerate(bits):
+        out |= ((x >> q) & 1) << i
+    return out
+
+
+def scatter(lx, bits):
+    """Inverse of gather: bit ``bits[i]`` is bit i of ``lx``, the rest 0."""
+    out = lx & 0
+    for i, q in enumerate(bits):
+        out |= ((lx >> i) & 1) << q
+    return out
 
 
 class DenseLimitError(ValueError):
@@ -65,19 +86,14 @@ class Gate:
         if min(self.qubits) < 0:
             raise ValueError(f"gate qubits {self.qubits} must be non-negative")
 
-    def apply(self, z: int) -> int:
-        """Image of basis state z under this gate."""
-        q = self.qubits
-        if self.kind == "X":
-            return z ^ (1 << q[0])
-        if self.kind == "CNOT":
-            if (z >> q[0]) & 1:
-                return z ^ (1 << q[1])
-            return z
-        # TOFFOLI
-        if (z >> q[0]) & 1 and (z >> q[1]) & 1:
-            return z ^ (1 << q[2])
-        return z
+    def apply(self, z):
+        """Image of basis state(s) z, an int or an int64 array: the target
+        (last qubit) flips where every control is set."""
+        *controls, target = self.qubits
+        fire = z >> controls[0] if controls else 1
+        for c in controls[1:]:
+            fire = fire & (z >> c)
+        return z ^ ((fire & 1) << target)
 
 
 def circuit_permutation(gates, qubit_map, dim: int) -> np.ndarray:
@@ -87,13 +103,7 @@ def circuit_permutation(gates, qubit_map, dim: int) -> np.ndarray:
     """
     perm = np.arange(dim, dtype=np.int64)
     for g in gates:
-        q = [qubit_map[v] for v in g.qubits]
-        if g.kind == "X":
-            perm ^= 1 << q[0]
-        elif g.kind == "CNOT":
-            perm ^= ((perm >> q[0]) & 1) << q[1]
-        else:
-            perm ^= (((perm >> q[0]) & (perm >> q[1])) & 1) << q[2]
+        perm = Gate(g.kind, [qubit_map[v] for v in g.qubits]).apply(perm)
     return perm
 
 
@@ -128,23 +138,15 @@ class LocalOperator:
     def k(self) -> int:
         return len(self.support)
 
-    def local_index(self, x: int) -> int:
-        lx = 0
-        for i, q in enumerate(self.support):
-            lx |= ((x >> q) & 1) << i
-        return lx
-
     def element(self, x: int, y: int) -> float:
         """<x|Pi|y> with x, y global basis states (0 if outside bits differ)."""
-        mask = 0
-        for q in self.support:
-            mask |= 1 << q
-        if (x & ~mask) != (y & ~mask):
+        if (x ^ y) & ~scatter((1 << self.k) - 1, self.support):
             return 0.0
-        return float(self.block[self.local_index(x), self.local_index(y)])
+        return float(self.block[gather(x, self.support),
+                                gather(y, self.support)])
 
     def diag(self, x: int) -> float:
-        lx = self.local_index(x)
+        lx = gather(x, self.support)
         return float(self.block[lx, lx])
 
 
@@ -201,12 +203,9 @@ def matrix_elements(op: OperatorSum, xs, ys) -> np.ndarray:
         raise IndexError("basis index out of range")
     out = np.zeros(np.broadcast(xs, ys).shape)
     for w, t in zip(op.weights, op.terms):
-        mask = sum(1 << q for q in t.support)
-        lx = np.zeros_like(xs)
-        ly = np.zeros_like(ys)
-        for i, q in enumerate(t.support):
-            lx |= ((xs >> q) & 1) << i
-            ly |= ((ys >> q) & 1) << i
+        mask = scatter((1 << t.k) - 1, t.support)
+        lx = gather(xs, t.support)
+        ly = gather(ys, t.support)
         out += w * np.where(((xs ^ ys) & ~mask) == 0, t.block[lx, ly], 0.0)
     return out
 
@@ -217,16 +216,11 @@ def apply_to_basis(op: OperatorSum, x: int) -> dict:
         raise IndexError("basis index out of range")
     row: dict = {}
     for w, t in zip(op.weights, op.terms):
-        lx = t.local_index(x)
+        lx = gather(x, t.support)
         col = t.block[:, lx]
-        base = x
-        for q in t.support:
-            base &= ~(1 << q)
+        base = x ^ scatter(lx, t.support)  # x with its support bits cleared
         for ly in np.nonzero(col)[0]:
-            y = base
-            for i, q in enumerate(t.support):
-                if (int(ly) >> i) & 1:
-                    y |= 1 << q
+            y = base | scatter(int(ly), t.support)
             row[y] = row.get(y, 0.0) + w * float(col[ly])
     return {y: v for y, v in row.items() if v != 0.0}
 
@@ -234,7 +228,7 @@ def apply_to_basis(op: OperatorSum, x: int) -> dict:
 def _support_maps(support, n):
     """Global offsets of the local bit patterns of a sorted support, in
     local-index order, and of the complement patterns, ascending."""
-    mask = sum(1 << q for q in support)
+    mask = scatter((1 << len(support)) - 1, support)
     idx = np.arange(2**n, dtype=np.int64)
     return idx[(idx & ~mask) == 0], idx[(idx & mask) == 0]
 

@@ -302,12 +302,10 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
         runner = WalkRunner(instance)
     accepted = 0
     for i, votes in enumerate(runner.trials(witness, config, trials, majority)):
-        outcome = sum(t.accepted for t in votes) * 2 > majority
         if i == 0 and not any(t.rng_draws for t in votes):
-            # no randomness consumed: every trial is identical
-            acc = trials if outcome else 0
-            rate, lo, hi = (1.0, 1.0, 1.0) if outcome else (0.0, 0.0, 0.0)
-            return AcceptanceReport(rate, lo, hi, trials, acc, deterministic=True)
-        accepted += int(outcome)
+            # no vote drew, so each was rejected at step 0 (an accepted
+            # walk draws L >= 1 times), and so is every other trial
+            return AcceptanceReport(0.0, 0.0, 0.0, trials, 0, deterministic=True)
+        accepted += sum(t.accepted for t in votes) * 2 > majority
     rate, lo, hi = wilson_interval(accepted, trials)
     return AcceptanceReport(rate, lo, hi, trials, accepted)

@@ -10,7 +10,8 @@ from stoqbench import (Gate, LhMinInstance, LocalOperator, OperatorSum,
                        hamiltonian_to_verifier, load_circuit, max_acceptance,
                        mix, save_circuit, x_projector_isometry,
                        zero_projector_isometry)
-from stoqbench.circuits import _part_verifier, circuit_permutation
+from stoqbench.circuits import _part_verifier
+from stoqbench.ops import circuit_permutation
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 

@@ -292,6 +292,21 @@ class TestRobustness:
         assert not out.exists()
         assert not (tmp_path / "v.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("bad", ["out", "transcripts"])
+    def test_verify_bad_output_path_leaves_no_file(self, sat_instance, tmp_path,
+                                                   capsys, bad):
+        """Either output path missing its directory: exit 1, and neither
+        file nor a manifest is left, whichever is written first."""
+        paths = {"out": tmp_path / "v.csv", "transcripts": tmp_path / "t.jsonl"}
+        paths[bad] = tmp_path / "nodir" / paths[bad].name
+        before = sorted(tmp_path.iterdir())
+        assert main(["verify", "--instance", sat_instance, "--witness", "6",
+                     "--trials", "5", "--seed", "0", "--out", str(paths["out"]),
+                     "--transcripts", str(paths["transcripts"])]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_trace_above_dense_limit_is_one_line_error(self, tmp_path, capsys,
                                                        monkeypatch):
         from stoqbench import LhMinInstance, LocalOperator, save

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,3 +491,182 @@ class TestLayoutMatchesLoopReference:
                 matrix_element(op, x, y)
             with pytest.raises(IndexError):
                 matrix_elements(op, [0, x], [0, y])
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the two bit rules: the per-site copies that
+# ops.gather, ops.scatter and Gate.apply replaced.
+
+
+def ref_local_index(support, x):
+    """LocalOperator.local_index as it was: bit i is qubit support[i]."""
+    lx = 0
+    for i, q in enumerate(support):
+        lx |= ((x >> q) & 1) << i
+    return lx
+
+
+def ref_element(t, x, y):
+    """LocalOperator.element as it was, with its own mask loop."""
+    mask = 0
+    for q in t.support:
+        mask |= 1 << q
+    if (x & ~mask) != (y & ~mask):
+        return 0.0
+    return float(t.block[ref_local_index(t.support, x),
+                         ref_local_index(t.support, y)])
+
+
+def ref_apply_to_basis(op, x):
+    """apply_to_basis as it was, with its clear-and-set loops."""
+    row = {}
+    for w, t in zip(op.weights, op.terms):
+        lx = ref_local_index(t.support, x)
+        col = t.block[:, lx]
+        base = x
+        for q in t.support:
+            base &= ~(1 << q)
+        for ly in np.nonzero(col)[0]:
+            y = base
+            for i, q in enumerate(t.support):
+                if (int(ly) >> i) & 1:
+                    y |= 1 << q
+            row[y] = row.get(y, 0.0) + w * float(col[ly])
+    return {y: v for y, v in row.items() if v != 0.0}
+
+
+def ref_circuit_images(gates, qubit_map, perm):
+    """circuit_permutation's per-kind branches as they were, applied to an
+    int64 array of basis states."""
+    perm = np.array(perm, dtype=np.int64)
+    for g in gates:
+        q = [qubit_map[v] for v in g.qubits]
+        if g.kind == "X":
+            perm ^= 1 << q[0]
+        elif g.kind == "CNOT":
+            perm ^= ((perm >> q[0]) & 1) << q[1]
+        else:
+            perm ^= (((perm >> q[0]) & (perm >> q[1])) & 1) << q[2]
+    return perm
+
+
+def ref_circuit_permutation(gates, qubit_map, dim):
+    return ref_circuit_images(gates, qubit_map, np.arange(dim, dtype=np.int64))
+
+
+@st.composite
+def supports(draw, max_n=62):
+    """(n, sorted support, basis states): a register of up to 62 qubits, a
+    support on it (possibly empty) and a few states below 2^n."""
+    n = draw(st.integers(1, max_n))
+    support = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(n, 8)))))
+    xs = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=16))
+    return n, support, xs
+
+
+@st.composite
+def gate_lists(draw, max_n=62):
+    """(n, gates): up to 8 random X/CNOT/Toffoli gates on n qubits."""
+    n = draw(st.integers(3, max_n))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["X", "CNOT", "TOFFOLI"]))
+        arity = {"X": 1, "CNOT": 2, "TOFFOLI": 3}[kind]
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                               max_size=arity, unique=True))
+        gates.append(Gate(kind, qubits))
+    return n, gates
+
+
+class TestBitRulesMatchLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(supports())
+    def test_gather_matches_local_index(self, case):
+        n, support, xs = case
+        for x in xs:
+            got = ops.gather(x, support)
+            assert type(got) is int and got == ref_local_index(support, x)
+        arr = np.array(xs, dtype=np.int64)
+        want = np.array([ref_local_index(support, x) for x in xs], dtype=np.int64)
+        got = ops.gather(arr, support)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(supports())
+    def test_scatter_inverts_gather(self, case):
+        n, support, xs = case
+        mask = sum(1 << q for q in support)
+        arr = np.array(xs, dtype=np.int64)
+        for x in xs:
+            assert ops.scatter(ops.gather(x, support), support) == x & mask
+        assert (ops.scatter(ops.gather(arr, support), support).tobytes()
+                == (arr & mask).tobytes())
+        local = np.array([x % 2 ** len(support) for x in xs], dtype=np.int64)
+        for lx in local.tolist():
+            assert ops.gather(ops.scatter(lx, support), support) == lx
+        back = ops.gather(ops.scatter(local, support), support)
+        assert back.dtype == np.int64 and back.tobytes() == local.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(supports(), st.integers(0, 2**32 - 1))
+    def test_element_and_diag_match_reference(self, case, seed):
+        n, support, xs = case
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(2 ** len(support),) * 2)
+        t = LocalOperator(support, m + m.T)
+        for x in xs:
+            y = x ^ ops.scatter(int(rng.integers(0, 2 ** len(support))), support)
+            if rng.random() < 0.3:  # and some pairs that differ outside
+                y ^= 1 << int(rng.integers(0, n))
+            assert repr(t.element(x, y)) == repr(ref_element(t, x, y))
+            assert repr(t.diag(x)) == repr(ref_element(t, x, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 62), st.integers(0, 2**32 - 1))
+    def test_apply_to_basis_matches_loops(self, n, seed):
+        rng = np.random.default_rng(seed)
+        op = random_sum(rng, n)
+        for x in (0, 2**n - 1, *(int(v) for v in rng.integers(0, 2**n, size=8))):
+            got = apply_to_basis(op, x)
+            want = ref_apply_to_basis(op, x)
+            assert [(type(y), y, v.hex()) for y, v in got.items()] == \
+                [(type(y), y, v.hex()) for y, v in want.items()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(gate_lists(), st.lists(st.integers(0, 2**62 - 1), min_size=1,
+                                  max_size=16))
+    def test_gate_apply_matches_per_kind_branches(self, case, zs):
+        n, gates = case
+        zs = [z % 2**n for z in zs]
+        ident = {q: q for q in range(n)}
+        arr = np.array(zs, dtype=np.int64)
+        got = arr
+        for g in gates:
+            got = g.apply(got)
+        assert got.dtype == np.int64
+        assert got.tobytes() == ref_circuit_images(gates, ident, arr).tobytes()
+        for z, want in zip(zs, got.tolist()):
+            for g in gates:
+                z = g.apply(z)
+            assert type(z) is int and z == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(gate_lists(max_n=10), st.data())
+    def test_circuit_permutation_with_relabelling(self, case, data):
+        n, gates = case
+        bits = data.draw(st.integers(n, 12))
+        qubit_map = dict(enumerate(data.draw(st.permutations(range(bits)))[:n]))
+        got = ops.circuit_permutation(gates, qubit_map, 2**bits)
+        want = ref_circuit_permutation(gates, qubit_map, 2**bits)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+
+def test_gather_idiom_only_in_ops():
+    """The bit gather ``& 1) <<`` is written once, in ops.gather; every
+    other module reads it through ops."""
+    src = Path(ops.__file__).parent
+    found = [f"{path.name}:{i}"
+             for path in sorted(src.glob("*.py")) if path.name != "ops.py"
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "& 1) <<" in line]
+    assert not found, f"bit gather written outside ops: {found}"
