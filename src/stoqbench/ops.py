@@ -11,7 +11,8 @@ Two bit rules, each written once here for an int or an int64 array:
 bit ``i`` of a local index is qubit ``bits[i]`` (:func:`gather` reads a
 local index out of a basis state, :func:`scatter` writes it back), and
 a gate flips its target where all its controls are set
-(:meth:`Gate.apply`, so a reversible circuit permutes basis states).
+(:meth:`Gate.apply` and :func:`circuit_permutation`, so a reversible
+circuit permutes basis states).
 """
 
 from __future__ import annotations
@@ -89,11 +90,17 @@ class Gate:
     def apply(self, z):
         """Image of basis state(s) z, an int or an int64 array: the target
         (last qubit) flips where every control is set."""
-        *controls, target = self.qubits
-        fire = z >> controls[0] if controls else 1
-        for c in controls[1:]:
-            fire = fire & (z >> c)
-        return z ^ ((fire & 1) << target)
+        return _flip(z, self.qubits)
+
+
+def _flip(z, qubits):
+    """The one X/CNOT/Toffoli rule on basis state(s) z: the last of
+    ``qubits`` flips where every other one is set."""
+    *controls, target = qubits
+    fire = z >> controls[0] if controls else 1
+    for c in controls[1:]:
+        fire = fire & (z >> c)
+    return z ^ ((fire & 1) << target)
 
 
 def circuit_permutation(gates, qubit_map, dim: int) -> np.ndarray:
@@ -103,7 +110,7 @@ def circuit_permutation(gates, qubit_map, dim: int) -> np.ndarray:
     """
     perm = np.arange(dim, dtype=np.int64)
     for g in gates:
-        perm = Gate(g.kind, [qubit_map[v] for v in g.qubits]).apply(perm)
+        perm = _flip(perm, [qubit_map[v] for v in g.qubits])
     return perm
 
 

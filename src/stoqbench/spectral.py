@@ -1,10 +1,11 @@
 """Eigenvalue solvers used as the oracle layer by every module.
 
-``extreme_eigenvalue`` is the one extreme-eigenpair path: LOBPCG on the
-sparse matrix from the all-ones start vector, or a dense ``eigh`` of the
-same matrix below LOBPCG's minimum size.  Every pair it returns has
-passed a residual check.  ``dense_spectrum`` is the one full-spectrum
-path: dense solves of the matrix's connected components.
+``extreme_eigenvalue`` is the one extreme-eigenpair path: read off a
+diagonal matrix (a CNF's G), else LOBPCG on the sparse matrix from the
+all-ones start vector, or a dense ``eigh`` of the same matrix below
+LOBPCG's minimum size.  Every pair it returns has passed a residual
+check.  ``dense_spectrum`` is the one full-spectrum path: dense solves
+of the matrix's connected components, one row each when it is diagonal.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ class SpectralResult:
     iterations: int
     residual: float
     converged: bool  # always True: an unverified pair raises instead
-    method: str  # "lobpcg" or "dense"
+    method: str  # "diagonal", "lobpcg" or "dense"
+
+
+def _split(mat):
+    """A sparse matrix's COO form, its entries stored off the diagonal, and
+    its diagonal when none of those is nonzero (else None)."""
+    coo = mat.tocoo()
+    off = coo.data[coo.row != coo.col]
+    return coo, off, None if off.any() else coo.diagonal()
 
 
 def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
@@ -45,7 +54,10 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
     (non-negative entries for "max", non-positive for "min": the Perron
     vector of G, the ground state of a stoquastic Hamiltonian) the vector
     is the all-ones vector projected onto that eigenspace and normalised:
-    non-negative and the same whichever solver ran.  Otherwise the
+    non-negative and the same whichever solver ran.  On a diagonal
+    matrix that projection is exact: the indicator of the strings whose
+    diagonal entry is within the residual bound of the extreme one, the
+    dense branch's own rule, and no solver runs.  Otherwise the
     all-ones vector may miss the eigenspace, so a fixed random vector
     joins LOBPCG's start block.  Raises ValueError unless the residual
     ||A v - lambda v|| is at most tol * max(1, norm bound); max_iter caps
@@ -56,12 +68,15 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
     dim = 2**op.n
     mat = assemble_sparse(op)
     bound = tol * max(1.0, op.norm_bound())
-    coo = mat.tocoo()
-    off = coo.data[coo.row != coo.col]
+    _, off, diag = _split(mat)
     start = np.ones((dim, 1))
     if np.any(off < -ETA if which == "max" else off > ETA):
         start = np.hstack([start, np.random.default_rng(0).random((dim, 1))])
-    if dim < LOBPCG_MIN_DIM * start.shape[1]:
+    if diag is not None:
+        method, iterations = "diagonal", 0
+        edge = diag.max() if which == "max" else diag.min()
+        v = (np.abs(diag - edge) <= bound).astype(float)
+    elif dim < LOBPCG_MIN_DIM * start.shape[1]:
         method, iterations = "dense", 0
         evals, evecs = np.linalg.eigh(mat.toarray())
         edge = evals[-1] if which == "max" else evals[0]
@@ -100,19 +115,23 @@ def dense_spectrum(op) -> np.ndarray:
     """Every eigenvalue of an operator sum or symmetric matrix, ascending.
 
     The matrix is block diagonal over the connected components of its
-    graph, the irreducible blocks of Perron-Frobenius, so each component
+    graph, the irreducible blocks of Perron-Frobenius.  A diagonal
+    matrix's spectrum is its sorted diagonal.  Otherwise each component
     is solved densely on its own: rows are permuted to group components
     by size, and each size's diagonal blocks go through one stacked
     ``eigvalsh`` of at most STACK_ENTRIES entries (or one component).
     Raises DenseLimitError when a component has more than
     2**dense_limit() rows.
     """
-    from scipy.sparse.csgraph import connected_components
-
     if isinstance(op, OperatorSum):
         mat = assemble_sparse(op)
     else:
         mat = sp.csr_matrix(np.asarray(op, dtype=float))
+    coo, _, diag = _split(mat)
+    if diag is not None:  # one-row components: LAPACK returns each entry
+        return np.sort(diag)
+    from scipy.sparse.csgraph import connected_components
+
     _, labels = connected_components(mat, directed=False)
     sizes = np.bincount(labels)
     if sizes.max() > 2**dense_limit():
@@ -122,8 +141,7 @@ def dense_spectrum(op) -> np.ndarray:
     order = np.lexsort((labels, sizes[labels]))
     perm = np.empty_like(order)
     perm[order] = np.arange(len(order))
-    mat = mat.tocoo()
-    row, col = perm[mat.row], perm[mat.col]
+    row, col = perm[coo.row], perm[coo.col]
     evals, start = [], 0
     for size, count in zip(*np.unique(sizes, return_counts=True)):
         step = size * max(1, STACK_ENTRIES // size**2)
@@ -132,7 +150,7 @@ def dense_spectrum(op) -> np.ndarray:
             sel = (row >= lo) & (row < hi)
             r, c = row[sel] - lo, col[sel] - lo
             stack = np.zeros(((hi - lo) // size, size, size))
-            stack[r // size, r % size, c % size] = mat.data[sel]
+            stack[r // size, r % size, c % size] = coo.data[sel]
             evals.append(np.linalg.eigvalsh(stack))
         start += size * count
     return np.sort(np.concatenate(evals, axis=None))

@@ -11,11 +11,12 @@ power of the top eigenvalue of G.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -169,19 +170,33 @@ class WalkRunner:
         """Yield trials 0..count-1, each as the list of its ``majority``
         transcripts; vote v of trial i draws numpy's Philox stream with the
         key of Philox(config.seed) and counter [0, 0, i, v], so every trial
-        is a pure function of (instance, witness, config, i, v)."""
-        if count < 1:
-            raise ValueError("trials must be >= 1")
-        if majority < 1:
-            raise ValueError("majority must be >= 1")
-        if isinstance(self._start(witness), str):
-            # the walk rejects before its first draw, so no trial draws
-            rngs = repeat(None)
-        else:
-            rngs = _generators(config.seed, count, majority)
+        is a pure function of (instance, witness, config, i, v).  When no
+        draw can change the transcript (see ``_same_every_trial``) trial 0
+        runs once and every vote gets a copy of it."""
+        _check_counts(count, majority)
+        first = self._same_every_trial(witness, config)
+        if first is not None:
+            for _ in range(count):
+                yield [dataclasses.replace(first, visited=list(first.visited))
+                       for _ in range(majority)]
+            return
+        rngs = _generators(config.seed, count, majority)
         for _ in range(count):
             yield [self._run_with_rng(witness, config, next(rngs))
                    for _ in range(majority)]
+
+    def _same_every_trial(self, witness: int, config: WalkConfig):
+        """Trial 0's transcript when every trial gives it, else None: the
+        walk rejects at the witness before its first draw, or the witness
+        is a fixed point (G_ww = 1, as every satisfying string of a CNF),
+        whose row is the one move w -> w with log r = 0, which bisect_left
+        over the empty bounds picks for every uniform."""
+        row = self._start(witness)
+        if isinstance(row, str):
+            return self._run_with_rng(witness, config, None)
+        if row[1] == [(witness, 0.0)]:
+            return self.run(witness, config)
+        return None
 
     def _start(self, witness: int):
         """The compiled row of the witness, or the reason the walk rejects
@@ -223,6 +238,13 @@ class WalkRunner:
                                   "product-exceeds-one", L, delta)
         return WalkTranscript(visited, log_r_sum, True, rng_draws=L,
                               sampling_delta=delta)
+
+
+def _check_counts(count: int, majority: int) -> None:
+    if count < 1:
+        raise ValueError("trials must be >= 1")
+    if majority < 1:
+        raise ValueError("majority must be >= 1")
 
 
 def _uniforms(rng, L: int):
@@ -293,19 +315,24 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
 
     Vote v of trial i draws the Philox stream with counter [0, 0, i, v]
     (see WalkRunner.trials), so results are a pure function of (instance,
-    witness, trials, seed); a witness rejected at step 0 gives the same
-    transcript in every trial, so only trial 0 runs.  ``majority`` > 1
+    witness, trials, seed).  When every trial gives trial 0's transcript
+    (see WalkRunner.trials) only trial 0 runs and the report is marked
+    deterministic: 0 <= 0 <= 0 for a rejection at step 0, the Wilson
+    interval of all trials accepted for a fixed point.  ``majority`` > 1
     repeats each trial and takes a majority vote (the amplification
     wrapper for delta-perturbed sampling).
     """
     if runner is None:
         runner = WalkRunner(instance)
-    accepted = 0
-    for i, votes in enumerate(runner.trials(witness, config, trials, majority)):
-        if i == 0 and not any(t.rng_draws for t in votes):
-            # no vote drew, so each was rejected at step 0 (an accepted
-            # walk draws L >= 1 times), and so is every other trial
+    _check_counts(trials, majority)
+    first = runner._same_every_trial(witness, config)
+    if first is not None:
+        if not first.accepted:
             return AcceptanceReport(0.0, 0.0, 0.0, trials, 0, deterministic=True)
+        return AcceptanceReport(*wilson_interval(trials, trials), trials,
+                                trials, deterministic=True)
+    accepted = 0
+    for votes in runner.trials(witness, config, trials, majority):
         accepted += sum(t.accepted for t in votes) * 2 > majority
     rate, lo, hi = wilson_interval(accepted, trials)
     return AcceptanceReport(rate, lo, hi, trials, accepted)

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from stoqbench import (adversarial_witnesses, from_dimacs, honest_witness,
-                       random_projector_instance)
+from stoqbench import (adversarial_witnesses, assemble_sparse, build_G,
+                       from_dimacs, honest_witness, random_projector_instance)
+from stoqbench.ops import ETA
 from conftest import plus_instance
+from test_acceptance import planted_sat_dimacs, unsat_dimacs
 
 SAT_3 = "p cnf 3 3\n1 2 0\n-1 3 0\n2 -3 0\n"
 UNSAT_2 = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
@@ -73,6 +77,63 @@ class TestHonestWitness:
         for a in hw.vector.amplitudes.values():
             assert a == pytest.approx(len(satisfying)**-0.5, abs=1e-10)
         assert hw.argmax == satisfying[0]
+
+
+def lobpcg_support(inst):
+    """honest_witness's amplitudes and argmax as LOBPCG from the all-ones
+    vector found them, before a diagonal G was read off its diagonal."""
+    from scipy.sparse.linalg import lobpcg
+
+    g = build_G(inst)
+    bound = 1e-10 * max(1.0, g.norm_bound())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _, vecs = lobpcg(assemble_sparse(g), np.ones((2**inst.n, 1)),
+                         tol=bound / 100, maxiter=5000, largest=True)
+    v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    v = -v if v.sum() < 0 else v
+    amps = {x: float(a) for x, a in enumerate(v) if a > ETA}
+    norm = np.sqrt(sum(a * a for a in amps.values()))
+    amps = {x: a / norm for x, a in amps.items()}
+    peak = max(amps.values())
+    return amps, min(x for x, a in amps.items() if a >= peak - 1e-12)
+
+
+def cnf_fixtures():
+    """The CNF yes-instances of the tests: SAT_3, SAT_5 and acceptance
+    criterion 1's planted 3-CNFs."""
+    rng = np.random.default_rng(101)
+    planted = [from_dimacs(planted_sat_dimacs(n, 2 * n, rng)[0])
+               for n in (4, 6, 8, 9, 10, 11, 12, 12)]
+    return [from_dimacs(SAT_3), from_dimacs(SAT_5), *planted]
+
+
+class TestDiagonalG:
+    """A CNF's G is diagonal, so its top eigenpair is read off the
+    diagonal; support and argmax are those LOBPCG found."""
+
+    @pytest.mark.parametrize("inst", cnf_fixtures(),
+                             ids=lambda inst: f"n{inst.n}m{inst.m}")
+    def test_support_and_argmax_unchanged(self, inst):
+        hw = honest_witness(inst)
+        amps, argmax = lobpcg_support(inst)
+        assert not hw.looks_unsat and hw.eigenvalue == pytest.approx(1.0)
+        assert hw.argmax == argmax
+        assert sorted(hw.vector.amplitudes) == sorted(amps)
+        for x, a in amps.items():
+            assert hw.vector.amplitudes[x] == pytest.approx(a, abs=1e-12)
+
+    def test_unsat_cnfs_still_flagged(self):
+        # acceptance criterion 2's unsat CNFs
+        rng = np.random.default_rng(202)
+        for n, extra in [(2, 0), (3, 2), (4, 3), (5, 4), (6, 5), (6, 8),
+                         (7, 6), (8, 7), (8, 10), (9, 8), (10, 9), (10, 14)]:
+            inst = from_dimacs(unsat_dimacs(n, extra, rng))
+            hw = honest_witness(inst)
+            diag = assemble_sparse(build_G(inst)).diagonal()
+            assert hw.looks_unsat and hw.eigenvalue < 1.0 - 1e-8
+            assert hw.eigenvalue == pytest.approx(diag.max(), abs=1e-12)
+            assert diag[hw.argmax] == diag.max()
 
 
 class TestAdversarialWitnesses:

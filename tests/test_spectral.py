@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
+from hypothesis import given, settings, strategies as st
 
 from stoqbench import (Gate, LocalOperator, OperatorSum, VerifierCircuit,
                        assemble_dense, build_G, compile_circuit,
@@ -15,6 +17,7 @@ from conftest import plus_instance
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 MINUS_X = np.array([[0.0, -1.0], [-1.0, 0.0]])
+SAT_5 = "p cnf 5 4\n1 2 0\n-1 4 0\n3 -4 5 0\n-2 -5 0\n"
 
 
 class TestExtremeEigenvalue:
@@ -77,17 +80,105 @@ class TestExtremeEigenvalue:
         assert extreme_eigenvalue(g, "min").value == pytest.approx(0, abs=1e-9)
         assert extreme_eigenvalue(g, "max").value == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("n", [2, 4])  # n=4: twofold top eigenspace
+    # n=4: twofold top eigenspace; n=5: SAT_5's diagonal G, every
+    # satisfying string on top
+    @pytest.mark.parametrize("n", [2, 4, 5])
     def test_vector_is_projection_of_ones(self, n):
-        inst = random_projector_instance(n, 2, 3, seed=8)
+        inst = (from_dimacs(SAT_5) if n == 5
+                else random_projector_instance(n, 2, 3, seed=8))
         g = build_G(inst)
         res = extreme_eigenvalue(g, "max")
-        assert res.method == ("dense" if n == 2 else "lobpcg")
+        assert res.method == {2: "dense", 4: "lobpcg", 5: "diagonal"}[n]
         assert res.converged and res.residual <= 1e-10
         evals, evecs = np.linalg.eigh(assemble_dense(g))
         top = evecs[:, evals > evals[-1] - 1e-8]
         ref = top @ top.sum(axis=0)
         assert np.allclose(res.vector, ref / np.linalg.norm(ref), atol=1e-8)
+
+
+def projection_of_ones(op, which, tol=1e-10):
+    """The all-ones vector projected onto the extreme eigenspace of a dense
+    eigh, the eigenspace taken by the dense branch's rule, normalised."""
+    evals, evecs = np.linalg.eigh(assemble_dense(op))
+    edge = evals[-1] if which == "max" else evals[0]
+    space = evecs[:, np.abs(evals - edge) <= tol * max(1.0, op.norm_bound())]
+    ref = space @ space.sum(axis=0)
+    ref /= np.linalg.norm(ref)
+    return edge, -ref if ref.sum() < 0 else ref
+
+
+@st.composite
+def diagonal_sums(draw):
+    """Weighted sums of diagonal terms whose entries come from a few
+    values, so extreme entries repeat and many rows are zero."""
+    n = draw(st.integers(1, 7))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, min(3, n)))
+        support = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                       max_size=k, unique=True)))
+        entries = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.5, -1.0]),
+                                min_size=2**k, max_size=2**k))
+        terms.append(LocalOperator(support, np.diag(entries)))
+    weights = draw(st.lists(st.sampled_from([1.0, 1 / 3, 0.5, -0.25]),
+                            min_size=len(terms), max_size=len(terms)))
+    return OperatorSum(n, tuple(terms), tuple(weights))
+
+
+class TestDiagonalEigenpair:
+    """A diagonal matrix's extreme eigenpair is read off its diagonal: the
+    normalised indicator of its extreme entries, with no solver run."""
+
+    def assert_matches_projection(self, op, which):
+        res = extreme_eigenvalue(op, which)
+        assert res.method == "diagonal" and res.iterations == 0
+        edge, ref = projection_of_ones(op, which)
+        assert res.value == pytest.approx(edge, abs=1e-12)
+        assert np.max(np.abs(res.vector - ref)) <= 1e-12
+        assert res.converged and res.residual <= 1e-10 * max(1.0, op.norm_bound())
+
+    @settings(max_examples=80, deadline=None)
+    @given(diagonal_sums(), st.sampled_from(["max", "min"]))
+    def test_matches_eigh_projection_of_ones(self, op, which):
+        self.assert_matches_projection(op, which)
+
+    @pytest.mark.parametrize("which", ["max", "min"])
+    @pytest.mark.parametrize("op", [
+        # every row zero: the whole space is extreme
+        OperatorSum(3, (LocalOperator((1,), np.zeros((2, 2))),)),
+        # zero rows on the bottom, a threefold top
+        OperatorSum(2, (LocalOperator((0, 1), np.diag([0.0, 1.0, 1.0, 1.0])),)),
+        # a single-qubit diagonal, below LOBPCG's size
+        OperatorSum(1, (LocalOperator((0,), np.diag([2.0, -1.0])),)),
+    ], ids=["zero", "zero-rows", "one-qubit"])
+    def test_degenerate_and_zero_rows(self, op, which):
+        self.assert_matches_projection(op, which)
+
+    def test_cnf_top_is_the_satisfying_strings(self):
+        inst = from_dimacs(SAT_5)
+        res = extreme_eigenvalue(build_G(inst), "max")
+        diag = np.diag(assemble_dense(build_G(inst)))
+        top = np.flatnonzero(diag == diag.max())
+        assert res.method == "diagonal" and len(top) > 2
+        assert np.array_equal(np.flatnonzero(res.vector), top)
+        assert np.all(res.vector[top] == res.vector[top[0]])
+
+    def test_dense_spectrum_skips_components(self, monkeypatch):
+        # a diagonal matrix's spectrum is its sorted diagonal, bit for bit;
+        # no component labelling runs
+        g = build_G(from_dimacs(SAT_5))
+        want = np.linalg.eigvalsh(assemble_dense(g))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("connected_components ran")
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "connected_components",
+                            refuse)
+        assert np.array_equal(dense_spectrum(g), want)
+        assert np.array_equal(dense_spectrum(np.diag([3.0, -1.0, 0.0])),
+                              [-1.0, 0.0, 3.0])
+        with pytest.raises(AssertionError, match="connected_components"):
+            dense_spectrum(build_G(plus_instance(2, [(0, 1)])))
 
 
 class TestDenseDiagnostics:

@@ -14,7 +14,7 @@ from stoqbench import (AcceptanceReport, Gate, LocalOperator, StoqSatInstance,
                        acceptance_rate, assemble_dense,
                        build_G, compile_circuit, export_6sat, from_dimacs,
                        honest_witness, random_projector_instance,
-                       required_steps, run_walk, save_circuit,
+                       required_steps, run_walk, save, save_circuit,
                        wilson_interval)
 from stoqbench.cli import main as cli_main
 from stoqbench.ops import ETA
@@ -212,6 +212,127 @@ class TestAcceptanceRate:
         config = WalkConfig(steps=5, seed=4)
         with pytest.raises(ValueError, match="majority must be >= 1"):
             acceptance_rate(inst, witness, 10, config, majority=majority)
+
+
+def reference_trials(runner, witness, config, count, majority=1):
+    """WalkRunner.trials before fixed points ran once: every vote of every
+    trial walks its own Philox stream (a rejecting start draws nothing)."""
+    for i in range(count):
+        yield [runner._run_with_rng(witness, config,
+                                    philox_stream(config.seed, i, v))
+               for v in range(majority)]
+
+
+def reference_acceptance_rate(runner, witness, trials, config, majority=1):
+    """acceptance_rate before fixed points ran once: every trial runs, and
+    only a rejection at step 0 returns after trial 0."""
+    accepted = 0
+    for i, votes in enumerate(reference_trials(runner, witness, config,
+                                               trials, majority)):
+        if i == 0 and not any(t.rng_draws for t in votes):
+            return AcceptanceReport(0.0, 0.0, 0.0, trials, 0,
+                                    deterministic=True)
+        accepted += sum(t.accepted for t in votes) * 2 > majority
+    rate, lo, hi = wilson_interval(accepted, trials)
+    return AcceptanceReport(rate, lo, hi, trials, accepted)
+
+
+@st.composite
+def cnf_yes_witnesses(draw):
+    """(instance, witness): a planted 3-CNF on 3-7 variables and one of
+    its satisfying strings, a fixed point of the walk."""
+    n = draw(st.integers(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text, _ = planted_sat_dimacs(n, draw(st.integers(1, 3 * n)), rng)
+    inst = from_dimacs(text)
+    clauses = [[int(v) for v in line.split()[:-1]]
+               for line in text.splitlines()[1:]]
+    satisfying = [x for x in range(2**n) if all(
+        any((lit > 0) == bool((x >> (abs(lit) - 1)) & 1) for lit in c)
+        for c in clauses)]
+    return inst, draw(st.sampled_from(satisfying))
+
+
+class TestFixedPointWitness:
+    """A satisfying string of a CNF is a fixed point of the walk (G_ww = 1,
+    its row the one move w -> w with log r = 0): every trial gives trial
+    0's transcript, so trial 0 runs once and every vote gets a copy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cnf_yes_witnesses(), st.sampled_from([1, 3]), st.integers(1, 6),
+           st.integers(1, 40), st.integers(0, 2**63 - 1))
+    def test_matches_per_trial_reference(self, case, majority, count, steps,
+                                         seed):
+        inst, w = case
+        config = WalkConfig(steps=steps, seed=seed)
+        runner = WalkRunner(inst)
+        assert runner._start(w)[1] == [(w, 0.0)]
+        got = [[dataclasses.asdict(t) for t in votes]
+               for votes in runner.trials(w, config, count, majority)]
+        want = [[dataclasses.asdict(t) for t in votes]
+                for votes in reference_trials(WalkRunner(inst), w, config,
+                                              count, majority)]
+        assert got == want
+        rep = acceptance_rate(inst, w, count, config, runner=runner,
+                              majority=majority)
+        ref = reference_acceptance_rate(WalkRunner(inst), w, count, config,
+                                        majority)
+        assert rep == dataclasses.replace(ref, deterministic=True)
+        assert (rep.rate, rep.accepted, rep.upper) == (1.0, count, 1.0)
+
+    @pytest.mark.parametrize("witness", [0b110, 0b000], ids=["fixed-point",
+                                                             "diag-zero"])
+    def test_every_vote_gets_its_own_transcript(self, witness):
+        runner = WalkRunner(from_dimacs(SAT_3))
+        config = WalkConfig(steps=6, seed=7)
+        votes = [t for trial in runner.trials(witness, config, 4, majority=3)
+                 for t in trial]
+        assert votes[0].reject_reason == (None if witness else "diag-zero")
+        assert len({id(t) for t in votes}) == 12
+        assert len({id(t.visited) for t in votes}) == 12
+        votes[0].visited.append(-1)
+        assert all(t.visited[-1] != -1 for t in votes[1:])
+
+    def test_fixed_point_builds_one_philox(self, monkeypatch):
+        inst = from_dimacs(SAT_3)
+        calls = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *a, **k: calls.append(a) or philox(*a, **k))
+        config = WalkConfig(steps=6, seed=4)
+        runner = WalkRunner(inst)
+        for _ in runner.trials(0b110, config, 300, majority=3):
+            pass
+        assert len(calls) == 1
+        rep = acceptance_rate(inst, 0b110, 300, config, runner=runner,
+                              majority=3)
+        assert len(calls) == 2 and rep.deterministic and rep.accepted == 300
+
+    def test_huge_trial_counts_return_at_once(self, monkeypatch):
+        inst = from_dimacs(SAT_3)
+        config = WalkConfig(steps=6, seed=1)
+        runner = WalkRunner(inst)
+        runs = []
+        trial = runner._run_with_rng
+
+        def counted(*args):
+            runs.append(args)
+            assert len(runs) <= 2, "a trial past trial 0 ran"
+            return trial(*args)
+
+        monkeypatch.setattr(runner, "_run_with_rng", counted)
+        [first] = next(runner.trials(0b110, config, 2**64))
+        assert first.accepted and first.visited == [0b110] * 7
+        rep = acceptance_rate(inst, 0b110, 2**64, config, runner=runner)
+        assert rep == AcceptanceReport(*wilson_interval(2**64, 2**64), 2**64,
+                                       2**64, deterministic=True)
+        assert len(runs) == 2  # trial 0, once per call
+
+    def test_walking_witness_is_not_deterministic(self):
+        # |+> rows have two moves, so every trial draws its own stream
+        inst = plus_instance(2, [(0, 1)])
+        rep = acceptance_rate(inst, 0, 20, WalkConfig(steps=4, seed=2))
+        assert rep.rate == 1.0 and not rep.deterministic
 
 
 def philox_stream(seed, i=0, v=0):
@@ -456,4 +577,22 @@ class TestEngineEquivalence:
                      "1a7c5a8cb5cd62f48e36e791",
             "t.jsonl": "bd94c00fdd2b280fe41551b0a26a906eb67573d5"
                        "e4b37ead25305495aa81e4bb",
+        }
+
+    def test_classical_verify_output_pinned(self, tmp_path):
+        """verify CSV and transcripts of a satisfying string of a CNF, a
+        fixed point of the walk, as the per-trial loop wrote them."""
+        sat = str(tmp_path / "sat.json")
+        save(from_dimacs(SAT_3), sat)
+        out, logs = tmp_path / "v.csv", tmp_path / "t.jsonl"
+        assert cli_main(["verify", "--instance", sat, "--witness", "0b110",
+                         "--trials", "200", "--seed", "7",
+                         "--out", str(out), "--transcripts", str(logs)]) == 0
+        digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in (out, logs)}
+        assert digest == {
+            "v.csv": "4475d4b404505a3c039d356df1c655b4b180890b"
+                     "0307c6a3e84f2a60bb5d9e98",
+            "t.jsonl": "d6d17ad85990fa27cff3e10b5311348108ee458a"
+                       "7a97bfde6ec96fbaef4128cc",
         }
