@@ -102,7 +102,7 @@ def sbp_bounds(lambda_yes: float, lambda_no: float, p: float, n: int):
         raise ValueError("thresholds inverted: mu_no >= mu_yes")
     if mu_no <= 0:
         return mu_yes, mu_no, 1
-    return mu_yes, mu_no, smallest_power(2.0**n, mu_no / mu_yes, 0.5)
+    return mu_yes, mu_no, smallest_power(n, mu_no / mu_yes, 0.5)
 
 
 def trace_report(h: LhMinInstance, L: int = None, mode: str = "exact",

@@ -67,15 +67,29 @@ def required_steps(n: int, epsilon: float, m: int) -> int:
     base = 1.0 - epsilon / m
     if base <= 0.0:
         return 1
-    return smallest_power(2 ** (n / 2.0), base, 1.0 / 3.0)
+    return smallest_power(n / 2.0, base, 1.0 / 3.0)
 
 
-def smallest_power(scale: float, base: float, bound: float) -> int:
-    """Smallest L >= 1 with scale * base^L <= bound, for 0 < base < 1."""
-    # ln(scale / bound) / -ln(base), then fix rounding by direct check
-    est = math.log(scale / bound) / -math.log(base)
-    L = max(1, math.ceil(est) - 2)
-    while scale * base**L > bound:
+def smallest_power(log2_scale: float, base: float, bound: float) -> int:
+    """Smallest L >= 1 with 2^log2_scale * base^L <= bound, for 0 < base < 1.
+
+    The search runs on scale = 2^log2_scale itself while scale / bound is
+    a finite double, and on logarithms where it would overflow."""
+    if not 0.0 < base < 1.0:
+        raise ValueError(f"the per-step decay {base!r} is not below 1 in "
+                         "double precision, so no power of it reaches the "
+                         "bound")
+    scale = 2.0**log2_scale if log2_scale < 1024 else math.inf
+    if scale / bound < math.inf:
+        # ln(scale / bound) / -ln(base), then fix rounding by direct check
+        L = max(1, math.ceil(math.log(scale / bound) / -math.log(base)) - 2)
+        while scale * base**L > bound:
+            L += 1
+        return L
+    # the same search on ln(scale / bound) + L ln(base)
+    log_excess = log2_scale * math.log(2.0) - math.log(bound)
+    L = max(1, math.ceil(log_excess / -math.log(base)) - 2)
+    while log_excess + L * math.log(base) > 0.0:
         L += 1
     return L
 
@@ -133,12 +147,16 @@ class WalkRunner:
         """The compiled row of string x, or the reason the walk rejects there.
 
         Each string is compiled once, on its first visit.  A row is
-        (bounds, moves, delta): the cumulative transition weights without
-        the last one, so that bisect_left over them picks the same
+        (bounds, moves, delta, lo, hi): the cumulative transition weights
+        without the last one, so that bisect_left over them picks the same
         neighbour as np.searchsorted over all of them clamped to the last;
         one (y, log r) pair per neighbour in ascending y order, with log r
-        None where r <= 0, which rejects as unnormalized when drawn; and
-        the per-step sampling error bound len(ys) * 2^-53.
+        None where r <= 0, which rejects as unnormalized when drawn; the
+        per-step sampling error bound len(ys) * 2^-53; and the lazy-step
+        lane, the interval (lo, hi] of uniforms for which bisect_left picks
+        the self move x -> x.  The lane is empty (lo = hi = inf) unless
+        that move exists with log r exactly 0.0, so that taking it adds
+        nothing to the log-ratio sum (r = sqrt(diag(x)/diag(x)) is 1).
         """
         reason = self._rejects.get(x)
         if reason is not None:
@@ -149,10 +167,15 @@ class WalkRunner:
             ys, ps, rs = self.transition_probabilities(x)
             if (abs(sum(ps) - 1.0) <= ETA * max(1, len(ys))
                     and all(p >= 0.0 for p in ps)):
-                row = (np.cumsum(ps).tolist()[:-1],
-                       [(y, math.log(r) if r > 0.0 else None)
-                        for y, r in zip(ys, rs)],
-                       len(ys) * 2.0**-53)
+                bounds = np.cumsum(ps).tolist()[:-1]
+                moves = [(y, math.log(r) if r > 0.0 else None)
+                         for y, r in zip(ys, rs)]
+                lo = hi = math.inf
+                k = bisect_left(ys, x)
+                if k < len(ys) and moves[k] == (x, 0.0):
+                    lo = bounds[k - 1] if k else -math.inf
+                    hi = bounds[k] if k < len(bounds) else math.inf
+                row = (bounds, moves, len(ys) * 2.0**-53, lo, hi)
                 self._rows[x] = row
                 return row
             reason = "unnormalized"
@@ -217,11 +240,16 @@ class WalkRunner:
         delta = 0.0
         if isinstance(row, str):
             return WalkTranscript(visited, log_r_sum, False, 0, row, 0, delta)
+        bounds, moves, d, lo, hi = row
         for j, u in enumerate(chain.from_iterable(_uniforms(rng, L))):
-            bounds, moves, d = row
+            delta += d
+            if lo < u <= hi:
+                # the lazy step x -> x: bisect_left would pick it, and its
+                # log r of 0.0 leaves log_r_sum and the row as they are
+                visited.append(x)
+                continue
             # Step 8: seeded inverse CDF over the checked distribution
             x, log_r = moves[bisect_left(bounds, u)]
-            delta += d
             if log_r is None:
                 return WalkTranscript(visited, log_r_sum, False, j,
                                       "unnormalized", j + 1, delta)
@@ -233,6 +261,7 @@ class WalkRunner:
                 if isinstance(row, str):
                     return WalkTranscript(visited, log_r_sum, False, j + 1,
                                           row, j + 1, delta)
+            bounds, moves, d, lo, hi = row
         if log_r_sum > ETA * L:
             return WalkTranscript(visited, log_r_sum, False, L,
                                   "product-exceeds-one", L, delta)
@@ -324,6 +353,8 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
     """
     if runner is None:
         runner = WalkRunner(instance)
+    elif runner.instance is not instance:
+        raise ValueError("runner was built for another instance")
     _check_counts(trials, majority)
     first = runner._same_every_trial(witness, config)
     if first is not None:

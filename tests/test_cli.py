@@ -708,6 +708,46 @@ class TestRobustness:
                      "--out", "o.csv"]) == EXIT_OK
 
 
+    def test_verify_register_beyond_the_double_range(self, tmp_path):
+        # 2^(n/2) overflows a double at n = 2100; the step count does not
+        dimacs = write(tmp_path / "f.cnf", "p cnf 2100 2\n1 2 3 0\n-1 2 0\n")
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "from-dimacs", "--dimacs", dimacs,
+                     "--out", inst]) == EXIT_OK
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--instance", inst, "--witness", "2",
+                     "--trials", "3", "--seed", "0", "--out", str(out)]) \
+            == EXIT_OK
+        rows = out.read_text().splitlines()
+        assert rows[1:4] == [f"{i},1,1052,,,0" for i in range(3)]
+
+    def test_verify_decay_rounding_to_one_is_one_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        doc = instances.to_document(instances.from_dimacs(SAT_3))
+        doc["epsilon"] = 1e-17
+        (tmp_path / "i.json").write_text(json.dumps(doc))
+        err = self.one_line_error(
+            ["verify", "--instance", "i.json", "--witness", "6",
+             "--trials", "2", "--seed", "0", "--out", "v.csv"],
+            tmp_path, capsys, monkeypatch, ["i.json"])
+        assert "not below 1" in err
+        assert main(["verify", "--instance", "i.json", "--witness", "6",
+                     "--steps", "4", "--trials", "2", "--seed", "0",
+                     "--out", "v.csv"]) == EXIT_OK
+
+    @pytest.mark.parametrize("paths", ["0", "4"])
+    def test_trace_register_beyond_the_double_range(self, paths, tmp_path,
+                                                    capsys, monkeypatch):
+        # the automatic L needs 2^n, which overflows a double at n = 1100
+        x = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        save(LhMinInstance(1100, (LocalOperator((0,), x),), 0.2, 0.6),
+             tmp_path / "h.json")
+        self.one_line_error(
+            ["trace", "--instance", "h.json", "--paths", paths,
+             "--seed", "0", "--out", "o.csv"],
+            tmp_path, capsys, monkeypatch, ["h.json"])
+
+
 class TestRunEnvelope:
     """main writes the one manifest of a file-producing run; a run to
     stdout, an exit 1 and a PromiseError exit 2 leave none."""

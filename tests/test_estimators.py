@@ -146,6 +146,14 @@ class TestSbpBounds:
                     else:
                         assert L == 1
 
+    @pytest.mark.parametrize("n", [1022, 1023, 1100, 5000])
+    def test_L_beyond_the_double_range(self, n):
+        # 2^n overflows a double from n = 1024, and 2^n / 0.5 from 1023
+        mu_yes, mu_no, L = sbp_bounds(0.0, 0.7, 2.0, n)
+        ratio = mu_no / mu_yes
+        assert n * math.log(2.0) + L * math.log(ratio) <= math.log(0.5) \
+            < n * math.log(2.0) + (L - 1) * math.log(ratio)
+
     def test_tiny_gap_is_fast(self, tmp_path):
         # the linear search takes about 10^10 steps here
         start = time.perf_counter()

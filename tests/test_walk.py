@@ -1,8 +1,10 @@
 import dataclasses
+import decimal
 import functools
 import hashlib
 import itertools
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -64,6 +66,60 @@ class TestRequiredSteps:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
             required_steps(3, 0.0, 2)
+
+    @staticmethod
+    def product_search(n, epsilon, m):
+        """required_steps as a search on 2^(n/2) itself, which overflows a
+        double from n = 2045 on."""
+        base = 1.0 - epsilon / m
+        if base <= 0.0:
+            return 1
+        scale = 2 ** (n / 2.0)
+        L = max(1, math.ceil(math.log(scale / (1.0 / 3.0))
+                             / -math.log(base)) - 2)
+        while scale * base**L > 1.0 / 3.0:
+            L += 1
+        return L
+
+    def test_matches_product_search_where_it_is_finite(self):
+        ns = sorted({*range(1, 2047, 5), *range(2030, 2047)})
+        epsilons = (1e-3, 0.04894348370484802, 0.13397459621556085, 0.5, 1.0)
+        finite = 0
+        for n in ns:
+            for m in range(1, 51):
+                for eps in epsilons:
+                    try:
+                        want = self.product_search(n, eps, m)
+                    except OverflowError:
+                        assert n >= 2045 and eps / m < 1.0
+                        continue
+                    assert required_steps(n, eps, m) == want, (n, m, eps)
+                    finite += 1
+        # all but n = 2045 and 2046, where only M = 1 with epsilon = 1
+        # (L = 1) avoids the product
+        assert finite == len(ns) * 50 * len(epsilons) - 2 * 50 * 5 + 2
+
+    @pytest.mark.parametrize("n", [2044, 2045, 2048, 2100, 4097, 10**6])
+    @pytest.mark.parametrize("epsilon, m", [(1.0, 2), (0.5, 7), (1e-3, 50)])
+    def test_smallest_L_beyond_the_double_range(self, n, epsilon, m):
+        # checked in 50-digit decimal logarithms: 2^(n/2) base^L <= 1/3
+        # holds at L and fails at L - 1
+        with decimal.localcontext(decimal.Context(prec=50)):
+            log_base = decimal.Decimal(1.0 - epsilon / m).ln()
+            def log_bound(L):
+                return (decimal.Decimal(n) / 2 * decimal.Decimal(2).ln()
+                        + L * log_base - decimal.Decimal(1.0 / 3.0).ln())
+            L = required_steps(n, epsilon, m)
+            assert log_bound(L) <= 0 < log_bound(L - 1)
+
+    def test_steps_grow_across_the_double_range(self):
+        Ls = [required_steps(n, 0.5, 3) for n in range(2030, 2070)]
+        assert Ls == sorted(Ls) and len(set(Ls)) > 1
+
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-300])
+    def test_decay_rounding_to_one_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="not below 1"):
+            required_steps(3, epsilon, 2)
 
 
 class TestTransitionProbabilities:
@@ -203,6 +259,15 @@ class TestAcceptanceRate:
         # a witness whose walk draws does derive them, one Philox per call
         acceptance_rate(inst, 0, 300, config, majority=3)
         assert len(calls) == 1
+
+    def test_runner_of_another_instance_rejected(self):
+        inst = plus_instance(2, [(0, 1)])
+        runner = WalkRunner(plus_instance(2, [(0, 1)]))
+        with pytest.raises(ValueError, match="another instance"):
+            acceptance_rate(inst, 0, 10, WalkConfig(steps=3), runner=runner)
+        rep = acceptance_rate(runner.instance, 0, 10, WalkConfig(steps=3),
+                              runner=runner)
+        assert rep.accepted == 10
 
     @pytest.mark.parametrize("majority", [0, -1])
     @pytest.mark.parametrize("witness", [1, 0], ids=["diag-zero", "walks"])
@@ -525,9 +590,22 @@ def small_instances(draw):
                                      draw(st.integers(0, 2**32 - 1)))
 
 
-def assert_engine_matches_reference(inst, data):
-    witness = data.draw(st.integers(0, 2**inst.n - 1), label="witness")
-    config = WalkConfig(steps=data.draw(st.integers(1, 200), label="steps"),
+@functools.lru_cache(maxsize=None)
+def longest_export():
+    """The criterion-2 clock export with the longest walk, L = 651, and
+    the 60 of its 1,024 strings at which a walk can start."""
+    inst = export_6sat(compile_circuit(*rejecting_circuits()[6]))
+    runner = WalkRunner(inst)
+    return inst, tuple(w for w in range(2**inst.n)
+                       if not isinstance(runner._start(w), str))
+
+
+def assert_engine_matches_reference(inst, data, max_steps=200,
+                                    witnesses=None):
+    witness = data.draw(st.integers(0, 2**inst.n - 1) if witnesses is None
+                        else st.sampled_from(witnesses), label="witness")
+    config = WalkConfig(steps=data.draw(st.integers(1, max_steps),
+                                        label="steps"),
                         seed=data.draw(st.integers(0, 2**63 - 1), label="seed"))
     count = data.draw(st.integers(1, 3), label="trials")
     majority = data.draw(st.integers(1, 3), label="majority")
@@ -596,3 +674,144 @@ class TestEngineEquivalence:
             "t.jsonl": "d6d17ad85990fa27cff3e10b5311348108ee458a"
                        "7a97bfde6ec96fbaef4128cc",
         }
+
+
+def probes(bounds):
+    """0.0, and every bound with the doubles on either side of it."""
+    return [0.0] + [v for b in bounds for v in (math.nextafter(b, -math.inf),
+                                                b, math.nextafter(b, math.inf))]
+
+
+def assert_lane_matches_bisect(x, row):
+    """The row's lane (lo, hi] holds exactly the uniforms for which
+    bisect_left picks the self move x -> x with log r 0.0."""
+    bounds, moves, _, lo, hi = row
+    for u in probes(bounds):
+        assert (lo < u <= hi) == (moves[bisect_left(bounds, u)] == (x, 0.0)), u
+
+
+class Uniforms:
+    """A stand-in Generator that draws the given floats in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+class TestLazyStepLane:
+    """Each compiled row carries the interval of uniforms that pick its
+    self move, which the trial loop tests before any bisect."""
+
+    @staticmethod
+    def runner(ys, ps, rs):
+        """A runner whose every string has the row (ys, ps, rs)."""
+        runner = WalkRunner(plus_instance(3, [(0, 1)]))
+        runner.diag_positive = lambda x: True
+        runner.transition_probabilities = lambda x: (ys, ps, rs)
+        return runner
+
+    def compiled(self, ys, ps, rs):
+        """String 2's compiled row, after one step from 2 at each probe
+        uniform matches the reference loop's step."""
+        runner = self.runner(ys, ps, rs)
+        row = runner._row(2)
+        config = WalkConfig(steps=1)
+        for u in probes(row[0]):
+            got = runner._run_with_rng(2, config, Uniforms([u]))
+            expect = reference_trial(self.runner(ys, ps, rs), 2, config,
+                                     Uniforms([u]))
+            assert dataclasses.asdict(got) == dataclasses.asdict(expect), u
+        return row
+
+    @pytest.mark.parametrize("ys, ps, rs, lane", [
+        ([2], [1.0], [1.0], (-math.inf, math.inf)),
+        ([2, 3, 5], [0.5, 0.25, 0.25], [1.0] * 3, (-math.inf, 0.5)),
+        ([0, 1, 2], [0.25, 0.25, 0.5], [1.0] * 3, (0.5, math.inf)),
+        ([1, 2, 3], [0.25, 0.5, 0.25], [1.0] * 3, (0.25, 0.75)),
+        # a zero-weight move (r = 0, log r None) duplicates a bound
+        ([0, 1, 2, 3], [0.25, 0.0, 0.5, 0.25], [1.0, 0.0, 1.0, 1.0],
+         (0.25, 0.75)),
+        ([1, 2, 3, 4], [0.25, 0.5, 0.0, 0.25], [1.0, 1.0, 0.0, 1.0],
+         (0.25, 0.75)),
+        ([0, 1, 2], [0.5, 0.0, 0.5], [1.0, 0.0, 1.0], (0.5, math.inf)),
+        ([2, 3], [0.5, 0.5], [1.0, 1.0], (-math.inf, 0.5)),
+    ], ids=["only", "first", "last", "middle", "after-zero-weight",
+            "before-zero-weight", "last-after-zero-weight", "first-of-two"])
+    def test_self_move_interval(self, ys, ps, rs, lane):
+        row = self.compiled(ys, ps, rs)
+        assert row[3:] == lane
+        assert_lane_matches_bisect(2, row)
+
+    @pytest.mark.parametrize("ys, ps, rs", [
+        ([0, 1, 3], [0.25, 0.5, 0.25], [1.0] * 3),
+        ([1, 2, 3], [0.5, 0.0, 0.5], [1.0, 0.0, 1.0]),
+        ([2, 3], [0.0, 1.0], [0.0, 1.0]),
+        # a self move whose r is not 1 would move log_r_sum
+        ([1, 2], [0.5, 0.5], [1.0, 2.0]),
+    ], ids=["no-self-move", "self-log-r-none", "first-log-r-none",
+            "self-r-not-one"])
+    def test_lane_empty(self, ys, ps, rs):
+        row = self.compiled(ys, ps, rs)
+        assert not row[3] < row[4]
+        assert_lane_matches_bisect(2, row)
+
+    @pytest.mark.parametrize("inst", [
+        plus_instance(1, [(0,)]), plus_instance(3, [(0, 1), (1, 2)]),
+        from_dimacs(SAT_3), random_projector_instance(4, 2, 3, 0),
+        *soundness_exports()], ids=["plus1", "plus3", "cnf", "random",
+                                    "export1", "export2"])
+    def test_every_compiled_row(self, inst):
+        runner = WalkRunner(inst)
+        for w in range(2**inst.n):
+            list(runner.trials(w, WalkConfig(steps=30, seed=w), 3))
+        assert runner._rows
+        for x, row in runner._rows.items():
+            assert_lane_matches_bisect(x, row)
+            # a self move with r > 0 has r = sqrt(diag(x)/diag(x)) = 1
+            if any(y == x and log_r is not None for y, log_r in row[1]):
+                assert row[3] < row[4]
+
+    def test_bisects_only_on_departures(self, monkeypatch):
+        """On the L = 651 export every draw that keeps the walk in place
+        takes the lane; only a move to another string bisects."""
+        inst, witnesses = longest_export()
+        runner = WalkRunner(inst)
+        config = WalkConfig(steps=required_steps(inst.n, inst.epsilon, inst.m),
+                            seed=17)
+
+        def run():
+            return [t for w in witnesses
+                    for votes in runner.trials(w, config, 4) for t in votes]
+
+        expect = run()  # compiles every row the trials visit
+        calls = []
+
+        def counting(bounds, u):
+            calls.append(u)
+            return bisect_left(bounds, u)
+
+        monkeypatch.setattr(walk, "bisect_left", counting)
+        got = run()
+        assert [dataclasses.asdict(t) for t in got] \
+            == [dataclasses.asdict(t) for t in expect]
+        departures = sum(a != b for t in got
+                         for a, b in zip(t.visited, t.visited[1:]))
+        lazy = sum(a == b for t in got
+                   for a, b in zip(t.visited, t.visited[1:]))
+        # a draw of a move with log r None bisects and leaves visited as is
+        unnormalized = sum(t.rng_draws == t.reject_step + 1 for t in got
+                           if not t.accepted)
+        assert len(calls) == departures + unnormalized
+        assert lazy > departures > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_reference_loop_on_the_longest_export(self, data):
+        inst, witnesses = longest_export()
+        assert_engine_matches_reference(inst, data, max_steps=651,
+                                        witnesses=witnesses)
