@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ETA, Gate, LocalOperator, conjugate_by_circuit
-from .instances import LhMinInstance, validate, write_json
+from .ops import (ETA, Gate, LocalOperator, circuit_permutation,
+                  conjugate_by_circuit)
+from .instances import LhMinInstance, require_valid, write_json
 
 CIRCUIT_SCHEMA_VERSION = 1
 
@@ -63,10 +64,8 @@ class VerifierCircuit:
         return len(self.gates)
 
     def permutation(self) -> np.ndarray:
-        perm = np.arange(2**self.total_qubits, dtype=np.int64)
-        for g in self.gates:
-            perm = g.apply(perm)
-        return perm
+        return circuit_permutation(self.gates, range(self.total_qubits),
+                                   2**self.total_qubits)
 
 
 def initial_state(v: VerifierCircuit, x: int, psi: np.ndarray) -> np.ndarray:
@@ -198,9 +197,7 @@ def decompose_stoquastic(h: LhMinInstance) -> StoqDecomposition:
     X0 parts, with weights given by the entry magnitudes (those at most
     ETA are dropped).
     """
-    problems = validate(h)
-    if problems:
-        raise ValueError("not a valid stoquastic instance: " + "; ".join(problems))
+    require_valid(h)
     raw_parts = []
     shift_total = 0.0
     for term in h.terms:
@@ -407,7 +404,7 @@ def circuit_from_document(doc: dict) -> VerifierCircuit:
         )
     except KeyError as exc:
         raise ValueError(f"circuit document has no {exc} field") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from None
 
 

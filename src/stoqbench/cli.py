@@ -81,12 +81,7 @@ def _write_csv(path, header, rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
-    data = buf.getvalue()
-    if path == "-":
-        sys.stdout.write(data)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+    instances.write_text(path, buf.getvalue())
 
 
 def _seed(text: str) -> int:
@@ -395,7 +390,7 @@ def main(argv=None) -> int:
         if args.out != "-":
             _write_manifest(args, argv, inputs, started)
         return code
-    except (PromiseError, OSError, ValueError, MemoryError) as exc:
+    except (PromiseError, OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # SchemaError is a ValueError
         return EXIT_PROMISE if isinstance(exc, PromiseError) else EXIT_ERROR
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ops import (ETA, Gate, LocalOperator, OperatorSum, assemble_sparse,
-                  gather, local_term, scatter)
+                  circuit_permutation, local_term)
 from .instances import LhMinInstance, StoqSatInstance
 from .circuits import VerifierCircuit, acceptance_probability, initial_state
 from .spectral import dense_spectrum
@@ -28,9 +28,8 @@ _RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Permutation matrix of a gate on its own qubits (sorted order)."""
-    qubits = sorted(gate.qubits)
-    local = np.arange(2 ** len(qubits), dtype=np.int64)
-    perm = gather(gate.apply(scatter(local, qubits)), qubits)
+    pos = {q: i for i, q in enumerate(sorted(gate.qubits))}
+    perm = circuit_permutation([gate], pos, 2 ** len(pos))
     return np.eye(len(perm))[:, perm]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .ops import DenseLimitError, LocalOperator, OperatorSum, matrix_elements
 from .instances import (DisorderEnsemble, LhMinInstance, TermTemplate,
-                        clause_projector, parse_dimacs, validate)
+                        clause_projector, parse_dimacs, require_valid)
 from .spectral import dense_spectrum, extreme_eigenvalue
 from .walk import smallest_power
 
@@ -19,6 +19,15 @@ from .walk import smallest_power
 # consecutive words of one stream, so a draw split into blocks of any
 # size, or into one call per value, yields the same values in order.
 DRAW_CHUNK = 1 << 14
+
+
+def draw_blocks(seed: int, high: int, count: int, width: int):
+    """``count`` rows of ``width`` integers in [0, high) from default_rng(seed),
+    in blocks of at most DRAW_CHUNK integers (one row if a row is longer)."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, DRAW_CHUNK // width)
+    for start in range(0, count, rows):
+        yield rng.integers(0, high, size=(min(rows, count - start), width))
 
 
 @dataclass
@@ -49,9 +58,7 @@ def sbp_matrix(h: LhMinInstance):
     Returned term-wise: an identity term of weight 1/2 plus the negated,
     rescaled terms of H.
     """
-    problems = validate(h)
-    if problems:
-        raise ValueError("not a valid stoquastic instance: " + "; ".join(problems))
+    require_valid(h)
     p = 1.0 + float(h.operator().norm_bound())
     ident = LocalOperator((0,), np.eye(2), tag="identity")
     terms = (ident,) + h.terms
@@ -76,16 +83,14 @@ def trace_power(g: OperatorSum, L: int, mode: str = "exact",
         raise ValueError(f"sampled trace at L={L} on n={n} qubits needs the "
                          f"path weight 2**(n*L) = 2**{n * L}, beyond a float; "
                          f"n*L must stay below {sys.float_info.max_exp}")
-    rng = np.random.default_rng(seed)
     scale = 2.0 ** (n * L)
-    rows = max(1, DRAW_CHUNK // L)
-    vals = np.empty(paths)
-    for start in range(0, paths, rows):
-        xs = rng.integers(0, 2**n, size=(min(rows, paths - start), L))
+    blocks = []
+    for xs in draw_blocks(seed, 2**n, paths, L):
         prod = np.ones(len(xs))
         for j in range(L):
             prod *= matrix_elements(g, xs[:, j], xs[:, (j + 1) % L])
-        vals[start:start + len(xs)] = scale * prod
+        blocks.append(scale * prod)
+    vals = np.concatenate(blocks)
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return TraceReport(L=L, value=value, stderr=stderr, mode="sampled")
@@ -181,12 +186,8 @@ class _LambdaSolver:
         """
         if samples < 1:
             raise ValueError("samples must be >= 1")
-        rng = np.random.default_rng(seed)
-        rows = max(1, DRAW_CHUNK // replicas)
         lams, rs = [], []
-        for start in range(0, samples, rows):
-            r = rng.integers(0, 2**self.base.m,
-                             size=(min(rows, samples - start), replicas))
+        for r in draw_blocks(seed, 2**self.base.m, samples, replicas):
             keys, where = np.unique(r, return_inverse=True)
             keys = keys.tolist()
             for x in keys:

@@ -9,7 +9,6 @@ over a few random bits).
 from __future__ import annotations
 
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -93,7 +92,7 @@ class DisorderEnsemble:
 
     def realize(self, r: int) -> LhMinInstance:
         """Realisation r, with the promise thresholds 0 and 1."""
-        if not 0 <= r < 2**self.m:
+        if r < 0 or r >> self.m:
             raise ValueError("random string out of range")
         terms = [
             LocalOperator(t.support, t.block_for(r), tag=f"r={r:b}")
@@ -133,6 +132,8 @@ def validate(instance) -> list:
             if t.support and t.support[-1] >= instance.n:
                 report.append(f"term {i}: support outside {instance.n} qubits")
     elif isinstance(instance, DisorderEnsemble):
+        if not 0 <= instance.m <= 62:
+            report.append(f"m={instance.m} random bits outside 0..62")
         for i, t in enumerate(instance.templates):
             if t.support and max(t.support) >= instance.n:
                 report.append(f"template {i}: support outside {instance.n} qubits")
@@ -147,6 +148,14 @@ def validate(instance) -> list:
     else:
         report.append(f"unknown instance type {type(instance).__name__}")
     return report
+
+
+def require_valid(instance):
+    """``instance``, or SchemaError naming every problem validate finds."""
+    problems = validate(instance)
+    if problems:
+        raise SchemaError("not a valid stoquastic instance: " + "; ".join(problems))
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +365,23 @@ def from_document(doc: dict):
                    metadata=metadata)
     except KeyError as exc:
         raise SchemaError(f"instance document has no {exc} field") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise SchemaError(f"malformed instance document: {exc}") from None
-    report = validate(inst)
-    if report:
-        raise SchemaError("instance fails validation: " + "; ".join(report))
-    return inst
+    return require_valid(inst)
+
+
+def write_text(path, text: str) -> None:
+    """``text`` on stdout if ``path`` is "-", else into the file ``path``."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def write_json(path, doc) -> None:
-    """One line of JSON, on stdout if ``path`` is "-"; only an unindented
-    ``json.dumps`` runs the C encoder."""
-    line = json.dumps(doc) + "\n"
-    if path == "-":
-        sys.stdout.write(line)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line)
+    """One line of JSON (unindented: only that runs the C encoder)."""
+    write_text(path, json.dumps(doc) + "\n")
 
 
 def save(instance, path) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,15 +55,20 @@ def scatter(lx, bits):
     return out
 
 
+def support_mask(bits) -> int:
+    """The bits of a basis state that ``bits`` covers (LocalOperator.mask)."""
+    return scatter((1 << len(bits)) - 1, bits)
+
+
 class DenseLimitError(ValueError):
     pass
 
 
-def _check_dense(n: int) -> None:
-    if n > dense_limit():
-        raise DenseLimitError(
-            f"dense assembly of {n} qubits exceeds limit {dense_limit()}"
-        )
+def _index_dim(n: int) -> int:
+    """2**n, if int64 basis indices hold an n-qubit register: n <= 62."""
+    if n > 62:
+        raise ValueError(f"{n} qubits exceed the 62 of int64 basis indices")
+    return 2**n
 
 
 @dataclass(frozen=True)
@@ -145,9 +151,13 @@ class LocalOperator:
     def k(self) -> int:
         return len(self.support)
 
+    @cached_property  # on first use, after validate bounds a loaded support
+    def mask(self) -> int:
+        return support_mask(self.support)
+
     def element(self, x: int, y: int) -> float:
         """<x|Pi|y> with x, y global basis states (0 if outside bits differ)."""
-        if (x ^ y) & ~scatter((1 << self.k) - 1, self.support):
+        if (x ^ y) & ~self.mask:
             return 0.0
         return float(self.block[gather(x, self.support),
                                 gather(y, self.support)])
@@ -201,31 +211,30 @@ def matrix_elements(op: OperatorSum, xs, ys) -> np.ndarray:
     outside its support and ``w * 0.0`` elsewhere; contributions are
     added in term order starting from 0.0, so every entry is bitwise
     the left-to-right sum of the scalar per-term elements.  Basis states
-    are int64, which limits the register to 63 qubits.
+    are int64, which limits the register to 62 qubits.
     """
+    dim = _index_dim(op.n)
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    dim = 2**op.n
     if np.any((xs < 0) | (xs >= dim)) or np.any((ys < 0) | (ys >= dim)):
         raise IndexError("basis index out of range")
     out = np.zeros(np.broadcast(xs, ys).shape)
     for w, t in zip(op.weights, op.terms):
-        mask = scatter((1 << t.k) - 1, t.support)
         lx = gather(xs, t.support)
         ly = gather(ys, t.support)
-        out += w * np.where(((xs ^ ys) & ~mask) == 0, t.block[lx, ly], 0.0)
+        out += w * np.where(((xs ^ ys) & ~t.mask) == 0, t.block[lx, ly], 0.0)
     return out
 
 
 def apply_to_basis(op: OperatorSum, x: int) -> dict:
     """Nonzero entries of row x of the assembled matrix, as {y: value}."""
-    if not 0 <= x < 2**op.n:
+    if x < 0 or x >> op.n:
         raise IndexError("basis index out of range")
     row: dict = {}
     for w, t in zip(op.weights, op.terms):
         lx = gather(x, t.support)
         col = t.block[:, lx]
-        base = x ^ scatter(lx, t.support)  # x with its support bits cleared
+        base = x & ~t.mask
         for ly in np.nonzero(col)[0]:
             y = base | scatter(int(ly), t.support)
             row[y] = row.get(y, 0.0) + w * float(col[ly])
@@ -235,14 +244,16 @@ def apply_to_basis(op: OperatorSum, x: int) -> dict:
 def _support_maps(support, n):
     """Global offsets of the local bit patterns of a sorted support, in
     local-index order, and of the complement patterns, ascending."""
-    mask = scatter((1 << len(support)) - 1, support)
+    mask = support_mask(support)
     idx = np.arange(2**n, dtype=np.int64)
     return idx[(idx & ~mask) == 0], idx[(idx & mask) == 0]
 
 
 def assemble_dense(op: OperatorSum) -> np.ndarray:
-    _check_dense(op.n)
-    dim = 2**op.n
+    if op.n > dense_limit():
+        raise DenseLimitError(
+            f"dense assembly of {op.n} qubits exceeds limit {dense_limit()}")
+    dim = _index_dim(op.n)
     out = np.zeros((dim, dim))
     for w, t in zip(op.weights, op.terms):
         sup, rest = _support_maps(t.support, op.n)
@@ -252,7 +263,7 @@ def assemble_dense(op: OperatorSum) -> np.ndarray:
 
 
 def assemble_sparse(op: OperatorSum) -> sp.csr_matrix:
-    dim = 2**op.n
+    dim = _index_dim(op.n)
     rows, cols, data = [], [], []
     for w, t in zip(op.weights, op.terms):
         sup, rest = _support_maps(t.support, op.n)
@@ -329,7 +340,8 @@ def projector_check(op, tol: float = ETA):
     entries?  Returns (ok, residual)."""
     mat = np.asarray(op.block if isinstance(op, LocalOperator) else op,
                      dtype=float)
-    res_proj = np.max(np.abs(mat @ mat - mat))
+    with np.errstate(over="ignore"):  # huge entries give an inf residual
+        res_proj = np.max(np.abs(mat @ mat - mat))
     res_herm = np.max(np.abs(mat - mat.T))
     res_neg = max(0.0, float(-np.min(mat)))
     residual = float(max(res_proj, res_herm, res_neg))

@@ -65,8 +65,8 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
     """
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
-    dim = 2**op.n
     mat = assemble_sparse(op)
+    dim = mat.shape[0]
     bound = tol * max(1.0, op.norm_bound())
     _, off, diag = _split(mat)
     start = np.ones((dim, 1))

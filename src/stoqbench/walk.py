@@ -106,7 +106,6 @@ class WalkRunner:
     def __init__(self, instance: StoqSatInstance):
         self.instance = instance
         self.g = build_G(instance)
-        self._dim = 2**instance.n
         # compiled rows and reject reasons are kept apart so that the
         # per-step lookup of a cached row is one dict get
         self._rows: dict = {}
@@ -224,7 +223,7 @@ class WalkRunner:
     def _start(self, witness: int):
         """The compiled row of the witness, or the reason the walk rejects
         there, after checking the witness is a basis string."""
-        if not 0 <= witness < self._dim:
+        if witness < 0 or witness >> self.instance.n:
             raise ValueError(f"witness {witness} out of range "
                              f"[0, 2^{self.instance.n})")
         return self._rows.get(witness) or self._row(witness)

@@ -1,0 +1,146 @@
+"""Mutated instance documents through the CLI, in process.
+
+Each document starts as a valid instance of at most 4 qubits of one kind
+in ``instances._KINDS``.  One value in it, a field, a term key, the
+metadata or an entry below one of them, is deleted or set to null, a
+value of the wrong type, NaN, +-inf, a negative or a huge number.  Every
+command that reads that kind must then exit 0, 1 or 2, and an exit 1
+prints exactly one ``error:`` line and leaves neither output nor
+manifest.
+"""
+
+import io
+import json
+import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from stoqbench import (DisorderEnsemble, LhMinInstance, LocalOperator,
+                       TermTemplate, cli, instances, random_projector_instance)
+
+X = np.array([[0.0, -1.0], [-1.0, 0.0]])
+
+# one valid instance per kind, as the plain JSON document a file holds
+VALID = {
+    "stoq-sat": random_projector_instance(4, 2, 3, seed=1),
+    "lh-min": LhMinInstance(3, (LocalOperator((0, 2), -np.kron(X, X) - np.eye(4)),
+                                LocalOperator((1,), X)), -2.5, -1.0),
+    "ensemble": DisorderEnsemble(2, 2, (
+        TermTemplate((0, 1), (0, 1), {a: -np.eye(4) * a - np.kron(X, X)
+                                      for a in range(4)}),
+        TermTemplate((1,), (), {0: np.diag([0.0, 1.0])}))),
+}
+DOCS = {kind: json.loads(json.dumps(instances.to_document(inst)))
+        for kind, inst in VALID.items()}
+
+# the commands that read each kind; the walk is cut short, so that a
+# mutated epsilon or register size cannot ask for millions of steps
+COMMANDS = {
+    "stoq-sat": [["spectrum"], ["prove"],
+                 ["verify", "--witness", "0", "--trials", "2", "--steps", "4",
+                  "--seed", "0"]],
+    "lh-min": [["spectrum"], ["trace"]],
+    "ensemble": [["ensemble", "--samples", "3", "--seed", "0"]],
+}
+
+DELETE = object()
+# huge: past every size limit, past int64, and past the largest float
+VALUES = [DELETE, None, "x", [1], {"a": 1}, True, math.nan, math.inf,
+          -math.inf, -1, -0.5, 10**6, 2**64, 1e300, 10**400]
+
+
+def places(doc):
+    """Where a mutation may start: each top-level field, and each key of
+    each term."""
+    out = [(key,) for key in doc]
+    for i, term in enumerate(doc["terms"]):
+        out += [("terms", i, key) for key in term]
+    return out
+
+
+@st.composite
+def mutations(draw, kind):
+    """(document, path, value): a copy of the kind's valid document with
+    the value at path replaced, or deleted if value is DELETE."""
+    doc = json.loads(json.dumps(DOCS[kind]))
+    path = draw(st.sampled_from(places(doc)))
+    parent, key = doc, path[0]
+    for step in path[1:]:
+        parent, key = parent[key], step
+    # descend into the entries of a list or table now and then
+    while isinstance(parent[key], (list, dict)) and parent[key] \
+            and draw(st.booleans()):
+        parent, key = parent[key], draw(st.sampled_from(
+            sorted(parent[key]) if isinstance(parent[key], dict)
+            else range(len(parent[key]))))
+        path = path + (key,)
+    value = draw(st.sampled_from(VALUES))
+    if value is DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc, path, value
+
+
+def run(argv):
+    """main(argv) in process: (exit code, stderr), where stderr also holds
+    the first line of each warning, as a console run would print it."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, "".join(f"{w.category.__name__}: {w.message}\n"
+                         for w in caught) + err.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+def test_valid_documents_exit_0_or_2(kind, tmp_path):
+    (tmp_path / "inst.json").write_text(json.dumps(DOCS[kind]))
+    for command in COMMANDS[kind]:
+        out = tmp_path / f"{command[0]}.out"
+        code, err = run(command + ["--instance", str(tmp_path / "inst.json"),
+                                   "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_PROMISE), err
+        assert out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly(kind, data):
+    doc, path, value = data.draw(mutations(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = Path(tmp) / "inst.json"
+        inst.write_text(json.dumps(doc))
+        for command in COMMANDS[kind]:
+            out = Path(tmp) / f"{command[0]}.out"
+            code, err = run(command + ["--instance", str(inst),
+                                       "--out", str(out)])
+            where = f"{command[0]} with {path} = {value!r}: {err!r}"
+            assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_PROMISE), where
+            if code == cli.EXIT_ERROR:
+                assert err.startswith("error: ") and err.count("\n") == 1, where
+                assert not out.exists(), where
+                assert not Path(f"{out}.manifest.json").exists(), where
+
+
+@pytest.mark.parametrize("command", [["trace"], ["spectrum"]])
+def test_register_beyond_int64_is_one_line(command, tmp_path):
+    """A 1023-qubit register is a valid instance, but no int64 index array
+    holds it: exit 1, naming the qubit count, before any array is built."""
+    h = LhMinInstance(1023, (LocalOperator((0,), X),), -1.5, 0.0)
+    instances.save(h, tmp_path / "big.json")
+    code, err = run(command + ["--instance", str(tmp_path / "big.json"),
+                               "--out", str(tmp_path / "o.csv")])
+    assert code == cli.EXIT_ERROR
+    assert err == ("error: 1023 qubits exceed the 62 of int64 basis "
+                   "indices\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
