@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .ops import (ETA, Gate, LocalOperator, OperatorSum, assemble_sparse,
-                  circuit_permutation, local_term)
+from .ops import (ETA, Gate, LocalOperator, OperatorSum, _index_dim,
+                  assemble_sparse, circuit_permutation, local_term)
 from .instances import LhMinInstance, StoqSatInstance
 from .circuits import VerifierCircuit, acceptance_probability, initial_state
 from .spectral import dense_spectrum
@@ -69,67 +70,65 @@ class ClockInstance:
                              metadata={"kind": "clock", **self.metadata})
 
 
+def _clock(*mats) -> np.ndarray:
+    """Kronecker product on clock qubits given first to last (bit 0 first)."""
+    return reduce(lambda out, mat: np.kron(mat, out), mats)
+
+
+def _projector(clock_qubits, pieces, tag) -> LocalOperator:
+    """The one clock projector constructor: a sum of pieces, each a pattern
+    on the clock qubits times (work qubits, matrix) factors, else identity."""
+    support = tuple(sorted(set(clock_qubits).union(
+        *(qubits for _, factors in pieces for qubits, _ in factors))))
+    block = sum(local_term(support, [(clock_qubits, pattern), *factors])
+                for pattern, factors in pieces)
+    return LocalOperator(support, block, tag=tag)
+
+
 def compile_circuit(v: VerifierCircuit, x: int = 0) -> ClockInstance:
     """Emit the init / prop / meas projector families for verifier ``v``."""
-    if v.num_gates < 1:
-        raise ValueError("degenerate circuit: need at least one gate")
+    _index_dim(v.total_qubits)  # before 2**v.n or one init term per qubit
     if not 0 <= x < 2**v.n:
         raise ValueError("input string out of range")
     L = v.num_gates
     base = v.total_qubits  # first clock qubit
     c = lambda j: base + j
+    # on (c(k), c(k+1)): clock state k, the states before it, those after
+    at, before, after = (_clock(_KET1, _KET0), _clock(_KET0, _KET0),
+                         _clock(_KET1, _KET1))
 
-    def init_family(first_qubit, count, state_proj, label):
-        terms = []
-        for j in range(count):
-            q = first_qubit + j
-            block = local_term(
-                (q, c(0), c(1)),
-                [((q,), state_proj(j)), ((c(0),), _KET1), ((c(1),), _KET0)],
-            ) + local_term((q, c(0), c(1)),
-                           [((c(0),), _KET1), ((c(1),), _KET1)])
-            terms.append(LocalOperator(tuple(sorted((q, c(0), c(1)))), block,
-                                       tag=f"{label}{j}"))
-        return tuple(terms)
+    def init_family(first_qubit, states, label):
+        # clock state 0 with work qubit first_qubit + j in states[j], or later
+        return tuple(_projector((c(0), c(1)), [
+            (at, [((first_qubit + j,), state)]), (after, [])], f"{label}{j}")
+            for j, state in enumerate(states))
 
     init_x = init_family(
-        0, v.n, lambda j: _KET1 if (x >> j) & 1 else _KET0, "init_x")
-    init_0 = init_family(v.n + v.n_w, v.n_0, lambda j: _KET0, "init_0")
-    init_plus = init_family(
-        v.n + v.n_w + v.n_0, v.n_plus, lambda j: _PLUS, "init_plus")
+        0, [_KET1 if (x >> j) & 1 else _KET0 for j in range(v.n)], "init_x")
+    init_0 = init_family(v.n + v.n_w, [_KET0] * v.n_0, "init_0")
+    init_plus = init_family(v.n + v.n_w + v.n_0, [_PLUS] * v.n_plus,
+                            "init_plus")
 
+    # gate j's patterns on (c(j-1), c(j), c(j+1)): 1 on the clock states
+    # before j-1, 1/2 on j-1 and j, 1 after j, and the hop j-1 -> j
+    stay = _clock(_KET0, _KET0, _KET0) + 0.5 * (
+        _clock(_KET1, _KET0, _KET0) + _clock(_KET1, _KET1, _KET0))
+    done = _clock(_KET1, _KET1, _KET1)
+    hop = 0.5 * _clock(_KET1, _RAISE, _KET0)
     prop = []
-    for j in range(1, L + 1):
-        gate = v.gates[j - 1]
-        gq = tuple(sorted(gate.qubits))
-        u = gate_matrix(gate)
-        support = tuple(sorted(set(gq) | {c(j - 1), c(j), c(j + 1)}))
-        clock3 = (c(j - 1), c(j), c(j + 1))
-        block = (
-            0.5 * local_term(support, [((c(j - 1),), _KET1), ((c(j),), _KET1),
-                                       ((c(j + 1),), _KET0)])
-            + 0.5 * local_term(support, [((c(j - 1),), _KET1), ((c(j),), _KET0),
-                                         ((c(j + 1),), _KET0)])
-            + 0.5 * local_term(support, [((c(j - 1),), _KET1), ((c(j),), _RAISE),
-                                         ((c(j + 1),), _KET0), (gq, u)])
-            + 0.5 * local_term(support, [((c(j - 1),), _KET1), ((c(j),), _RAISE.T),
-                                         ((c(j + 1),), _KET0), (gq, u.T)])
-            + local_term(support, [((q,), _KET0) for q in clock3])
-        )
-        if j < L:
-            block = block + local_term(support, [((q,), _KET1) for q in clock3])
+    for j, gate in enumerate(v.gates, 1):
+        gq, u = tuple(sorted(gate.qubits)), gate_matrix(gate)
         # the last prop term omits the all-ones clock piece: with it, the
         # configuration 1^(L+2) is invariant under every projector and the
         # zero eigenspace picks up 2^(work) spurious states; without it,
         # clock qubit L+1 stays pinned to 0 on the whole ground space
-        prop.append(LocalOperator(support, block, tag=f"prop{j}"))
+        prop.append(_projector((c(j - 1), c(j), c(j + 1)), [
+            (stay + done if j < L else stay, []), (hop, [(gq, u)]),
+            (hop.T, [(gq, u.T)])], f"prop{j}"))
 
     pi_out = _PLUS if v.out_basis == "plus" else _KET0
-    meas_support = tuple(sorted((0, c(L), c(L + 1))))
-    meas_block = local_term(
-        meas_support, [((0,), pi_out), ((c(L),), _KET1), ((c(L + 1),), _KET0)]
-    ) + local_term(meas_support, [((c(L),), _KET0), ((c(L + 1),), _KET0)])
-    meas = LocalOperator(meas_support, meas_block, tag="meas")
+    meas = _projector((c(L), c(L + 1)),
+                      [(at, [((0,), pi_out)]), (before, [])], "meas")
 
     return ClockInstance(
         circuit=v, x=x, init_x=init_x, init_0=init_0, init_plus=init_plus,

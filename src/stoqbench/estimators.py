@@ -76,8 +76,8 @@ def trace_power(g: OperatorSum, L: int, mode: str = "exact",
         return TraceReport(L=L, value=value, stderr=0.0, mode="exact")
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
-    if paths < 1:
-        raise ValueError("sampled mode needs paths >= 1")
+    if paths < 2:  # one path has no standard error
+        raise ValueError("sampled mode needs paths >= 2")
     n = g.n
     if n * L >= sys.float_info.max_exp:
         raise ValueError(f"sampled trace at L={L} on n={n} qubits needs the "
@@ -92,7 +92,7 @@ def trace_power(g: OperatorSum, L: int, mode: str = "exact",
         blocks.append(scale * prod)
     vals = np.concatenate(blocks)
     value = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(paths))
     return TraceReport(L=L, value=value, stderr=stderr, mode="sampled")
 
 

@@ -604,6 +604,21 @@ class TestRobustness:
         field = next(k for k, v in sizes.items() if v < 0)
         assert err == f"error: {field} must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("n", [10**6, 1e300])
+    @pytest.mark.parametrize("target", ["clock", "6sat"])
+    def test_huge_work_register_is_one_line(self, n, target, tmp_path, capsys,
+                                            monkeypatch):
+        # the circuit loads, but compiling it is bounded at the 62 qubits of
+        # int64 basis indices before 2**n or one init term per input qubit
+        doc = {**self.CIRCUIT, "n": n}
+        assert circuits.circuit_from_document(doc).total_qubits == int(n) + 1
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        err = self.one_line_error(["compile", "--to", target, "--circuit",
+                                   "c.json", "--out", "o.json"], tmp_path,
+                                  capsys, monkeypatch, ["c.json"])
+        assert err == (f"error: {int(n) + 1} qubits exceed the 62 of int64 "
+                       "basis indices\n")
+
     def test_malformed_cases_start_from_valid_documents(self, tmp_path):
         (tmp_path / "h.json").write_text(json.dumps(self.LH_MIN))
         (tmp_path / "c.json").write_text(json.dumps(self.CIRCUIT))

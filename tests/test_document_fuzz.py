@@ -1,12 +1,12 @@
-"""Mutated instance documents through the CLI, in process.
+"""Mutated instance and circuit documents through the CLI, in process.
 
 Each document starts as a valid instance of at most 4 qubits of one kind
-in ``instances._KINDS``.  One value in it, a field, a term key, the
-metadata or an entry below one of them, is deleted or set to null, a
-value of the wrong type, NaN, +-inf, a negative or a huge number.  Every
-command that reads that kind must then exit 0, 1 or 2, and an exit 1
-prints exactly one ``error:`` line and leaves neither output nor
-manifest.
+in ``instances._KINDS``, or as a valid circuit of 4 work qubits.  One
+value in it, a field, a term or gate key, the metadata or an entry below
+one of them, is deleted or set to null, a value of the wrong type, NaN,
++-inf, a negative or a huge number.  Every command that reads that kind
+must then exit 0, 1 or 2, and an exit 1 prints exactly one ``error:``
+line and leaves neither output nor manifest.
 """
 
 import io
@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stoqbench import (DisorderEnsemble, LhMinInstance, LocalOperator,
-                       TermTemplate, cli, instances, random_projector_instance)
+from stoqbench import (DisorderEnsemble, Gate, LhMinInstance, LocalOperator,
+                       TermTemplate, VerifierCircuit, circuits, cli, instances,
+                       random_projector_instance)
 
 X = np.array([[0.0, -1.0], [-1.0, 0.0]])
 
@@ -38,6 +39,11 @@ VALID = {
 }
 DOCS = {kind: json.loads(json.dumps(instances.to_document(inst)))
         for kind, inst in VALID.items()}
+# a circuit with an ancilla in each ancilla register and every gate kind
+CIRCUIT = json.loads(json.dumps(circuits.circuit_to_document(VerifierCircuit(
+    1, 1, 1, 1, gates=(Gate("TOFFOLI", (0, 1, 2)), Gate("CNOT", (3, 1)),
+                       Gate("X", (2,)))))))
+SOURCES = {**DOCS, "circuit": CIRCUIT}
 
 # the commands that read each kind; the walk is cut short, so that a
 # mutated epsilon or register size cannot ask for millions of steps
@@ -48,6 +54,7 @@ COMMANDS = {
     "lh-min": [["spectrum"], ["trace"]],
     "ensemble": [["ensemble", "--samples", "3", "--seed", "0"]],
 }
+CIRCUIT_COMMANDS = [["compile", "--to", "clock"], ["compile", "--to", "6sat"]]
 
 DELETE = object()
 # huge: past every size limit, past int64, and past the largest float
@@ -57,18 +64,20 @@ VALUES = [DELETE, None, "x", [1], {"a": 1}, True, math.nan, math.inf,
 
 def places(doc):
     """Where a mutation may start: each top-level field, and each key of
-    each term."""
+    each term or gate."""
     out = [(key,) for key in doc]
-    for i, term in enumerate(doc["terms"]):
-        out += [("terms", i, key) for key in term]
+    items = "gates" if "gates" in doc else "terms"
+    for i, item in enumerate(doc[items]):
+        out += [(items, i, key) for key in item]
     return out
 
 
 @st.composite
 def mutations(draw, kind):
-    """(document, path, value): a copy of the kind's valid document with
-    the value at path replaced, or deleted if value is DELETE."""
-    doc = json.loads(json.dumps(DOCS[kind]))
+    """(document, path, value): a copy of the valid document of the kind,
+    or of the circuit, with the value at path replaced, or deleted if value
+    is DELETE."""
+    doc = json.loads(json.dumps(SOURCES[kind]))
     path = draw(st.sampled_from(places(doc)))
     parent, key = doc, path[0]
     for step in path[1:]:
@@ -125,6 +134,36 @@ def test_mutated_documents_exit_cleanly(kind, data):
             code, err = run(command + ["--instance", str(inst),
                                        "--out", str(out)])
             where = f"{command[0]} with {path} = {value!r}: {err!r}"
+            assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_PROMISE), where
+            if code == cli.EXIT_ERROR:
+                assert err.startswith("error: ") and err.count("\n") == 1, where
+                assert not out.exists(), where
+                assert not Path(f"{out}.manifest.json").exists(), where
+
+
+def test_valid_circuit_compiles(tmp_path):
+    (tmp_path / "circ.json").write_text(json.dumps(CIRCUIT))
+    for command in CIRCUIT_COMMANDS:
+        out = tmp_path / f"{command[-1]}.json"
+        code, err = run(command + ["--circuit", str(tmp_path / "circ.json"),
+                                   "--out", str(out)])
+        assert code == cli.EXIT_OK, err
+        assert out.exists()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_circuits_exit_cleanly(data):
+    doc, path, value = data.draw(mutations("circuit"))
+    with tempfile.TemporaryDirectory() as tmp:
+        circ = Path(tmp) / "circ.json"
+        circ.write_text(json.dumps(doc))
+        for command in CIRCUIT_COMMANDS:
+            out = Path(tmp) / f"{command[-1]}.json"
+            code, err = run(command + ["--circuit", str(circ),
+                                       "--out", str(out)])
+            where = f"{command[-1]} with {path} = {value!r}: {err!r}"
             assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_PROMISE), where
             if code == cli.EXIT_ERROR:
                 assert err.startswith("error: ") and err.count("\n") == 1, where

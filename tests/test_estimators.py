@@ -92,8 +92,9 @@ class TestTracePower:
         g, p = sbp_matrix(minus_x_instance())
         with pytest.raises(ValueError):
             trace_power(g, 0)
-        with pytest.raises(ValueError):
-            trace_power(g, 2, mode="sampled", paths=0)
+        for paths in (0, 1):
+            with pytest.raises(ValueError):
+                trace_power(g, 2, mode="sampled", paths=paths)
 
     def test_sampled_weight_beyond_float_range(self):
         # 2**(n*L) is a float up to n*L = 1023; the check precedes any draw
@@ -445,7 +446,7 @@ CHUNKS = st.sampled_from([1, 2, 5, 64, 1000, estimators.DRAW_CHUNK])
 class TestArrayEstimatorsMatchScalarLoops:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 10), L=st.integers(1, 6),
-           paths=st.one_of(st.just(1), st.integers(2, 300)),
+           paths=st.integers(2, 300),
            op_seed=st.integers(0, 2**32 - 1), sbp=st.booleans(),
            seed=st.integers(0, 2**63 - 1), chunk=CHUNKS)
     def test_sampled_trace(self, n, L, paths, op_seed, sbp, seed, chunk):
@@ -462,7 +463,7 @@ class TestArrayEstimatorsMatchScalarLoops:
         assert repr((rep.value, rep.stderr)) \
             == repr(reference_trace_power(g, L, paths, seed))
 
-    @pytest.mark.parametrize("paths", [1, 3])
+    @pytest.mark.parametrize("paths", [2, 3])
     def test_sampled_zero_weight_paths(self, paths):
         # -I: diagonal steps give -1 and off-diagonal steps 0.0.  The loop
         # stopped at a path's first zero; the array product goes on, so a

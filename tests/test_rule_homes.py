@@ -10,6 +10,8 @@
 * the draw blocks: ``estimators.draw_blocks``, under the sampled
   ``trace_power`` and the replica sampler
 * the validity gate: ``instances.require_valid``
+* a clock projector: ``clock._projector``, the one constructor of the
+  init, prop and meas terms of ``clock.compile_circuit``
 
 Each reference is compared bytewise with its home under hypothesis, and
 the source guard at the end keeps each rule from being written twice.
@@ -32,11 +34,12 @@ from hypothesis import given, settings, strategies as st
 
 from stoqbench import (DisorderEnsemble, Gate, LhMinInstance, LocalOperator,
                        OperatorSum, SchemaError, TermTemplate, VerifierCircuit,
-                       apply_to_basis, cli, decompose_stoquastic, estimators,
-                       instances, ops, sbp_matrix, trace_power)
-from stoqbench.clock import gate_matrix
+                       apply_to_basis, cli, clock, decompose_stoquastic,
+                       estimators, instances, ops, sbp_matrix, trace_power)
+from stoqbench.clock import ClockInstance, compile_circuit, gate_matrix
 from stoqbench.estimators import _LambdaSolver, draw_blocks
-from stoqbench.ops import _support_maps, gather, matrix_elements, scatter
+from stoqbench.ops import (_support_maps, gather, local_term, matrix_elements,
+                           scatter)
 
 from conftest import random_stoquastic_block
 
@@ -158,6 +161,78 @@ def ref_write_json(path, doc):
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(line)
+
+
+_KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
+_KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
+_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
+_RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
+
+
+def ref_compile_circuit(v, x=0):
+    """compile_circuit with each projector family its own sum of local_term
+    products: 2 per init term, 5 or 6 per prop term and 2 for meas."""
+    if v.num_gates < 1:
+        raise ValueError("degenerate circuit: need at least one gate")
+    if not 0 <= x < 2**v.n:
+        raise ValueError("input string out of range")
+    L = v.num_gates
+    base = v.total_qubits  # first clock qubit
+    c = lambda j: base + j
+
+    def init_family(first_qubit, count, state_proj, label):
+        terms = []
+        for j in range(count):
+            q = first_qubit + j
+            block = local_term(
+                (q, c(0), c(1)),
+                [((q,), state_proj(j)), ((c(0),), _KET1), ((c(1),), _KET0)],
+            ) + local_term((q, c(0), c(1)),
+                           [((c(0),), _KET1), ((c(1),), _KET1)])
+            terms.append(LocalOperator(tuple(sorted((q, c(0), c(1)))), block,
+                                       tag=f"{label}{j}"))
+        return tuple(terms)
+
+    init_x = init_family(
+        0, v.n, lambda j: _KET1 if (x >> j) & 1 else _KET0, "init_x")
+    init_0 = init_family(v.n + v.n_w, v.n_0, lambda j: _KET0, "init_0")
+    init_plus = init_family(
+        v.n + v.n_w + v.n_0, v.n_plus, lambda j: _PLUS, "init_plus")
+
+    prop = []
+    for j in range(1, L + 1):
+        gate = v.gates[j - 1]
+        gq = tuple(sorted(gate.qubits))
+        u = gate_matrix(gate)
+        support = tuple(sorted(set(gq) | {c(j - 1), c(j), c(j + 1)}))
+        clock3 = (c(j - 1), c(j), c(j + 1))
+        block = (
+            0.5 * local_term(support, [((c(j - 1),), _KET1), ((c(j),), _KET1),
+                                       ((c(j + 1),), _KET0)])
+            + 0.5 * local_term(support, [((c(j - 1),), _KET1), ((c(j),), _KET0),
+                                         ((c(j + 1),), _KET0)])
+            + 0.5 * local_term(support, [((c(j - 1),), _KET1), ((c(j),), _RAISE),
+                                         ((c(j + 1),), _KET0), (gq, u)])
+            + 0.5 * local_term(support, [((c(j - 1),), _KET1), ((c(j),), _RAISE.T),
+                                         ((c(j + 1),), _KET0), (gq, u.T)])
+            + local_term(support, [((q,), _KET0) for q in clock3])
+        )
+        if j < L:
+            block = block + local_term(support, [((q,), _KET1) for q in clock3])
+        prop.append(LocalOperator(support, block, tag=f"prop{j}"))
+
+    pi_out = _PLUS if v.out_basis == "plus" else _KET0
+    meas_support = tuple(sorted((0, c(L), c(L + 1))))
+    meas_block = local_term(
+        meas_support, [((0,), pi_out), ((c(L),), _KET1), ((c(L + 1),), _KET0)]
+    ) + local_term(meas_support, [((c(L),), _KET0), ((c(L + 1),), _KET0)])
+    meas = LocalOperator(meas_support, meas_block, tag="meas")
+
+    return ClockInstance(
+        circuit=v, x=x, init_x=init_x, init_0=init_0, init_plus=init_plus,
+        prop=tuple(prop), meas=meas,
+        metadata={"input": x, "L": L, "N": base + L + 2},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +403,36 @@ class TestDrawBlocks:
         assert stats.rs == rs
 
 
+def clock_terms(clock):
+    """Each family's terms as (support, tag, block dtype and bytes)."""
+    return [[(t.support, t.tag, t.block.dtype, t.block.tobytes())
+             for t in family]
+            for family in (clock.init_x, clock.init_0, clock.init_plus,
+                           clock.prop, (clock.meas,))]
+
+
+class TestClockRule:
+    @settings(max_examples=100, deadline=None)
+    @given(verifiers())
+    def test_terms_match_their_sums_of_products(self, v):
+        for x in range(2**v.n):  # every --input
+            got, want = compile_circuit(v, x), ref_compile_circuit(v, x)
+            assert clock_terms(got) == clock_terms(want)
+            assert got.metadata == want.metadata
+
+    @pytest.mark.parametrize("kind, qubits", [
+        ("X", (3,)), ("CNOT", (0, 2)), ("TOFFOLI", (1, 3, 0))])
+    @pytest.mark.parametrize("out_basis", ["plus", "zero"])
+    def test_one_gate_without_the_all_ones_piece(self, kind, qubits,
+                                                 out_basis):
+        # L = 1: the only prop term is the last, with no all-ones piece
+        v = VerifierCircuit(1, 1, 1, 1, gates=(Gate(kind, qubits),),
+                            out_basis=out_basis)
+        for x in range(2):
+            got, want = compile_circuit(v, x), ref_compile_circuit(v, x)
+            assert clock_terms(got) == clock_terms(want)
+
+
 class TestWriter:
     @staticmethod
     def outputs(write, *args):
@@ -421,6 +526,22 @@ def _is_call_of(node, dotted):
 ])
 def test_each_rule_has_one_home(rule, match, home):
     assert _homes(match) == home, f"{rule} written outside its home"
+
+
+def test_clock_projectors_have_one_constructor():
+    """compile_circuit calls neither LocalOperator nor local_term itself:
+    its init, prop and meas terms each come from clock._projector."""
+    tree = ast.parse(Path(clock.__file__).read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+
+    def calls(caller, callee):
+        return sum(_is_call_of(node, callee) for node in ast.walk(funcs[caller]))
+
+    assert calls("compile_circuit", "LocalOperator") == 0
+    assert calls("compile_circuit", "local_term") == 0
+    assert calls("compile_circuit", "_projector") == 3
+    assert calls("_projector", "LocalOperator") == 1
 
 
 def test_local_operators_hold_their_mask():
