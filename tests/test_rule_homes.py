@@ -163,6 +163,7 @@ def ref_write_json(path, doc):
         fh.write(line)
 
 
+# the kets of the reference below, kept with it
 _KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
