@@ -22,7 +22,7 @@ import numpy as np
 
 from .ops import (ETA, Gate, LocalOperator, circuit_permutation,
                   conjugate_by_circuit)
-from .instances import LhMinInstance, require_valid, write_json
+from .instances import LhMinInstance, json_int, require_valid, write_json
 
 CIRCUIT_SCHEMA_VERSION = 1
 
@@ -397,10 +397,12 @@ def circuit_from_document(doc: dict) -> VerifierCircuit:
     if doc.get("version") != CIRCUIT_SCHEMA_VERSION:
         raise ValueError(f"unsupported circuit schema version {doc.get('version')}")
     try:
-        gates = tuple(Gate(g["kind"], tuple(g["qubits"])) for g in doc["gates"])
+        gates = tuple(Gate(g["kind"], tuple(json_int(q, "gate qubit")
+                                            for q in g["qubits"]))
+                      for g in doc["gates"])
         return VerifierCircuit(
-            n=int(doc["n"]), n_w=int(doc["n_w"]), n_0=int(doc["n_0"]),
-            n_plus=int(doc["n_plus"]), gates=gates, out_basis=doc["out_basis"],
+            **{f: json_int(doc[f], f) for f in ("n", "n_w", "n_0", "n_plus")},
+            gates=gates, out_basis=doc["out_basis"],
         )
     except KeyError as exc:
         raise ValueError(f"circuit document has no {exc} field") from None

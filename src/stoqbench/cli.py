@@ -222,6 +222,9 @@ def _load_witness(text: str):
 
 
 def cmd_verify(args):
+    if args.steps is not None and args.steps < 1:
+        raise ValueError(f"argument --steps: expected at least 1, got "
+                         f"{args.steps}")
     inst = _load(args, instances.StoqSatInstance)
     witness, witness_files = _load_witness(args.witness)
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--witness", required=True,
                    help="witness int (0b.., 0x.., decimal) or witness file")
     v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--steps", type=int, default=0)
+    v.add_argument("--steps", type=int)  # None: required_steps
     v.add_argument("--seed", type=_seed, required=True)
     v.add_argument("--transcripts", default="", help="JSONL transcript path")
     v.add_argument("--out", default="-")

@@ -316,20 +316,30 @@ def _term_to_json(t) -> dict:
 
 def _term_from_json(doc, template: bool):
     """Inverse of _term_to_json: a TermTemplate if ``template``."""
-    qubits = tuple(int(q) for q in doc["qubits"])
+    qubits = tuple(json_int(q, "qubit") for q in doc["qubits"])
+    dim = json_int(doc["dim"], "dim")
     if not template:
-        return LocalOperator(qubits, _matrix_from_json(doc["matrix"], int(doc["dim"])))
-    dim = int(doc["dim"])
+        return LocalOperator(qubits, _matrix_from_json(doc["matrix"], dim))
     tables = {int(key, 2) if key else 0: _matrix_from_json(flat, dim)
               for key, flat in doc["tables"].items()}
-    return TermTemplate(qubits, tuple(int(b) for b in doc["random_bits"]), tables)
+    return TermTemplate(qubits, tuple(json_int(b, "random bit")
+                                      for b in doc["random_bits"]), tables)
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else SchemaError: int() would
+    truncate 1.9 and take true as 1 and "3" as 3."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 # kind -> (class, {each field between n and the terms: its parser}, terms attribute)
 _KINDS = {
     "stoq-sat": (StoqSatInstance, {"epsilon": float}, "projectors"),
     "lh-min": (LhMinInstance, {"lambda_yes": float, "lambda_no": float}, "terms"),
-    "ensemble": (DisorderEnsemble, {"m": int}, "templates"),
+    "ensemble": (DisorderEnsemble, {"m": lambda m: json_int(m, "m")},
+                 "templates"),
 }
 
 
@@ -358,7 +368,7 @@ def from_document(doc: dict):
         if not isinstance(kind, str) or kind not in _KINDS:
             raise SchemaError(f"unknown instance kind {kind!r}")
         cls, fields, terms = _KINDS[kind]
-        inst = cls(n=int(doc["n"]),
+        inst = cls(n=json_int(doc["n"], "n"),
                    **{f: parse(doc[f]) for f, parse in fields.items()},
                    **{terms: tuple(_term_from_json(t, cls is DisorderEnsemble)
                                    for t in doc["terms"])},

@@ -16,11 +16,11 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .ops import ETA, OperatorSum, apply_to_basis
+from .ops import ETA, OperatorSum, apply_to_basis, gather, scatter
 from .instances import StoqSatInstance
 
 
@@ -110,6 +110,10 @@ class WalkRunner:
         # per-step lookup of a cached row is one dict get
         self._rows: dict = {}
         self._rejects: dict = {}
+        # per projector, its columns <.|Pi|x> keyed by x's bits on its
+        # support, each built on first use (see _column)
+        self._columns = tuple((w, p, {}) for w, p in
+                              zip(self.g.weights, self.g.terms))
 
     # -- per-string protocol data ------------------------------------------
 
@@ -126,21 +130,28 @@ class WalkRunner:
         """Steps 3-5: returns (ys, ps, rs) in ascending y order.
 
         r = P/G is the amplitude ratio sqrt(<y|Pi|y>/<x|Pi|x>) for the
-        smallest projector index with <y|Pi|x> > 0.
+        smallest projector index with <y|Pi|x> > 0.  One pass over the
+        projectors' columns at x in index order sums G_{x,y} as
+        apply_to_basis does and takes r from the first entry above ETA.
         """
-        ys, ps, rs = [], [], []
-        for y, gxy in self.neighborhood(x):
-            # G_{x,y} > 0 forces some cross element > 0; a tolerance split
-            # can lose it, and r = 0 marks that unnormalizable direction
-            p = next((p for p in self.instance.projectors
-                      if p.element(y, x) > ETA), None)
-            r = 0.0
-            if p is not None and p.diag(x) > ETA:
-                r = math.sqrt(p.diag(y) / p.diag(x))
-            ys.append(y)
-            ps.append(gxy * r)
-            rs.append(r)
-        return ys, ps, rs
+        g, r = {}, {}
+        for w, p, columns in self._columns:
+            key = x & p.mask
+            column = columns.get(key)
+            if column is None:
+                column = columns[key] = _column(p, key)
+            dx, entries = column
+            base = x ^ key
+            for s, v, dy in entries:
+                y = base | s
+                g[y] = g.get(y, 0.0) + w * v
+                if v > ETA and y not in r:
+                    r[y] = math.sqrt(dy / dx) if dx > ETA else 0.0
+        # G_{x,y} > 0 forces some cross element > 0; a tolerance split can
+        # lose it, and r = 0 marks that unnormalizable direction
+        ys = sorted(y for y, v in g.items() if v > ETA)
+        rs = [r.get(y, 0.0) for y in ys]
+        return ys, [g[y] * ry for y, ry in zip(ys, rs)], rs
 
     def _row(self, x: int):
         """The compiled row of string x, or the reason the walk rejects there.
@@ -166,7 +177,7 @@ class WalkRunner:
             ys, ps, rs = self.transition_probabilities(x)
             if (abs(sum(ps) - 1.0) <= ETA * max(1, len(ys))
                     and all(p >= 0.0 for p in ps)):
-                bounds = np.cumsum(ps).tolist()[:-1]
+                bounds = list(accumulate(ps))[:-1]
                 moves = [(y, math.log(r) if r > 0.0 else None)
                          for y, r in zip(ys, rs)]
                 lo = hi = math.inf
@@ -266,6 +277,17 @@ class WalkRunner:
                                   "product-exceeds-one", L, delta)
         return WalkTranscript(visited, log_r_sum, True, rng_draws=L,
                               sampling_delta=delta)
+
+
+def _column(p, key: int):
+    """Projector p's column at the strings whose bits on its support are
+    ``key``: (<x|Pi|x>, [(scatter(ly), <y|Pi|x>, <y|Pi|y>) for each nonzero
+    entry in ascending local index ly]), so y = (x & ~mask) | scatter(ly)."""
+    lx = gather(key, p.support)
+    col = p.block[:, lx]
+    return float(col[lx]), [(scatter(ly, p.support), float(col[ly]),
+                             float(p.block[ly, ly]))
+                            for ly in np.nonzero(col)[0].tolist()]
 
 
 def _check_counts(count: int, majority: int) -> None:

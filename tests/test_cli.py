@@ -608,16 +608,85 @@ class TestRobustness:
     @pytest.mark.parametrize("target", ["clock", "6sat"])
     def test_huge_work_register_is_one_line(self, n, target, tmp_path, capsys,
                                             monkeypatch):
-        # the circuit loads, but compiling it is bounded at the 62 qubits of
-        # int64 basis indices before 2**n or one init term per input qubit
+        # an integer circuit loads, but compiling it is bounded at the 62
+        # qubits of int64 basis indices before 2**n or one init term per
+        # input qubit; a float one, 1e300, is not a register size at all
         doc = {**self.CIRCUIT, "n": n}
-        assert circuits.circuit_from_document(doc).total_qubits == int(n) + 1
+        if type(n) is int:
+            assert circuits.circuit_from_document(doc).total_qubits == n + 1
+            want = f"{n + 1} qubits exceed the 62 of int64 basis indices"
+        else:
+            want = f"n must be an integer, got {n!r}"
         (tmp_path / "c.json").write_text(json.dumps(doc))
         err = self.one_line_error(["compile", "--to", target, "--circuit",
                                    "c.json", "--out", "o.json"], tmp_path,
                                   capsys, monkeypatch, ["c.json"])
-        assert err == (f"error: {int(n) + 1} qubits exceed the 62 of int64 "
-                       "basis indices\n")
+        assert err == f"error: {want}\n"
+
+    @pytest.mark.parametrize("value", [1.9, True, "3"],
+                             ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("field", ["n", "n_w", "n_0", "n_plus", "qubit"])
+    def test_circuit_integer_field_is_one_line(self, field, value, tmp_path,
+                                               capsys, monkeypatch):
+        """int() would truncate 1.9 and take true as 1 and "3" as 3."""
+        doc = {**self.CIRCUIT, "n": 1}
+        if field == "qubit":
+            doc["gates"] = [{"kind": "X", "qubits": [value]}]
+        else:
+            doc[field] = value
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        err = self.one_line_error(["compile", "--to", "clock", "--circuit",
+                                   "c.json", "--out", "o.json"], tmp_path,
+                                  capsys, monkeypatch, ["c.json"])
+        name = "gate qubit" if field == "qubit" else field
+        assert err == f"error: {name} must be an integer, got {value!r}\n"
+
+    @staticmethod
+    def with_integer_field(field, value):
+        """An instance document with ``field`` set to ``value``: n, a
+        term's dim or qubit, or an ensemble's m or random bit."""
+        if field in ("m", "random_bit"):
+            doc = instances.to_document(
+                TestRobustness.instance_of_kind("ensemble"))
+        else:
+            doc = instances.to_document(instances.from_dimacs(SAT_3))
+        term = doc["terms"][0]
+        if field == "qubit":
+            term["qubits"][0] = value
+        elif field == "random_bit":
+            term["random_bits"][0] = value
+        elif field == "dim":
+            term["dim"] = value
+        else:
+            doc[field] = value
+        return doc
+
+    @pytest.mark.parametrize("value", [1.9, True, "3"],
+                             ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("field", ["n", "dim", "qubit", "m",
+                                       "random_bit"])
+    def test_instance_integer_field_is_one_line(self, field, value, tmp_path,
+                                                capsys, monkeypatch):
+        doc = self.with_integer_field(field, value)
+        (tmp_path / "i.json").write_text(json.dumps(doc))
+        err = self.one_line_error(["spectrum", "--instance", "i.json",
+                                   "--out", "o.csv"], tmp_path, capsys,
+                                  monkeypatch, ["i.json"])
+        name = field.replace("_", " ")
+        assert err == f"error: {name} must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_verify_nonpositive_steps(self, sat_instance, tmp_path, capsys,
+                                      monkeypatch, steps):
+        """--steps 0 once meant the automatic walk length."""
+        inputs = [p.name for p in tmp_path.iterdir()]
+        err = self.one_line_error(
+            ["verify", "--instance", sat_instance, "--witness", "6",
+             "--steps", steps, "--trials", "2", "--seed", "0",
+             "--out", "v.csv", "--transcripts", "t.jsonl"],
+            tmp_path, capsys, monkeypatch, inputs)
+        assert err == f"error: argument --steps: expected at least 1, got " \
+                      f"{steps}\n"
 
     def test_malformed_cases_start_from_valid_documents(self, tmp_path):
         (tmp_path / "h.json").write_text(json.dumps(self.LH_MIN))

@@ -159,6 +159,148 @@ class TestTransitionProbabilities:
                 assert neigh[y] == pytest.approx(expect[y])
 
 
+def reference_transition_probabilities(runner, x):
+    """The per-neighbour scan the one-pass column table replaced: G's row
+    through apply_to_basis, then r from the first projector in index order
+    whose element <y|Pi|x> is above ETA."""
+    ys, ps, rs = [], [], []
+    for y, gxy in runner.neighborhood(x):
+        p = next((p for p in runner.instance.projectors
+                  if p.element(y, x) > ETA), None)
+        r = 0.0
+        if p is not None and p.diag(x) > ETA:
+            r = math.sqrt(p.diag(y) / p.diag(x))
+        ys.append(y)
+        ps.append(gxy * r)
+        rs.append(r)
+    return ys, ps, rs
+
+
+def reference_row(runner, x):
+    """_row as it was compiled from the reference scan, with the
+    cumulative weights from np.cumsum."""
+    if not runner.diag_positive(x):
+        return "diag-zero"
+    ys, ps, rs = reference_transition_probabilities(runner, x)
+    if not (abs(sum(ps) - 1.0) <= ETA * max(1, len(ys))
+            and all(p >= 0.0 for p in ps)):
+        return "unnormalized"
+    bounds = np.cumsum(ps).tolist()[:-1]
+    moves = [(y, math.log(r) if r > 0.0 else None) for y, r in zip(ys, rs)]
+    lo = hi = math.inf
+    k = bisect_left(ys, x)
+    if k < len(ys) and moves[k] == (x, 0.0):
+        lo = bounds[k - 1] if k else -math.inf
+        hi = bounds[k] if k < len(bounds) else math.inf
+    return bounds, moves, len(ys) * 2.0**-53, lo, hi
+
+
+@st.composite
+def row_instances(draw):
+    """Plus and CNF instances, random projectors with k <= 4 and the two
+    soundness exports."""
+    kind = draw(st.sampled_from(["cnf", "plus", "random", "export"]))
+    if kind == "export":
+        return draw(st.sampled_from(soundness_exports()))
+    n = draw(st.integers(3 if kind == "cnf" else 1, 6))
+    if kind == "cnf":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        text, _ = planted_sat_dimacs(n, draw(st.integers(1, 2 * n)), rng)
+        return from_dimacs(text)
+    if kind == "plus":
+        supports = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=4,
+                     unique=True), min_size=1, max_size=5))
+        return plus_instance(n, supports)
+    return random_projector_instance(n, draw(st.integers(1, min(4, n))),
+                                     draw(st.integers(1, 6)),
+                                     draw(st.integers(0, 2**32 - 1)))
+
+
+class TestOnePassRows:
+    """transition_probabilities reads each projector's column at x once,
+    in index order, and gives the reference scan's rows bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(row_instances())
+    def test_matches_reference_scan(self, inst):
+        runner, ref = WalkRunner(inst), WalkRunner(inst)
+        for x in range(2**inst.n):
+            assert runner.transition_probabilities(x) \
+                == reference_transition_probabilities(ref, x), x
+
+    @settings(max_examples=60, deadline=None)
+    @given(row_instances())
+    def test_compiled_rows_and_reject_reasons(self, inst):
+        runner, ref = WalkRunner(inst), WalkRunner(inst)
+        for x in range(2**inst.n):
+            assert runner._row(x) == reference_row(ref, x), x
+        assert len(runner._rows) + len(runner._rejects) == 2**inst.n
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 9, 10, 11])
+    def test_entry_from_elements_at_eta(self, m):
+        """m cross elements of exactly ETA average to a G entry just above
+        ETA (m = 5, 10, 11), at it (2) or just below it (3, 9): above, the
+        move is in the row with r = 0; otherwise it is not in the row."""
+        block = np.array([[1.0, ETA], [ETA, ETA * ETA]])
+        inst = StoqSatInstance(1, 0.5, (LocalOperator((0,), block),) * m)
+        runner = WalkRunner(inst)
+        got = runner.transition_probabilities(0)
+        assert got == reference_transition_probabilities(WalkRunner(inst), 0)
+        entry = sum(itertools.repeat(1.0 / m * ETA, m))  # as G sums it
+        assert (entry > ETA) == (m in (5, 10, 11))
+        ys, ps, rs = got
+        if entry > ETA:
+            assert ys == [0, 1] and rs == [1.0, 0.0] and ps[1] == 0.0
+        else:
+            assert ys == [0] and rs == [1.0]
+        assert runner._row(0) == reference_row(WalkRunner(inst), 0)
+
+    def test_cross_element_above_eta_with_diag_at_eta(self):
+        """For y = 1 the first projector with <y|Pi|x> > ETA has
+        <x|Pi|x> <= ETA, so r = 0 even though a later projector has both
+        above ETA; for y = x the first one's element is <x|Pi|x> itself."""
+        psi = np.array([1e-5, math.sqrt(1.0 - 1e-10)])
+        low = np.outer(psi, psi)  # <0|Pi|0> = 1e-10, <1|Pi|0> about 1e-5
+        inst = StoqSatInstance(1, 0.5, (LocalOperator((0,), low),
+                                        LocalOperator((0,), PLUS)))
+        runner = WalkRunner(inst)
+        got = runner.transition_probabilities(0)
+        assert got == reference_transition_probabilities(WalkRunner(inst), 0)
+        ys, ps, rs = got
+        assert ys == [0, 1] and rs == [1.0, 0.0] and ps[1] == 0.0
+        assert runner._row(0) == "diag-zero"
+        assert runner._row(1) == reference_row(WalkRunner(inst), 1)
+
+    def test_reads_no_element_and_no_assembled_row(self, monkeypatch):
+        inst = random_projector_instance(4, 3, 5, 1)
+        expect = [WalkRunner(inst).transition_probabilities(x)
+                  for x in range(16)]
+
+        def forbidden(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(LocalOperator, "element", forbidden)
+        monkeypatch.setattr(walk, "apply_to_basis", forbidden)
+        runner = WalkRunner(inst)
+        assert [runner.transition_probabilities(x) for x in range(16)] \
+            == expect
+
+    def test_runners_share_no_column_table(self):
+        inst = plus_instance(3, [(0, 1), (1, 2)])
+        first, second = WalkRunner(inst), WalkRunner(inst)
+        for x in range(8):
+            first.transition_probabilities(x)
+        assert all(columns for _, _, columns in first._columns)
+        assert not any(columns for _, _, columns in second._columns)
+        second.transition_probabilities(0)
+        for (_, _, a), (_, _, b) in zip(first._columns, second._columns):
+            assert a is not b
+            assert all(a[key] is not column for key, column in b.items())
+        assert not any(columns for _, _, columns in
+                       WalkRunner(inst)._columns)
+
+
 class TestRunWalk:
     def test_satisfying_assignment_walks_in_place(self):
         inst = from_dimacs(SAT_3)
