@@ -24,8 +24,7 @@ from .spectral import (SpectralResult, dense_spectrum, extreme_eigenvalue,
 from .prover import (HonestWitness, WitnessVector, adversarial_witnesses,
                      honest_witness)
 from .walk import (AcceptanceReport, WalkConfig, WalkRunner, WalkTranscript,
-                   acceptance_rate, build_G, required_steps, run_walk,
-                   wilson_interval)
+                   acceptance_rate, build_G, required_steps, wilson_interval)
 from .circuits import (MixedVerifier, StoqDecomposition, StoqPart,
                        VerifierCircuit, acceptance_operator,
                        acceptance_probability, circuit_from_document,

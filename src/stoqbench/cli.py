@@ -229,9 +229,9 @@ def cmd_verify(args):
     witness, witness_files = _load_witness(args.witness)
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
     config = walk.WalkConfig(steps=steps, seed=args.seed)
-    runner = walk.WalkRunner(inst)
-    transcripts = [votes[0] for votes in
-                   runner.trials(witness, config, args.trials)]
+    first, votes = walk.WalkRunner(inst).sweep(witness, config, args.trials)
+    transcripts = ([first] * args.trials if first is not None
+                   else [trial[0] for trial in votes])
     rows = [[i, int(t.accepted), len(t.visited) - 1,
              t.reject_step if t.reject_step is not None else "",
              t.reject_reason or "", t.log_r_sum]

@@ -293,6 +293,8 @@ def _matrix_to_json(block: np.ndarray):
 
 
 def _matrix_from_json(flat, dim: int) -> np.ndarray:
+    if type(flat) is not list or not set(map(type, flat)) <= {int, float}:
+        raise SchemaError("matrix must be a flat list of numbers")
     arr = np.asarray(flat, dtype=float)
     if arr.size != dim * dim:
         raise SchemaError("matrix size does not match dim")
@@ -334,12 +336,21 @@ def json_int(value, name: str) -> int:
     return value
 
 
-# kind -> (class, {each field between n and the terms: its parser}, terms attribute)
+def json_float(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number, else SchemaError:
+    float() would take "0.5" as 0.5 and true as 1.0."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+# kind -> (class, {each field between n and the terms: its parser, called
+# with the value and the field name}, terms attribute)
 _KINDS = {
-    "stoq-sat": (StoqSatInstance, {"epsilon": float}, "projectors"),
-    "lh-min": (LhMinInstance, {"lambda_yes": float, "lambda_no": float}, "terms"),
-    "ensemble": (DisorderEnsemble, {"m": lambda m: json_int(m, "m")},
-                 "templates"),
+    "stoq-sat": (StoqSatInstance, {"epsilon": json_float}, "projectors"),
+    "lh-min": (LhMinInstance, {"lambda_yes": json_float,
+                               "lambda_no": json_float}, "terms"),
+    "ensemble": (DisorderEnsemble, {"m": json_int}, "templates"),
 }
 
 
@@ -362,14 +373,15 @@ def from_document(doc: dict):
     if not isinstance(metadata, dict):
         raise SchemaError("instance metadata is not a JSON object")
     try:
-        if doc.get("version") != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema version {doc.get('version')}")
+        version = doc.get("version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema version {version}")
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
             raise SchemaError(f"unknown instance kind {kind!r}")
         cls, fields, terms = _KINDS[kind]
         inst = cls(n=json_int(doc["n"], "n"),
-                   **{f: parse(doc[f]) for f, parse in fields.items()},
+                   **{f: parse(doc[f], f) for f, parse in fields.items()},
                    **{terms: tuple(_term_from_json(t, cls is DisorderEnsemble)
                                    for t in doc["terms"])},
                    metadata=metadata)

@@ -11,7 +11,6 @@ power of the top eigenvalue of G.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from bisect import bisect_left
@@ -198,38 +197,31 @@ class WalkRunner:
         rng = next(_generators(config.seed, 1, 1))
         return self._run_with_rng(witness, config, rng)
 
-    def trials(self, witness: int, config: WalkConfig, count: int,
-               majority: int = 1):
-        """Yield trials 0..count-1, each as the list of its ``majority``
-        transcripts; vote v of trial i draws numpy's Philox stream with the
-        key of Philox(config.seed) and counter [0, 0, i, v], so every trial
-        is a pure function of (instance, witness, config, i, v).  When no
-        draw can change the transcript (see ``_same_every_trial``) trial 0
-        runs once and every vote gets a copy of it."""
-        _check_counts(count, majority)
-        first = self._same_every_trial(witness, config)
-        if first is not None:
-            for _ in range(count):
-                yield [dataclasses.replace(first, visited=list(first.visited))
-                       for _ in range(majority)]
-            return
-        rngs = _generators(config.seed, count, majority)
-        for _ in range(count):
-            yield [self._run_with_rng(witness, config, next(rngs))
-                   for _ in range(majority)]
+    def sweep(self, witness: int, config: WalkConfig, count: int,
+              majority: int = 1):
+        """``count`` trials of ``majority`` votes each, as (first, votes).
 
-    def _same_every_trial(self, witness: int, config: WalkConfig):
-        """Trial 0's transcript when every trial gives it, else None: the
-        walk rejects at the witness before its first draw, or the witness
-        is a fixed point (G_ww = 1, as every satisfying string of a CNF),
-        whose row is the one move w -> w with log r = 0, which bisect_left
-        over the empty bounds picks for every uniform."""
+        When no draw can change a transcript, ``first`` is trial 0's
+        transcript, run once, which every vote of every trial would give,
+        and ``votes`` is empty: the walk rejects at the witness before its
+        first draw, or the witness is a fixed point (G_ww = 1, as every
+        satisfying string of a CNF), whose row is the one move w -> w with
+        log r = 0, which bisect_left over the empty bounds picks for every
+        uniform.  Otherwise ``first`` is None and ``votes`` lazily yields
+        each trial as the list of its ``majority`` transcripts; vote v of
+        trial i draws numpy's Philox stream with the key of
+        Philox(config.seed) and counter [0, 0, i, v], so every trial is a
+        pure function of (instance, witness, config, i, v).
+        """
+        _check_counts(count, majority)
         row = self._start(witness)
         if isinstance(row, str):
-            return self._run_with_rng(witness, config, None)
+            return self._run_with_rng(witness, config, None), ()
         if row[1] == [(witness, 0.0)]:
-            return self.run(witness, config)
-        return None
+            return self.run(witness, config), ()
+        rngs = _generators(config.seed, count, majority)
+        return None, ([self._run_with_rng(witness, config, next(rngs))
+                       for _ in range(majority)] for _ in range(count))
 
     def _start(self, witness: int):
         """The compiled row of the witness, or the reason the walk rejects
@@ -325,12 +317,6 @@ def _generators(seed: int, count: int, majority: int):
             yield rng
 
 
-def run_walk(instance: StoqSatInstance, witness: int,
-             config: WalkConfig) -> WalkTranscript:
-    """Single protocol run (Steps 1-11)."""
-    return WalkRunner(instance).run(witness, config)
-
-
 def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion (z = 1.95996...)."""
     if trials == 0:
@@ -363,28 +349,27 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
                     majority: int = 1) -> AcceptanceReport:
     """Monte Carlo acceptance over seeded independent trials.
 
-    Vote v of trial i draws the Philox stream with counter [0, 0, i, v]
-    (see WalkRunner.trials), so results are a pure function of (instance,
-    witness, trials, seed).  When every trial gives trial 0's transcript
-    (see WalkRunner.trials) only trial 0 runs and the report is marked
-    deterministic: 0 <= 0 <= 0 for a rejection at step 0, the Wilson
-    interval of all trials accepted for a fixed point.  ``majority`` > 1
-    repeats each trial and takes a majority vote (the amplification
-    wrapper for delta-perturbed sampling).
+    The trials are those of WalkRunner.sweep: vote v of trial i draws the
+    Philox stream with counter [0, 0, i, v], so results are a pure
+    function of (instance, witness, trials, seed).  When sweep runs only
+    trial 0, because every trial gives its transcript, the report is
+    marked deterministic: 0 <= 0 <= 0 for a rejection at step 0, the
+    Wilson interval of all trials accepted for a fixed point.
+    ``majority`` > 1 repeats each trial and takes a majority vote (the
+    amplification wrapper for delta-perturbed sampling).
     """
     if runner is None:
         runner = WalkRunner(instance)
     elif runner.instance is not instance:
         raise ValueError("runner was built for another instance")
-    _check_counts(trials, majority)
-    first = runner._same_every_trial(witness, config)
+    first, votes = runner.sweep(witness, config, trials, majority)
     if first is not None:
         if not first.accepted:
             return AcceptanceReport(0.0, 0.0, 0.0, trials, 0, deterministic=True)
         return AcceptanceReport(*wilson_interval(trials, trials), trials,
                                 trials, deterministic=True)
     accepted = 0
-    for votes in runner.trials(witness, config, trials, majority):
-        accepted += sum(t.accepted for t in votes) * 2 > majority
+    for trial in votes:
+        accepted += sum(t.accepted for t in trial) * 2 > majority
     rate, lo, hi = wilson_interval(accepted, trials)
     return AcceptanceReport(rate, lo, hi, trials, accepted)

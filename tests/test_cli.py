@@ -675,6 +675,67 @@ class TestRobustness:
         name = field.replace("_", " ")
         assert err == f"error: {name} must be an integer, got {value!r}\n"
 
+    @staticmethod
+    def with_float_field(field, value):
+        """An instance document with ``field`` set to ``value``: a stoq-sat
+        epsilon or matrix entry, an lh-min lambda or an ensemble table
+        entry."""
+        if field in ("epsilon", "matrix"):
+            doc = instances.to_document(instances.from_dimacs(SAT_3))
+        elif field == "table":
+            doc = instances.to_document(
+                TestRobustness.instance_of_kind("ensemble"))
+        else:
+            doc = json.loads(json.dumps(TestRobustness.LH_MIN))
+        if field == "matrix":
+            doc["terms"][0]["matrix"][0] = value
+        elif field == "table":
+            doc["terms"][0]["tables"]["0"][0] = value
+        else:
+            doc[field] = value
+        return doc
+
+    @pytest.mark.parametrize("value", ["0.5", True, [0.5]],
+                             ids=["string", "bool", "list"])
+    @pytest.mark.parametrize("field", ["epsilon", "lambda_yes", "lambda_no",
+                                       "matrix", "table"])
+    def test_instance_float_field_is_one_line(self, field, value, tmp_path,
+                                              capsys, monkeypatch):
+        """float() would take "0.5" as 0.5 and true as 1.0."""
+        doc = self.with_float_field(field, value)
+        (tmp_path / "i.json").write_text(json.dumps(doc))
+        err = self.one_line_error(["spectrum", "--instance", "i.json",
+                                   "--out", "o.csv"], tmp_path, capsys,
+                                  monkeypatch, ["i.json"])
+        if field in ("matrix", "table"):
+            assert err == "error: matrix must be a flat list of numbers\n"
+        else:
+            assert err == f"error: {field} must be a number, got {value!r}\n"
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"],
+                             ids=["bool", "float", "string"])
+    def test_version_is_the_integer_1(self, version, tmp_path, capsys,
+                                      monkeypatch):
+        doc = {**self.LH_MIN, "version": version}
+        (tmp_path / "i.json").write_text(json.dumps(doc))
+        err = self.one_line_error(["spectrum", "--instance", "i.json",
+                                   "--out", "o.csv"], tmp_path, capsys,
+                                  monkeypatch, ["i.json"])
+        assert err == f"error: unsupported schema version {version}\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", 1), ("lambda_yes", -2), ("lambda_no", 0), ("matrix", 0)])
+    def test_instance_float_field_takes_an_integer(self, field, value,
+                                                   tmp_path):
+        doc = self.with_float_field(field, value)
+        (tmp_path / "i.json").write_text(json.dumps(doc))
+        inst = load(tmp_path / "i.json")
+        got = (inst.projectors[0].block[0, 0] if field == "matrix"
+               else getattr(inst, field))
+        assert type(got) in (float, np.float64) and got == value
+        assert main(["spectrum", "--instance", str(tmp_path / "i.json"),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_verify_nonpositive_steps(self, sat_instance, tmp_path, capsys,
                                       monkeypatch, steps):

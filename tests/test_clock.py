@@ -7,8 +7,8 @@ from stoqbench import (Gate, VerifierCircuit, acceptance_probability,
                        export_6sat, history_state,
                        max_acceptance, meas_expectation,
                        perturbed_hamiltonian, predicted_min_eigenvalue,
-                       projector_check, run_walk, spectral_gap, validate,
-                       WalkConfig, required_steps)
+                       projector_check, spectral_gap, validate,
+                       WalkConfig, WalkRunner, required_steps)
 from stoqbench.clock import gate_matrix, local_term
 
 _KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -192,7 +192,7 @@ class TestExport:
         top = np.abs(evecs[:, -1])
         witness = int(np.argmax(top))
         steps = required_steps(inst.n, inst.epsilon, inst.m)
-        t = run_walk(inst, witness, WalkConfig(steps=steps, seed=0))
+        t = WalkRunner(inst).run(witness, WalkConfig(steps=steps, seed=0))
         assert t.accepted
 
     def test_rejecting_circuit_exports_no_instance(self):

@@ -3,10 +3,12 @@
 Each document starts as a valid instance of at most 4 qubits of one kind
 in ``instances._KINDS``, or as a valid circuit of 4 work qubits.  One
 value in it, a field, a term or gate key, the metadata or an entry below
-one of them, is deleted or set to null, a value of the wrong type, NaN,
-+-inf, a negative or a huge number.  Every command that reads that kind
-must then exit 0, 1 or 2, and an exit 1 prints exactly one ``error:``
-line and leaves neither output nor manifest.
+one of them, is deleted or set to null, a value of the wrong type (a
+number in a string among them), NaN, +-inf, a negative or a huge number.
+Every command that reads that kind must then exit 0, 1 or 2, and an exit
+1 prints exactly one ``error:`` line and leaves neither output nor
+manifest.  An instance document that exits 0 must come back from
+``to_document(from_document(doc))`` as the same JSON values.
 """
 
 import io
@@ -58,7 +60,7 @@ CIRCUIT_COMMANDS = [["compile", "--to", "clock"], ["compile", "--to", "6sat"]]
 
 DELETE = object()
 # huge: past every size limit, past int64, and past the largest float
-VALUES = [DELETE, None, "x", [1], {"a": 1}, True, math.nan, math.inf,
+VALUES = [DELETE, None, "x", "0.5", [1], {"a": 1}, True, math.nan, math.inf,
           -math.inf, -1, -0.5, 10**6, 2**64, 1e300, 10**400]
 
 
@@ -120,12 +122,23 @@ def test_valid_documents_exit_0_or_2(kind, tmp_path):
         assert out.exists()
 
 
-@pytest.mark.parametrize("kind", sorted(DOCS))
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_documents_exit_cleanly(kind, data):
-    doc, path, value = data.draw(mutations(kind))
+def same_json(a, b) -> bool:
+    """a and b are the same JSON values: a bool or a string never equals a
+    number, an int equals the float of the same value, NaN equals NaN."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if type(a) in (int, float) and type(b) in (int, float):
+        return a == b or (a != a and b != b)
+    return type(a) is type(b) and a == b
+
+
+def assert_mutant_exits_cleanly(kind, doc, path, value):
+    """Every command of the kind exits 0, 1 or 2 on the document; an exit 1
+    is one ``error:`` line and no file, and an exit 0 means the document
+    round-trips, a missing metadata as {}."""
+    loaded = False
     with tempfile.TemporaryDirectory() as tmp:
         inst = Path(tmp) / "inst.json"
         inst.write_text(json.dumps(doc))
@@ -135,10 +148,43 @@ def test_mutated_documents_exit_cleanly(kind, data):
                                        "--out", str(out)])
             where = f"{command[0]} with {path} = {value!r}: {err!r}"
             assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_PROMISE), where
+            loaded |= code == cli.EXIT_OK
             if code == cli.EXIT_ERROR:
                 assert err.startswith("error: ") and err.count("\n") == 1, where
                 assert not out.exists(), where
                 assert not Path(f"{out}.manifest.json").exists(), where
+    if loaded:
+        back = instances.to_document(instances.from_document(doc))
+        assert same_json(back, {"metadata": {}, **doc}), \
+            f"{path} = {value!r} loads as {back}"
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly(kind, data):
+    assert_mutant_exits_cleanly(kind, *data.draw(mutations(kind)))
+
+
+# each float field of each kind, and a matrix entry of each
+FLOAT_PLACES = [("stoq-sat", ("epsilon",)), ("lh-min", ("lambda_yes",)),
+                ("lh-min", ("lambda_no",)),
+                ("stoq-sat", ("terms", 0, "matrix", 0)),
+                ("lh-min", ("terms", 1, "matrix", 0)),
+                ("ensemble", ("terms", 1, "tables", "", 0))]
+
+
+@pytest.mark.parametrize("value", ["0.5", True, 1])
+@pytest.mark.parametrize("kind, path", FLOAT_PLACES)
+def test_float_fields_take_json_numbers(kind, path, value):
+    """A number in a string or a bool is not a float field; an int is."""
+    doc = json.loads(json.dumps(SOURCES[kind]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert_mutant_exits_cleanly(kind, doc, path, value)
 
 
 def test_valid_circuit_compiles(tmp_path):

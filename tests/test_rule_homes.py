@@ -12,6 +12,9 @@
 * the validity gate: ``instances.require_valid``
 * a clock projector: ``clock._projector``, the one constructor of the
   init, prop and meas terms of ``clock.compile_circuit``
+* the walk's trial sweep: ``walk.WalkRunner.sweep``, the one place that
+  checks the trial counts, tests a witness for a fixed point and derives
+  the trial streams (``run`` derives trial 0's alone)
 
 Each reference is compared bytewise with its home under hypothesis, and
 the source guard at the end keeps each rule from being written twice.
@@ -524,6 +527,16 @@ def _is_call_of(node, dotted):
      lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
      and "not a valid stoquastic instance" in node.value,
      [("instances", "require_valid")]),
+    ("the fixed-point test of a witness's row",
+     lambda node: isinstance(node, ast.Compare)
+     and "[(witness, 0.0)]" in ast.unparse(node),
+     [("walk", "sweep")]),
+    ("a _generators call",
+     lambda node: _is_call_of(node, "_generators"),
+     [("walk", "sweep"), ("walk", "run")]),
+    ("the trial and majority count check",
+     lambda node: _is_call_of(node, "_check_counts"),
+     [("walk", "sweep")]),
 ])
 def test_each_rule_has_one_home(rule, match, home):
     assert _homes(match) == home, f"{rule} written outside its home"

@@ -16,7 +16,7 @@ from stoqbench import (AcceptanceReport, Gate, LocalOperator, StoqSatInstance,
                        acceptance_rate, assemble_dense,
                        build_G, compile_circuit, export_6sat, from_dimacs,
                        honest_witness, random_projector_instance,
-                       required_steps, run_walk, save, save_circuit,
+                       required_steps, save, save_circuit,
                        wilson_interval)
 from stoqbench.cli import main as cli_main
 from stoqbench.ops import ETA
@@ -305,7 +305,7 @@ class TestRunWalk:
     def test_satisfying_assignment_walks_in_place(self):
         inst = from_dimacs(SAT_3)
         config = WalkConfig(steps=4, seed=1)
-        t = run_walk(inst, 0b110, config)
+        t = WalkRunner(inst).run(0b110, config)
         assert t.accepted
         assert t.visited == [0b110] * 5
         assert t.log_r_sum == 0.0
@@ -314,7 +314,7 @@ class TestRunWalk:
         inst = from_dimacs(UNSAT_2)
         config = WalkConfig(steps=3, seed=0)
         for w in range(4):
-            t = run_walk(inst, w, config)
+            t = WalkRunner(inst).run(w, config)
             assert not t.accepted
             assert t.reject_step == 0
             assert t.reject_reason == "diag-zero"
@@ -323,41 +323,42 @@ class TestRunWalk:
         inst = plus_instance(3, [(0, 1), (1, 2), (0, 2)])
         steps = required_steps(inst.n, inst.epsilon, inst.m)
         for seed in range(10):
-            t = run_walk(inst, 0, WalkConfig(steps=steps, seed=seed))
+            t = WalkRunner(inst).run(0, WalkConfig(steps=steps, seed=seed))
             assert t.accepted, t.reject_reason
 
     def test_same_seed_same_transcript(self):
         inst = plus_instance(2, [(0, 1)])
-        a = run_walk(inst, 0, WalkConfig(steps=8, seed=42))
-        b = run_walk(inst, 0, WalkConfig(steps=8, seed=42))
+        a = WalkRunner(inst).run(0, WalkConfig(steps=8, seed=42))
+        b = WalkRunner(inst).run(0, WalkConfig(steps=8, seed=42))
         assert a.visited == b.visited and a.log_r_sum == b.log_r_sum
 
     def test_log_ratio_telescopes_to_amplitude_ratio(self):
         inst = plus_instance(3, [(0, 1), (1, 2)])
         hw = honest_witness(inst)
         amps = hw.vector.amplitudes
-        t = run_walk(inst, hw.argmax, WalkConfig(steps=12, seed=5))
+        t = WalkRunner(inst).run(hw.argmax, WalkConfig(steps=12, seed=5))
         assert t.accepted
         expect = math.log(amps[t.visited[-1]] / amps[t.visited[0]])
         assert t.log_r_sum == pytest.approx(expect, abs=1e-6)
 
     def test_transcript_serializes(self):
         inst = plus_instance(2, [(0, 1)])
-        t = run_walk(inst, 0, WalkConfig(steps=2, seed=0))
+        t = WalkRunner(inst).run(0, WalkConfig(steps=2, seed=0))
         assert '"accepted": true' in t.to_json()
 
     @pytest.mark.parametrize("witness", [0, 5])
     def test_run_is_trial_zero(self, witness):
         inst = plus_instance(3, [(0, 1), (1, 2)])
         config = WalkConfig(steps=30, seed=11)
-        [first] = next(WalkRunner(inst).trials(witness, config, 1))
-        t = run_walk(inst, witness, config)
+        _, votes = WalkRunner(inst).sweep(witness, config, 1)
+        [first] = next(votes)
+        t = WalkRunner(inst).run(witness, config)
         assert dataclasses.asdict(t) == dataclasses.asdict(first)
 
     def test_out_of_range_witness_rejected(self):
         inst = plus_instance(2, [(0, 1)])
         with pytest.raises(ValueError):
-            run_walk(inst, 4, WalkConfig(steps=1, seed=0))
+            WalkRunner(inst).run(4, WalkConfig(steps=1, seed=0))
 
 
 class TestAcceptanceRate:
@@ -422,12 +423,21 @@ class TestAcceptanceRate:
 
 
 def reference_trials(runner, witness, config, count, majority=1):
-    """WalkRunner.trials before fixed points ran once: every vote of every
-    trial walks its own Philox stream (a rejecting start draws nothing)."""
+    """The trials before fixed points ran once: every vote of every trial
+    walks its own Philox stream (a rejecting start draws nothing)."""
     for i in range(count):
         yield [runner._run_with_rng(witness, config,
                                     philox_stream(config.seed, i, v))
                for v in range(majority)]
+
+
+def swept_trials(runner, witness, config, count, majority=1):
+    """WalkRunner.sweep's trials as count lists of majority transcripts:
+    its ``first`` for every vote when it has one, else its votes."""
+    first, votes = runner.sweep(witness, config, count, majority)
+    if first is not None:
+        return [[first] * majority for _ in range(count)]
+    return list(votes)
 
 
 def reference_acceptance_rate(runner, witness, trials, config, majority=1):
@@ -463,7 +473,8 @@ def cnf_yes_witnesses(draw):
 class TestFixedPointWitness:
     """A satisfying string of a CNF is a fixed point of the walk (G_ww = 1,
     its row the one move w -> w with log r = 0): every trial gives trial
-    0's transcript, so trial 0 runs once and every vote gets a copy."""
+    0's transcript, so WalkRunner.sweep runs trial 0 once and returns it
+    with no votes."""
 
     @settings(max_examples=60, deadline=None)
     @given(cnf_yes_witnesses(), st.sampled_from([1, 3]), st.integers(1, 6),
@@ -474,12 +485,13 @@ class TestFixedPointWitness:
         config = WalkConfig(steps=steps, seed=seed)
         runner = WalkRunner(inst)
         assert runner._start(w)[1] == [(w, 0.0)]
-        got = [[dataclasses.asdict(t) for t in votes]
-               for votes in runner.trials(w, config, count, majority)]
-        want = [[dataclasses.asdict(t) for t in votes]
+        first, votes = runner.sweep(w, config, count, majority)
+        assert votes == ()
+        want = [dataclasses.asdict(t)
                 for votes in reference_trials(WalkRunner(inst), w, config,
-                                              count, majority)]
-        assert got == want
+                                              count, majority)
+                for t in votes]
+        assert want == [dataclasses.asdict(first)] * (count * majority)
         rep = acceptance_rate(inst, w, count, config, runner=runner,
                               majority=majority)
         ref = reference_acceptance_rate(WalkRunner(inst), w, count, config,
@@ -489,16 +501,18 @@ class TestFixedPointWitness:
 
     @pytest.mark.parametrize("witness", [0b110, 0b000], ids=["fixed-point",
                                                              "diag-zero"])
-    def test_every_vote_gets_its_own_transcript(self, witness):
+    def test_deterministic_witness_yields_first_and_no_votes(self, witness):
         runner = WalkRunner(from_dimacs(SAT_3))
         config = WalkConfig(steps=6, seed=7)
-        votes = [t for trial in runner.trials(witness, config, 4, majority=3)
-                 for t in trial]
-        assert votes[0].reject_reason == (None if witness else "diag-zero")
-        assert len({id(t) for t in votes}) == 12
-        assert len({id(t.visited) for t in votes}) == 12
-        votes[0].visited.append(-1)
-        assert all(t.visited[-1] != -1 for t in votes[1:])
+        first, votes = runner.sweep(witness, config, 4, majority=3)
+        assert first.reject_reason == (None if witness else "diag-zero")
+        assert first.visited == ([witness] * 7 if witness else [witness])
+        assert votes == ()
+        # a walking witness has no first, and one list per trial
+        runner = WalkRunner(plus_instance(2, [(0, 1)]))
+        first, votes = runner.sweep(0, config, 4, majority=3)
+        assert first is None
+        assert [len(trial) for trial in votes] == [3] * 4
 
     def test_fixed_point_builds_one_philox(self, monkeypatch):
         inst = from_dimacs(SAT_3)
@@ -508,8 +522,8 @@ class TestFixedPointWitness:
                             lambda *a, **k: calls.append(a) or philox(*a, **k))
         config = WalkConfig(steps=6, seed=4)
         runner = WalkRunner(inst)
-        for _ in runner.trials(0b110, config, 300, majority=3):
-            pass
+        first, votes = runner.sweep(0b110, config, 300, majority=3)
+        assert first.accepted and votes == ()
         assert len(calls) == 1
         rep = acceptance_rate(inst, 0b110, 300, config, runner=runner,
                               majority=3)
@@ -528,12 +542,37 @@ class TestFixedPointWitness:
             return trial(*args)
 
         monkeypatch.setattr(runner, "_run_with_rng", counted)
-        [first] = next(runner.trials(0b110, config, 2**64))
+        first, votes = runner.sweep(0b110, config, 2**64)
         assert first.accepted and first.visited == [0b110] * 7
+        assert votes == ()
         rep = acceptance_rate(inst, 0b110, 2**64, config, runner=runner)
         assert rep == AcceptanceReport(*wilson_interval(2**64, 2**64), 2**64,
                                        2**64, deterministic=True)
         assert len(runs) == 2  # trial 0, once per call
+
+    def test_verify_runs_a_fixed_point_once(self, monkeypatch, tmp_path):
+        """verify sweeps once, walks trial 0 once and copies no transcript
+        for its 1,000 rows."""
+        sat = str(tmp_path / "sat.json")
+        save(from_dimacs(SAT_3), sat)
+        sweeps, runs, copies = [], [], []
+        sweep, trial = WalkRunner.sweep, WalkRunner._run_with_rng
+        replace = dataclasses.replace
+        monkeypatch.setattr(WalkRunner, "sweep",
+                            lambda *a: sweeps.append(a) or sweep(*a))
+        monkeypatch.setattr(WalkRunner, "_run_with_rng",
+                            lambda *a: runs.append(a) or trial(*a))
+        monkeypatch.setattr(dataclasses, "replace",
+                            lambda *a, **k: copies.append(a) or replace(*a, **k))
+        out, logs = tmp_path / "v.csv", tmp_path / "t.jsonl"
+        assert cli_main(["verify", "--instance", sat, "--witness", "0b110",
+                         "--trials", "1000", "--seed", "7", "--out", str(out),
+                         "--transcripts", str(logs)]) == 0
+        assert (len(sweeps), len(runs), len(copies)) == (1, 1, 0)
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1002 and rows[1] == "0,1,6,,,0"
+        assert rows[-1].startswith("rate,1,") and rows[-1].endswith(",1,1000,1000")
+        assert len(set(logs.read_text().splitlines())) == 1
 
     def test_walking_witness_is_not_deterministic(self):
         # |+> rows have two moves, so every trial draws its own stream
@@ -597,7 +636,7 @@ class TestTrialStreams:
         assert np.array_equal(philox_stream(seed).random(64), expect)
         ref = reference_trial(WalkRunner(inst), 0, config,
                               np.random.Generator(np.random.Philox(seed)))
-        assert dataclasses.asdict(run_walk(inst, 0, config)) \
+        assert dataclasses.asdict(WalkRunner(inst).run(0, config)) \
             == dataclasses.asdict(ref)
 
     @settings(max_examples=60, deadline=None)
@@ -626,7 +665,9 @@ class TestTrialStreams:
         runner = WalkRunner(inst)
         # a 64-bit counter word holds every trial index; trial 0 is drawn
         # without the others
-        [first] = next(runner.trials(0, config, 2**64))
+        first, votes = runner.sweep(0, config, 2**64)
+        assert first is None
+        [first] = next(votes)
         expect = reference_trial(WalkRunner(inst), 0, config,
                                  philox_stream(1, 0, 0))
         assert dataclasses.asdict(first) == dataclasses.asdict(expect)
@@ -753,7 +794,9 @@ def assert_engine_matches_reference(inst, data, max_steps=200,
     majority = data.draw(st.integers(1, 3), label="majority")
     runner = WalkRunner(inst)
     ref = WalkRunner(inst)
-    for i, votes in enumerate(runner.trials(witness, config, count, majority)):
+    trials = swept_trials(runner, witness, config, count, majority)
+    assert len(trials) == count
+    for i, votes in enumerate(trials):
         assert len(votes) == majority
         for v, t in enumerate(votes):
             rng = philox_stream(config.seed, i, v)
@@ -910,7 +953,7 @@ class TestLazyStepLane:
     def test_every_compiled_row(self, inst):
         runner = WalkRunner(inst)
         for w in range(2**inst.n):
-            list(runner.trials(w, WalkConfig(steps=30, seed=w), 3))
+            swept_trials(runner, w, WalkConfig(steps=30, seed=w), 3)
         assert runner._rows
         for x, row in runner._rows.items():
             assert_lane_matches_bisect(x, row)
@@ -928,7 +971,8 @@ class TestLazyStepLane:
 
         def run():
             return [t for w in witnesses
-                    for votes in runner.trials(w, config, 4) for t in votes]
+                    for votes in swept_trials(runner, w, config, 4)
+                    for t in votes]
 
         expect = run()  # compiles every row the trials visit
         calls = []
