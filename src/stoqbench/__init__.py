@@ -33,9 +33,8 @@ from .circuits import (MixedVerifier, StoqDecomposition, StoqPart,
                        load_circuit, max_acceptance, mix, save_circuit,
                        x_projector_isometry, zero_projector_isometry)
 from .clock import (ClockInstance, check_history_invariants, compile_circuit,
-                    default_delta, export_6sat, history_state, local_term,
-                    meas_expectation, perturbed_hamiltonian,
-                    predicted_min_eigenvalue)
+                    export_6sat, history_state, local_term, meas_expectation,
+                    perturbed_hamiltonian, predicted_min_eigenvalue)
 from .estimators import (AvDecision, EnsembleStats, TraceReport, av_decide,
                          cnf_ensemble, cnf_ensemble_from_dimacs, lambda_stats,
                          replica_ensemble, sbp_bounds, sbp_matrix,

@@ -394,8 +394,9 @@ def circuit_from_document(doc: dict) -> VerifierCircuit:
     """The circuit a JSON document holds; ValueError if malformed or invalid."""
     if not isinstance(doc, dict):
         raise ValueError("circuit document is not a JSON object")
-    if doc.get("version") != CIRCUIT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported circuit schema version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != CIRCUIT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported circuit schema version {version}")
     try:
         gates = tuple(Gate(g["kind"], tuple(json_int(q, "gate qubit")
                                             for q in g["qubits"]))

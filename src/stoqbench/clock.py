@@ -176,11 +176,6 @@ def check_history_invariants(clock: ClockInstance, psi):
     return resid, meas_err
 
 
-def default_delta(L: int) -> float:
-    """Perturbation size policy: well inside the L^-3 validity window."""
-    return min(1e-3, 1.0 / (100.0 * L**3))
-
-
 def perturbed_hamiltonian(clock: ClockInstance, delta: float) -> LhMinInstance:
     """H~ = H6 + delta (I - Pi_meas); stoquastic by construction."""
     if not 0 < delta < math.inf:

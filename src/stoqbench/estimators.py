@@ -233,7 +233,7 @@ def av_decide(ens: DisorderEnsemble, lambda_yes: float, lambda_no: float,
     A replica ensemble of k copies is drawn as k N base replicas.
     """
     gap = lambda_no - lambda_yes
-    if gap <= 0:
+    if not gap > 0:
         raise ValueError("lambda_no must exceed lambda_yes")
     base, k = ens.replica_of or (ens, 1)
     solver = _LambdaSolver(base)  # the pilot's solves serve the main draw

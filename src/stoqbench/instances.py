@@ -110,6 +110,8 @@ def _stoquastic_violations(block: np.ndarray):
 def validate(instance) -> list:
     """All violated invariants, as human-readable strings.  Never raises."""
     report = []
+    if getattr(instance, "n", 0) < 0:
+        report.append(f"register size n={instance.n} is negative")
     if isinstance(instance, StoqSatInstance):
         if not (0 < instance.epsilon <= 1):
             report.append(f"epsilon {instance.epsilon} outside (0, 1]")

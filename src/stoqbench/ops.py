@@ -13,6 +13,11 @@ local index out of a basis state, :func:`scatter` writes it back), and
 a gate flips its target where all its controls are set
 (:meth:`Gate.apply` and :func:`circuit_permutation`, so a reversible
 circuit permutes basis states).
+
+Two entry rules, each written once here: :func:`matrix_elements` reads
+<x|op|y> for pairs of basis states, and :func:`column` reads a term's
+column at x, with its diagonal, the one place a block column is read;
+:func:`apply_to_basis` and the walk's rows are sums over such columns.
 """
 
 from __future__ import annotations
@@ -81,11 +86,10 @@ class Gate:
     _ARITY = {"X": 1, "CNOT": 2, "TOFFOLI": 3}
 
     def __post_init__(self):
-        kind = self.kind.upper()
-        object.__setattr__(self, "kind", kind)
+        kind = self.kind
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if kind not in self._ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if type(kind) is not str or kind not in self._ARITY:
+            raise ValueError(f"unknown gate kind {kind!r}")
         if len(self.qubits) != self._ARITY[kind]:
             raise ValueError(f"{kind} takes {self._ARITY[kind]} qubits")
         if len(set(self.qubits)) != len(self.qubits):
@@ -155,17 +159,6 @@ class LocalOperator:
     def mask(self) -> int:
         return support_mask(self.support)
 
-    def element(self, x: int, y: int) -> float:
-        """<x|Pi|y> with x, y global basis states (0 if outside bits differ)."""
-        if (x ^ y) & ~self.mask:
-            return 0.0
-        return float(self.block[gather(x, self.support),
-                                gather(y, self.support)])
-
-    def diag(self, x: int) -> float:
-        lx = gather(x, self.support)
-        return float(self.block[lx, lx])
-
 
 @dataclass(frozen=True)
 class OperatorSum:
@@ -226,18 +219,28 @@ def matrix_elements(op: OperatorSum, xs, ys) -> np.ndarray:
     return out
 
 
+def column(t: LocalOperator, key: int):
+    """Term t's column at the basis states x whose bits on its support are
+    ``key``: (<x|t|x>, [(scatter(ly), <y|t|x>, <y|t|y>) for each nonzero
+    entry in ascending local index ly]), so y = (x & ~t.mask) | scatter(ly)."""
+    lx = gather(key, t.support)
+    col = t.block[:, lx]
+    return float(col[lx]), [(scatter(ly, t.support), float(col[ly]),
+                             float(t.block[ly, ly]))
+                            for ly in np.nonzero(col)[0].tolist()]
+
+
 def apply_to_basis(op: OperatorSum, x: int) -> dict:
-    """Nonzero entries of row x of the assembled matrix, as {y: value}."""
+    """Nonzero entries of row x of the assembled matrix, as {y: value}:
+    each term's column at x, weighted, summed in term order from 0.0."""
     if x < 0 or x >> op.n:
         raise IndexError("basis index out of range")
     row: dict = {}
     for w, t in zip(op.weights, op.terms):
-        lx = gather(x, t.support)
-        col = t.block[:, lx]
-        base = x & ~t.mask
-        for ly in np.nonzero(col)[0]:
-            y = base | scatter(int(ly), t.support)
-            row[y] = row.get(y, 0.0) + w * float(col[ly])
+        key = x & t.mask
+        for s, v, _ in column(t, key)[1]:
+            y = (x ^ key) | s
+            row[y] = row.get(y, 0.0) + w * v
     return {y: v for y, v in row.items() if v != 0.0}
 
 

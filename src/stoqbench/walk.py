@@ -19,7 +19,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .ops import ETA, OperatorSum, apply_to_basis, gather, scatter
+from .ops import ETA, OperatorSum, apply_to_basis, column
 from .instances import StoqSatInstance
 
 
@@ -110,15 +110,25 @@ class WalkRunner:
         self._rows: dict = {}
         self._rejects: dict = {}
         # per projector, its columns <.|Pi|x> keyed by x's bits on its
-        # support, each built on first use (see _column)
+        # support, each built by ops.column on first use
         self._columns = tuple((w, p, {}) for w, p in
                               zip(self.g.weights, self.g.terms))
 
     # -- per-string protocol data ------------------------------------------
 
+    def _columns_at(self, x: int):
+        """Yield (weight, x with the projector's support bits cleared, its
+        column at x) for each projector in index order."""
+        for w, p, columns in self._columns:
+            key = x & p.mask
+            col = columns.get(key)
+            if col is None:
+                col = columns[key] = column(p, key)
+            yield w, x ^ key, col
+
     def diag_positive(self, x: int) -> bool:
         """Step 2: <x|Pi_a|x> > 0 for every projector."""
-        return all(p.diag(x) > ETA for p in self.instance.projectors)
+        return all(col[0] > ETA for _, _, col in self._columns_at(x))
 
     def neighborhood(self, x: int) -> list:
         """Step 3: all y with G_{x,y} above tolerance, with the entries."""
@@ -134,13 +144,7 @@ class WalkRunner:
         apply_to_basis does and takes r from the first entry above ETA.
         """
         g, r = {}, {}
-        for w, p, columns in self._columns:
-            key = x & p.mask
-            column = columns.get(key)
-            if column is None:
-                column = columns[key] = _column(p, key)
-            dx, entries = column
-            base = x ^ key
+        for w, base, (dx, entries) in self._columns_at(x):
             for s, v, dy in entries:
                 y = base | s
                 g[y] = g.get(y, 0.0) + w * v
@@ -269,17 +273,6 @@ class WalkRunner:
                                   "product-exceeds-one", L, delta)
         return WalkTranscript(visited, log_r_sum, True, rng_draws=L,
                               sampling_delta=delta)
-
-
-def _column(p, key: int):
-    """Projector p's column at the strings whose bits on its support are
-    ``key``: (<x|Pi|x>, [(scatter(ly), <y|Pi|x>, <y|Pi|y>) for each nonzero
-    entry in ascending local index ly]), so y = (x & ~mask) | scatter(ly)."""
-    lx = gather(key, p.support)
-    col = p.block[:, lx]
-    return float(col[lx]), [(scatter(ly, p.support), float(col[ly]),
-                             float(p.block[ly, ly]))
-                            for ly in np.nonzero(col)[0].tolist()]
 
 
 def _check_counts(count: int, majority: int) -> None:

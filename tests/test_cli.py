@@ -579,6 +579,8 @@ class TestRobustness:
                      id="gate-without-kind"),
         pytest.param({**CIRCUIT, "gates": [{"kind": 5, "qubits": [0]}]},
                      id="gate-kind-5"),
+        pytest.param({**CIRCUIT, "gates": [{"kind": "x", "qubits": [0]}]},
+                     id="gate-kind-lowercase"),
         pytest.param({**CIRCUIT, "gates": [{"kind": "X", "qubits": [-1]}]},
                      id="gate-on-qubit-minus-1"),
         pytest.param([CIRCUIT], id="top-level-list"),
@@ -722,6 +724,60 @@ class TestRobustness:
                                    "--out", "o.csv"], tmp_path, capsys,
                                   monkeypatch, ["i.json"])
         assert err == f"error: unsupported schema version {version}\n"
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"],
+                             ids=["bool", "float", "string"])
+    def test_circuit_version_is_the_integer_1(self, version, tmp_path, capsys,
+                                              monkeypatch):
+        (tmp_path / "c.json").write_text(json.dumps({**self.CIRCUIT,
+                                                     "version": version}))
+        err = self.one_line_error(["compile", "--to", "clock", "--circuit",
+                                   "c.json", "--out", "o.json"], tmp_path,
+                                  capsys, monkeypatch, ["c.json"])
+        assert err == f"error: unsupported circuit schema version {version}\n"
+
+    # a document of each kind on -1 qubits whose one term acts on no qubit,
+    # so that no support bound rejects it, with each command reading it
+    NO_QUBIT_TERM = {"qubits": [], "dim": 1, "matrix": [1.0]}
+    NEGATIVE_N = {
+        "stoq-sat": {"version": 1, "kind": "stoq-sat", "n": -1,
+                     "epsilon": 0.5, "terms": [NO_QUBIT_TERM]},
+        "lh-min": {**LH_MIN, "n": -1, "terms": [NO_QUBIT_TERM]},
+        "ensemble": {"version": 1, "kind": "ensemble", "n": -1, "m": 1,
+                     "terms": [{"qubits": [], "dim": 1, "random_bits": [0],
+                                "tables": {"0": [1.0], "1": [0.0]}}]},
+    }
+
+    @pytest.mark.parametrize("kind, command", [
+        ("stoq-sat", ["spectrum"]), ("stoq-sat", ["prove"]),
+        ("stoq-sat", ["verify", "--witness", "0", "--trials", "2",
+                      "--seed", "0"]),
+        ("lh-min", ["spectrum"]), ("lh-min", ["trace"]),
+        ("ensemble", ["ensemble", "--samples", "2", "--seed", "0"]),
+    ], ids=["stoq-sat-spectrum", "stoq-sat-prove", "stoq-sat-verify",
+            "lh-min-spectrum", "lh-min-trace", "ensemble-ensemble"])
+    def test_negative_register_size_is_one_line(self, kind, command, tmp_path,
+                                                capsys, monkeypatch):
+        (tmp_path / "i.json").write_text(json.dumps(self.NEGATIVE_N[kind]))
+        err = self.one_line_error(command + ["--instance", "i.json",
+                                             "--out", "o"], tmp_path, capsys,
+                                  monkeypatch, ["i.json"])
+        assert err == ("error: not a valid stoquastic instance: register "
+                       "size n=-1 is negative\n")
+        # the same document on 1 qubit is valid
+        doc = {**self.NEGATIVE_N[kind], "n": 1}
+        assert instances.from_document(doc).n == 1
+
+    @pytest.mark.parametrize("flag", ["--lambda-yes", "--lambda-no"])
+    def test_ensemble_decide_nan_threshold_is_one_line(self, flag, tmp_path,
+                                                       capsys, monkeypatch):
+        save(self.instance_of_kind("ensemble"), tmp_path / "e.json")
+        thresholds = {"--lambda-yes": "-1.0", "--lambda-no": "0.5", flag: "nan"}
+        err = self.one_line_error(
+            ["ensemble", "--instance", "e.json", "--samples", "2", "--seed",
+             "0", "--decide", *(x for kv in thresholds.items() for x in kv),
+             "--out", "o.csv"], tmp_path, capsys, monkeypatch, ["e.json"])
+        assert err == "error: lambda_no must exceed lambda_yes\n"
 
     @pytest.mark.parametrize("field, value", [
         ("epsilon", 1), ("lambda_yes", -2), ("lambda_no", 0), ("matrix", 0)])

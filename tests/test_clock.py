@@ -3,7 +3,7 @@ import pytest
 
 from stoqbench import (Gate, VerifierCircuit, acceptance_probability,
                        assemble_dense, check_history_invariants,
-                       compile_circuit, default_delta, dense_spectrum,
+                       compile_circuit, dense_spectrum,
                        export_6sat, history_state,
                        max_acceptance, meas_expectation,
                        perturbed_hamiltonian, predicted_min_eigenvalue,
@@ -147,7 +147,8 @@ class TestCircuitIndependence:
 class TestPerturbation:
     def test_min_eigenvalue_prediction(self):
         clock = compile_circuit(circuit_coin(), 0)
-        delta = default_delta(clock.L)
+        assert clock.L == 3
+        delta = 1 / 2700  # 1 / (100 L^3), well inside the L^-3 window
         h = assemble_dense(perturbed_hamiltonian(clock, delta).operator())
         lam = float(np.linalg.eigvalsh(h)[0])
         max_pr, _ = max_acceptance(clock.circuit, 0)
@@ -175,10 +176,6 @@ class TestPerturbation:
         clock = compile_circuit(circuit_xx(), 0)
         with pytest.raises(ValueError):
             perturbed_hamiltonian(clock, 0.0)
-
-    def test_default_delta_policy(self):
-        assert default_delta(1) == 1e-3
-        assert default_delta(10) == pytest.approx(1e-5)
 
 
 class TestExport:

@@ -8,7 +8,8 @@ number in a string among them), NaN, +-inf, a negative or a huge number.
 Every command that reads that kind must then exit 0, 1 or 2, and an exit
 1 prints exactly one ``error:`` line and leaves neither output nor
 manifest.  An instance document that exits 0 must come back from
-``to_document(from_document(doc))`` as the same JSON values.
+``to_document(from_document(doc))`` as the same JSON values, and a
+circuit document from ``circuit_to_document(circuit_from_document(doc))``.
 """
 
 import io
@@ -24,8 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stoqbench import (DisorderEnsemble, Gate, LhMinInstance, LocalOperator,
-                       TermTemplate, VerifierCircuit, circuits, cli, instances,
-                       random_projector_instance)
+                       StoqSatInstance, TermTemplate, VerifierCircuit,
+                       circuits, cli, instances, random_projector_instance)
 
 X = np.array([[0.0, -1.0], [-1.0, 0.0]])
 
@@ -39,8 +40,18 @@ VALID = {
                                       for a in range(4)}),
         TermTemplate((1,), (), {0: np.diag([0.0, 1.0])}))),
 }
-DOCS = {kind: json.loads(json.dumps(instances.to_document(inst)))
-        for kind, inst in VALID.items()}
+# each kind again with its terms on no qubit, so that no support bound
+# stops a mutated n and a negative one reaches the register-size check
+NO_QUBIT = {
+    "stoq-sat": StoqSatInstance(1, 0.5, (LocalOperator((), np.eye(1)),)),
+    "lh-min": LhMinInstance(1, (LocalOperator((), -np.eye(1)),), -1.5, -0.5),
+    "ensemble": DisorderEnsemble(1, 1, (TermTemplate((), (0,), {
+        0: np.zeros((1, 1)), 1: -np.eye(1)}),)),
+}
+DOCS = {**{kind: json.loads(json.dumps(instances.to_document(inst)))
+           for kind, inst in VALID.items()},
+        **{f"{kind} on no qubit": json.loads(json.dumps(
+            instances.to_document(inst))) for kind, inst in NO_QUBIT.items()}}
 # a circuit with an ancilla in each ancilla register and every gate kind
 CIRCUIT = json.loads(json.dumps(circuits.circuit_to_document(VerifierCircuit(
     1, 1, 1, 1, gates=(Gate("TOFFOLI", (0, 1, 2)), Gate("CNOT", (3, 1)),
@@ -56,6 +67,7 @@ COMMANDS = {
     "lh-min": [["spectrum"], ["trace"]],
     "ensemble": [["ensemble", "--samples", "3", "--seed", "0"]],
 }
+COMMANDS.update({f"{kind} on no qubit": COMMANDS[kind] for kind in NO_QUBIT})
 CIRCUIT_COMMANDS = [["compile", "--to", "clock"], ["compile", "--to", "6sat"]]
 
 DELETE = object()
@@ -201,7 +213,10 @@ def test_valid_circuit_compiles(tmp_path):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_circuits_exit_cleanly(data):
+    """As for instances: an exit 1 is one line and no file, and a circuit
+    that compiles comes back from its document as the same JSON values."""
     doc, path, value = data.draw(mutations("circuit"))
+    loaded = False
     with tempfile.TemporaryDirectory() as tmp:
         circ = Path(tmp) / "circ.json"
         circ.write_text(json.dumps(doc))
@@ -211,10 +226,14 @@ def test_mutated_circuits_exit_cleanly(data):
                                        "--out", str(out)])
             where = f"{command[-1]} with {path} = {value!r}: {err!r}"
             assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_PROMISE), where
+            loaded |= code == cli.EXIT_OK
             if code == cli.EXIT_ERROR:
                 assert err.startswith("error: ") and err.count("\n") == 1, where
                 assert not out.exists(), where
                 assert not Path(f"{out}.manifest.json").exists(), where
+    if loaded:
+        back = circuits.circuit_to_document(circuits.circuit_from_document(doc))
+        assert same_json(back, doc), f"{path} = {value!r} loads as {back}"
 
 
 @pytest.mark.parametrize("command", [["trace"], ["spectrum"]])

@@ -316,6 +316,14 @@ class TestAvDecide:
         with pytest.raises(ValueError):
             av_decide(one_qubit_ensemble(), 0.0, 0.0)
 
+    @pytest.mark.parametrize("lambda_yes, lambda_no", [
+        (math.nan, 0.5), (-1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_threshold_rejected_before_the_replica_count(
+            self, lambda_yes, lambda_no):
+        with pytest.raises(ValueError,
+                           match="^lambda_no must exceed lambda_yes$"):
+            av_decide(one_qubit_ensemble(), lambda_yes, lambda_no)
+
     def test_each_realisation_solved_once(self, monkeypatch):
         """The pilot and the main draw share one ground-energy cache."""
         solved = []

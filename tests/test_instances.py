@@ -169,7 +169,7 @@ class TestSerialization:
             "metadata": {},
         }
         inst = from_document(doc)
-        assert inst.m == 1 and inst.projectors[0].diag(0) == 1.0
+        assert inst.m == 1 and inst.projectors[0].block[0, 0] == 1.0
 
     def test_non_finite_entries_rejected(self):
         doc = {

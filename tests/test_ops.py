@@ -353,7 +353,7 @@ def ref_assemble_dense(op):
 
 def ref_matrix_element(op, x, y):
     """The scalar term loop matrix_element ran before the array form."""
-    return sum(w * t.element(x, y) for w, t in zip(op.weights, op.terms))
+    return sum(w * ref_element(t, x, y) for w, t in zip(op.weights, op.terms))
 
 
 def random_factors(rng, support, signed=False):
@@ -610,16 +610,24 @@ class TestBitRulesMatchLoopReference:
     @settings(max_examples=100, deadline=None)
     @given(supports(), st.integers(0, 2**32 - 1))
     def test_element_and_diag_match_reference(self, case, seed):
+        """ops.column at x holds <x|t|x> and every nonzero <y|t|x> with
+        its <y|t|y>, y ascending in local index, as ref_element reads
+        them."""
         n, support, xs = case
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(2 ** len(support),) * 2)
+        m[rng.random(m.shape) < 0.3] = 0.0
         t = LocalOperator(support, m + m.T)
         for x in xs:
-            y = x ^ ops.scatter(int(rng.integers(0, 2 ** len(support))), support)
-            if rng.random() < 0.3:  # and some pairs that differ outside
-                y ^= 1 << int(rng.integers(0, n))
-            assert repr(t.element(x, y)) == repr(ref_element(t, x, y))
-            assert repr(t.diag(x)) == repr(ref_element(t, x, x))
+            key = x & t.mask
+            dx, entries = ops.column(t, key)
+            assert repr(dx) == repr(ref_element(t, x, x))
+            ys = [(x ^ key) | ops.scatter(ly, support)
+                  for ly in range(2 ** len(support))]
+            want = [(y, ref_element(t, y, x), ref_element(t, y, y))
+                    for y in ys if ref_element(t, y, x) != 0.0]
+            assert repr([((x ^ key) | s, v, dy) for s, v, dy in entries]) \
+                == repr(want)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 62), st.integers(0, 2**32 - 1))

@@ -1,8 +1,10 @@
 """One home per rule, with the copies each home replaced kept as references.
 
 * a term's bit mask: ``ops.support_mask``, which ``_support_maps`` calls
-  and ``LocalOperator.mask`` holds for ``element``, ``matrix_elements``
+  and ``LocalOperator.mask`` holds for ``column``, ``matrix_elements``
   and ``apply_to_basis``
+* a term's column: ``ops.column``, the one read of a block column, which
+  ``apply_to_basis`` sums and the walk's rows cache per runner
 * the circuit permutation: ``ops.circuit_permutation``, which
   ``VerifierCircuit.permutation`` and ``clock.gate_matrix`` call
 * the output writer: ``instances.write_text``, under ``cli._write_csv``
@@ -38,7 +40,8 @@ from hypothesis import given, settings, strategies as st
 from stoqbench import (DisorderEnsemble, Gate, LhMinInstance, LocalOperator,
                        OperatorSum, SchemaError, TermTemplate, VerifierCircuit,
                        apply_to_basis, cli, clock, decompose_stoquastic,
-                       estimators, instances, ops, sbp_matrix, trace_power)
+                       estimators, instances, ops, sbp_matrix, trace_power,
+                       walk)
 from stoqbench.clock import ClockInstance, compile_circuit, gate_matrix
 from stoqbench.estimators import _LambdaSolver, draw_blocks
 from stoqbench.ops import (_support_maps, gather, local_term, matrix_elements,
@@ -73,7 +76,17 @@ def ref_matrix_elements(op, xs, ys):
     return out
 
 
+def ref_column(t, key):
+    """walk._column, the walk's copy of a term's column."""
+    lx = gather(key, t.support)
+    col = t.block[:, lx]
+    return float(col[lx]), [(scatter(ly, t.support), float(col[ly]),
+                             float(t.block[ly, ly]))
+                            for ly in np.nonzero(col)[0].tolist()]
+
+
 def ref_apply_to_basis(op, x):
+    """apply_to_basis's own column loop."""
     row = {}
     for w, t in zip(op.weights, op.terms):
         lx = gather(x, t.support)
@@ -257,6 +270,13 @@ def terms(draw, max_n=62):
     return n, LocalOperator(support, m + m.T), xs
 
 
+def column_element(t, x, y):
+    """<x|t|y> as ops.column lists it: x's entry in t's column at y."""
+    key = y & t.mask
+    return next((v for s, v, _ in ops.column(t, key)[1]
+                 if (y ^ key) | s == x), 0.0)
+
+
 def pair_with(rng, t, n, x):
     """A y that agrees with x outside t's support, or 30% of the time one
     that may differ there too."""
@@ -311,7 +331,7 @@ class TestMask:
         assert type(t.mask) is int and t.mask == ref_mask(t.support)
         for x in xs:
             y = pair_with(rng, t, n, x)
-            assert repr(t.element(x, y)) == repr(ref_element(t, x, y))
+            assert repr(column_element(t, x, y)) == repr(ref_element(t, x, y))
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(terms(), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
@@ -337,6 +357,25 @@ class TestMask:
         for got, want in zip(_support_maps(support, n),
                              ref_support_maps(support, n)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestColumn:
+    @settings(max_examples=150, deadline=None)
+    @given(terms())
+    def test_column_matches_the_walks_copy_at_every_key(self, case):
+        _, t, _ = case
+        for lx in range(2**t.k):
+            key = scatter(lx, t.support)
+            assert repr(ops.column(t, key)) == repr(ref_column(t, key))
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms(), st.floats(-4.0, 4.0))
+    def test_apply_to_basis_matches_its_loop_at_every_key(self, case, w):
+        n, t, xs = case
+        op = OperatorSum(n, (t,), (w,))
+        for lx in range(2**t.k):
+            x = (xs[0] & ~t.mask) | scatter(lx, t.support)
+            assert repr(apply_to_basis(op, x)) == repr(ref_apply_to_basis(op, x))
 
 
 class TestPermutation:
@@ -559,9 +598,32 @@ def test_clock_projectors_have_one_constructor():
 
 
 def test_local_operators_hold_their_mask():
-    """LocalOperator computes its mask once, at construction."""
+    """LocalOperator computes its mask once, on first use."""
     t = LocalOperator((1, 4), np.eye(4))
     assert t.mask == 0b10010
+    op = OperatorSum(6, (t,))
     with mock.patch.object(ops, "support_mask", side_effect=AssertionError):
-        assert t.element(0b10010, 0b10010) == 1.0
-        assert t.element(0b100010, 0b000010) == 0.0
+        assert apply_to_basis(op, 0b10010) == {0b10010: 1.0}
+        assert 0b100010 not in apply_to_basis(op, 0b000010)
+
+
+def test_one_column_rule():
+    """ops.column is the only src/ function that reads a block column and
+    its nonzeros; the walk keeps no copy of it and reads no bit layout
+    itself; LocalOperator has no per-entry readers left."""
+    def reads_block_column(node):
+        return (isinstance(node, ast.Subscript)
+                and ast.unparse(node).split("[")[0].endswith("block")
+                and isinstance(node.slice, ast.Tuple)
+                and ast.unparse(node.slice.elts[0]) == ":")
+
+    assert _homes(reads_block_column) == [("ops", "column")]
+    assert ("ops", "column") in _homes(lambda node: _is_call_of(node, "np.nonzero"))
+    tree = ast.parse(Path(walk.__file__).read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.FunctionDef) and node.name == "_column"
+                   for node in ast.walk(tree))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"gather", "scatter"}
+    assert not hasattr(LocalOperator, "element")
+    assert not hasattr(LocalOperator, "diag")

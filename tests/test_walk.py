@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoqbench import walk
+from stoqbench import ops, walk
 from stoqbench import (AcceptanceReport, Gate, LocalOperator, StoqSatInstance,
                        VerifierCircuit, WalkConfig, WalkRunner, WalkTranscript,
                        acceptance_rate, assemble_dense,
@@ -22,6 +22,7 @@ from stoqbench.cli import main as cli_main
 from stoqbench.ops import ETA
 from conftest import plus_instance
 from test_acceptance import planted_sat_dimacs, rejecting_circuits
+from test_ops import ref_element
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 SAT_3 = "p cnf 3 3\n1 2 0\n-1 3 0\n2 -3 0\n"
@@ -162,14 +163,15 @@ class TestTransitionProbabilities:
 def reference_transition_probabilities(runner, x):
     """The per-neighbour scan the one-pass column table replaced: G's row
     through apply_to_basis, then r from the first projector in index order
-    whose element <y|Pi|x> is above ETA."""
+    whose element <y|Pi|x> is above ETA, each element read by the test's
+    own ref_element."""
     ys, ps, rs = [], [], []
     for y, gxy in runner.neighborhood(x):
         p = next((p for p in runner.instance.projectors
-                  if p.element(y, x) > ETA), None)
+                  if ref_element(p, y, x) > ETA), None)
         r = 0.0
-        if p is not None and p.diag(x) > ETA:
-            r = math.sqrt(p.diag(y) / p.diag(x))
+        if p is not None and ref_element(p, x, x) > ETA:
+            r = math.sqrt(ref_element(p, y, y) / ref_element(p, x, x))
         ys.append(y)
         ps.append(gxy * r)
         rs.append(r)
@@ -178,8 +180,8 @@ def reference_transition_probabilities(runner, x):
 
 def reference_row(runner, x):
     """_row as it was compiled from the reference scan, with the
-    cumulative weights from np.cumsum."""
-    if not runner.diag_positive(x):
+    cumulative weights from np.cumsum and Step 2 on ref_element."""
+    if not all(ref_element(p, x, x) > ETA for p in runner.instance.projectors):
         return "diag-zero"
     ys, ps, rs = reference_transition_probabilities(runner, x)
     if not (abs(sum(ps) - 1.0) <= ETA * max(1, len(ys))
@@ -280,7 +282,7 @@ class TestOnePassRows:
         def forbidden(*args):
             raise AssertionError("called")
 
-        monkeypatch.setattr(LocalOperator, "element", forbidden)
+        monkeypatch.setattr(ops, "matrix_elements", forbidden)
         monkeypatch.setattr(walk, "apply_to_basis", forbidden)
         runner = WalkRunner(inst)
         assert [runner.transition_probabilities(x) for x in range(16)] \
