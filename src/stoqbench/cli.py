@@ -76,12 +76,15 @@ def _write_manifest(args, argv, inputs, started):
     instances.write_json(str(args.out) + ".manifest.json", manifest)
 
 
-def _write_csv(path, header, rows):
+def _csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    instances.write_text(path, buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write_csv(path, header, rows):
+    instances.write_text(path, _csv([header, *rows]))
 
 
 def _seed(text: str) -> int:
@@ -229,29 +232,50 @@ def cmd_verify(args):
     witness, witness_files = _load_witness(args.witness)
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
     config = walk.WalkConfig(steps=steps, seed=args.seed)
-    first, votes = walk.WalkRunner(inst).sweep(witness, config, args.trials)
-    transcripts = ([first] * args.trials if first is not None
-                   else [trial[0] for trial in votes])
-    rows = [[i, int(t.accepted), len(t.visited) - 1,
-             t.reject_step if t.reject_step is not None else "",
-             t.reject_reason or "", t.log_r_sum]
-            for i, t in enumerate(transcripts)]
-    accepted = sum(int(t.accepted) for t in transcripts)
+    runner = walk.WalkRunner(inst)
+    first, votes = runner.sweep(witness, config, args.trials)
+    if first is not None:
+        tail = _trial_fields(first)
+    elif not args.transcripts and runner.certain(witness, args.trials * steps):
+        tail = [1, steps, "", "", 0.0]  # L steps of log r 0.0, accepted
+    else:
+        tail = None
+    if tail is None:
+        transcripts = [trial[0] for trial in votes]
+        body = _csv([i, *_trial_fields(t)] for i, t in enumerate(transcripts))
+        accepted = sum(t.accepted for t in transcripts)
+    else:
+        # no draw changes a row: its fields are formatted once, and need
+        # no quoting, so each row is the index and that text
+        text = _csv([tail])
+        body = "".join(f"{i},{text}" for i in range(args.trials))
+        accepted = tail[0] * args.trials
     rate, lo, hi = walk.wilson_interval(accepted, args.trials)
-    rows.append(["rate", rate, lo, hi, accepted, args.trials])
+    text = (_csv([["trial", "accepted", "steps_taken", "reject_step",
+                   "reject_reason", "log_r_sum"]]) + body
+            + _csv([["rate", rate, lo, hi, accepted, args.trials]]))
     # --transcripts is opened first and removed if writing --out fails, so
     # an exit 1 leaves neither file, whichever path is bad
     with open(args.transcripts or os.devnull, "w", encoding="utf-8") as fh:
         try:
-            _write_csv(args.out, ["trial", "accepted", "steps_taken",
-                                  "reject_step", "reject_reason", "log_r_sum"], rows)
+            instances.write_text(args.out, text)
         except OSError:
             if args.transcripts:
                 os.remove(args.transcripts)
             raise
-        if args.transcripts:
+        if args.transcripts and first is not None:
+            fh.write((first.to_json() + "\n") * args.trials)
+        elif args.transcripts:
             fh.writelines(t.to_json() + "\n" for t in transcripts)
     return EXIT_OK, [args.instance, *witness_files]
+
+
+def _trial_fields(t) -> list:
+    """A verify CSV row after its trial index: accepted, steps taken,
+    reject step, reject reason and log_r_sum."""
+    return [int(t.accepted), len(t.visited) - 1,
+            t.reject_step if t.reject_step is not None else "",
+            t.reject_reason or "", t.log_r_sum]
 
 
 def cmd_trace(args):

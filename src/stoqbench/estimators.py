@@ -60,7 +60,7 @@ def sbp_matrix(h: LhMinInstance):
     """
     require_valid(h)
     p = 1.0 + float(h.operator().norm_bound())
-    ident = LocalOperator((0,), np.eye(2), tag="identity")
+    ident = LocalOperator((), np.eye(1), tag="identity")
     terms = (ident,) + h.terms
     weights = (0.5,) + tuple(-0.5 / p for _ in h.terms)
     return OperatorSum(h.n, terms, weights), p

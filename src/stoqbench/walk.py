@@ -215,7 +215,10 @@ class WalkRunner:
         each trial as the list of its ``majority`` transcripts; vote v of
         trial i draws numpy's Philox stream with the key of
         Philox(config.seed) and counter [0, 0, i, v], so every trial is a
-        pure function of (instance, witness, config, i, v).
+        pure function of (instance, witness, config, i, v).  A witness
+        that ``certain`` accepts still yields votes here, since its
+        transcripts' ``visited`` and ``sampling_delta`` follow the draws;
+        a caller that needs only the tally asks ``certain`` instead.
         """
         _check_counts(count, majority)
         row = self._start(witness)
@@ -226,6 +229,33 @@ class WalkRunner:
         rngs = _generators(config.seed, count, majority)
         return None, ([self._run_with_rng(witness, config, next(rngs))
                        for _ in range(majority)] for _ in range(count))
+
+    def certain(self, witness: int, cap: int) -> bool:
+        """True when every trial from ``witness`` is accepted, whatever it
+        draws: every string reachable from it has a compiled row, and every
+        move of those rows has log r exactly 0.0, so a trial takes its L
+        steps adding only 0.0 to log_r_sum (as on |+> projectors, where
+        theta is flat on the witness's support).  A depth-first pass over
+        the compiled rows, which fills the walk's row cache; False at the
+        first rejecting row, the first move whose log r is not 0.0 (None
+        included), or once the closure would pass ``cap`` strings.
+        """
+        self._start(witness)
+        seen, todo = {witness}, [witness]
+        while todo:
+            x = todo.pop()
+            row = self._rows.get(x) or self._row(x)
+            if isinstance(row, str):
+                return False
+            for y, log_r in row[1]:
+                if log_r != 0.0:
+                    return False
+                if y not in seen:
+                    if len(seen) >= cap:
+                        return False
+                    seen.add(y)
+                    todo.append(y)
+        return True
 
     def _start(self, witness: int):
         """The compiled row of the witness, or the reason the walk rejects
@@ -344,21 +374,24 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
 
     The trials are those of WalkRunner.sweep: vote v of trial i draws the
     Philox stream with counter [0, 0, i, v], so results are a pure
-    function of (instance, witness, trials, seed).  When sweep runs only
-    trial 0, because every trial gives its transcript, the report is
-    marked deterministic: 0 <= 0 <= 0 for a rejection at step 0, the
-    Wilson interval of all trials accepted for a fixed point.
-    ``majority`` > 1 repeats each trial and takes a majority vote (the
-    amplification wrapper for delta-perturbed sampling).
+    function of (instance, witness, trials, seed).  When no draw can
+    change the tally the report is marked deterministic and at most trial
+    0 runs: 0 <= 0 <= 0 for a rejection at step 0, and the Wilson
+    interval of all trials accepted, as the Monte Carlo would give it,
+    for a fixed point or a witness that ``WalkRunner.certain`` accepts
+    within trials x majority x steps strings.  ``majority`` > 1 repeats
+    each trial and takes a majority vote (the amplification wrapper for
+    delta-perturbed sampling).
     """
     if runner is None:
         runner = WalkRunner(instance)
     elif runner.instance is not instance:
         raise ValueError("runner was built for another instance")
     first, votes = runner.sweep(witness, config, trials, majority)
-    if first is not None:
-        if not first.accepted:
-            return AcceptanceReport(0.0, 0.0, 0.0, trials, 0, deterministic=True)
+    if first is not None and not first.accepted:
+        return AcceptanceReport(0.0, 0.0, 0.0, trials, 0, deterministic=True)
+    if first is not None or runner.certain(
+            witness, trials * majority * config.steps):
         return AcceptanceReport(*wilson_interval(trials, trials), trials,
                                 trials, deterministic=True)
     accepted = 0

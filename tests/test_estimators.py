@@ -59,6 +59,22 @@ class TestSbpMatrix:
         with pytest.raises(ValueError):
             sbp_matrix(h)
 
+    @pytest.mark.parametrize("power", [1, 3])
+    def test_zero_qubit_register(self, power, tmp_path):
+        """The identity term acts on no qubit, so G fits an n = 0
+        register; trace on such a document gives sum(lambda^L) over G's
+        spectrum, here the one value (1 - 0.5/p)/2 with p = 1.5."""
+        h = LhMinInstance(0, (LocalOperator((), [[0.5]]),), 0.1, 0.9)
+        g, p = sbp_matrix(h)
+        assert g.terms[0].support == () and p == 1.5
+        path, out = str(tmp_path / "h.json"), tmp_path / "t.csv"
+        save(h, path)
+        assert cli_main(["trace", "--instance", path, "--power", str(power),
+                         "--out", str(out)]) == 0
+        value = float(out.read_text().splitlines()[1].split(",")[1])
+        assert value == float(np.sum(dense_spectrum(g)**power))
+        assert value == pytest.approx((1.0 / 3.0)**power, rel=1e-15)
+
 
 class TestTracePower:
     def test_half_identity_cube(self):

@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import decimal
 import functools
 import hashlib
+import io
 import itertools
 import math
 from bisect import bisect_left
@@ -577,10 +579,137 @@ class TestFixedPointWitness:
         assert len(set(logs.read_text().splitlines())) == 1
 
     def test_walking_witness_is_not_deterministic(self):
-        # |+> rows have two moves, so every trial draws its own stream
-        inst = plus_instance(2, [(0, 1)])
-        rep = acceptance_rate(inst, 0, 20, WalkConfig(steps=4, seed=2))
+        # the honest witness 1 of a skewed rank-one projector moves to 0
+        # with r = 1/2, so no closure check settles it and every trial
+        # draws its own stream
+        psi = np.array([1.0, 2.0]) / math.sqrt(5.0)
+        inst = StoqSatInstance(1, 1.0,
+                               (LocalOperator((0,), np.outer(psi, psi)),))
+        rep = acceptance_rate(inst, 1, 20, WalkConfig(steps=4, seed=2))
         assert rep.rate == 1.0 and not rep.deterministic
+
+    def test_certain_plus_witness_is_deterministic(self, monkeypatch):
+        """|+> rows have moves of r = 1 only, so every trial is accepted
+        whatever it draws: the report is deterministic, with the rate and
+        interval the Monte Carlo gives, and no trial runs."""
+        inst = plus_instance(2, [(0, 1)])
+        config = WalkConfig(steps=4, seed=2)
+        ref = reference_acceptance_rate(WalkRunner(inst), 0, 20, config)
+        assert not ref.deterministic
+        runs = []
+        trial = WalkRunner._run_with_rng
+        monkeypatch.setattr(WalkRunner, "_run_with_rng",
+                            lambda *a: runs.append(a) or trial(*a))
+        rep = acceptance_rate(inst, 0, 20, config)
+        assert rep == dataclasses.replace(ref, deterministic=True)
+        assert (rep.rate, rep.lower, rep.upper) == wilson_interval(20, 20)
+        assert runs == []
+
+
+def reference_verify_csv(inst, witness, steps, trials, seed):
+    """verify's CSV as csv.writer wrote it from one walked transcript per
+    trial, each on its own Philox stream."""
+    config = WalkConfig(steps=steps, seed=seed)
+    walked = [votes[0] for votes in reference_trials(WalkRunner(inst), witness,
+                                                     config, trials)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial", "accepted", "steps_taken", "reject_step",
+                     "reject_reason", "log_r_sum"])
+    for i, t in enumerate(walked):
+        writer.writerow([i, int(t.accepted), len(t.visited) - 1,
+                         "" if t.reject_step is None else t.reject_step,
+                         t.reject_reason or "", format(t.log_r_sum, ".17g")])
+    accepted = sum(t.accepted for t in walked)
+    writer.writerow(["rate", *(format(v, ".17g") for v in
+                               wilson_interval(accepted, trials)),
+                     accepted, trials])
+    return buf.getvalue()
+
+
+def verify_outputs(inst, witness, steps, trials, seed, workdir):
+    """verify's CSV bytes without and with --transcripts."""
+    path = str(workdir / "inst.json")
+    save(inst, path)
+    outs = []
+    for extra in ([], ["--transcripts", str(workdir / "t.jsonl")]):
+        out = workdir / "v.csv"
+        assert cli_main(["verify", "--instance", path, "--witness",
+                         str(witness), "--steps", str(steps), "--trials",
+                         str(trials), "--seed", str(seed), "--out", str(out),
+                         *extra]) == 0
+        outs.append(out.read_bytes())
+    return outs
+
+
+@st.composite
+def plus_and_random_instances(draw):
+    """A |+> instance, every witness certain, or a random projector
+    instance, whose witnesses mostly walk or reject, on 1-6 qubits."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return plus_instance(n, draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                     unique=True), min_size=1, max_size=3)))
+    return random_projector_instance(n, draw(st.integers(1, min(3, n))),
+                                     draw(st.integers(1, 4)),
+                                     draw(st.integers(0, 2**32 - 1)))
+
+
+class TestCertainWitness:
+    """verify without --transcripts runs no trial for a witness that
+    WalkRunner.certain accepts, and formats a row that no draw can change
+    once; its CSV must be the bytes of every trial walked."""
+
+    CASES = {
+        "diag-zero": (random_projector_instance(3, 2, 3, 0), 1),
+        "fixed-point": (from_dimacs(SAT_3), 0b110),
+        "certain": (plus_instance(3, [(0, 1), (1, 2)]), 0b101),
+        "walks": (random_projector_instance(3, 2, 3, 0), 0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_walked_trials(self, case, tmp_path, monkeypatch):
+        inst, witness = self.CASES[case]
+        checks, runs = [], []
+        certain, trial = WalkRunner.certain, WalkRunner._run_with_rng
+        monkeypatch.setattr(WalkRunner, "certain", lambda *a: checks.append(
+            certain(*a)) or checks[-1])
+        monkeypatch.setattr(WalkRunner, "_run_with_rng",
+                            lambda *a: runs.append(a) or trial(*a))
+        bare, logged = verify_outputs(inst, witness, 7, 40, 5, tmp_path)
+        # only a witness that sweep leaves walking is checked, and only
+        # without --transcripts; a certain one walks only with them
+        assert checks == {"certain": [True], "walks": [False]}.get(case, [])
+        if case == "certain":
+            assert len(runs) == 40
+        assert bare == logged == reference_verify_csv(inst, witness, 7, 40,
+                                                      5).encode()
+
+    def test_cap_gives_up_with_output_unchanged(self, tmp_path, monkeypatch):
+        inst, witness = self.CASES["certain"]
+        runner = WalkRunner(inst)
+        assert not runner.certain(witness, 7)
+        assert runner.certain(witness, 8)  # the closure is all 8 strings
+        expect = verify_outputs(inst, witness, 7, 40, 5, tmp_path)
+        gave_up = []
+        certain = WalkRunner.certain
+        monkeypatch.setattr(WalkRunner, "certain", lambda self, w, cap: (
+            gave_up.append(not certain(self, w, 2)) or not gave_up[-1]))
+        assert verify_outputs(inst, witness, 7, 40, 5, tmp_path) == expect
+        assert gave_up == [True]
+
+    @settings(max_examples=60, deadline=None)
+    @given(plus_and_random_instances(), st.data())
+    def test_random_registers(self, tmp_path_factory, inst, data):
+        witness = data.draw(st.integers(0, 2**inst.n - 1), label="witness")
+        steps = data.draw(st.integers(1, 12), label="steps")
+        trials = data.draw(st.integers(1, 12), label="trials")
+        seed = data.draw(st.integers(0, 2**63 - 1), label="seed")
+        bare, logged = verify_outputs(inst, witness, steps, trials, seed,
+                                      tmp_path_factory.mktemp("verify"))
+        assert bare == logged == reference_verify_csv(inst, witness, steps,
+                                                      trials, seed).encode()
 
 
 def philox_stream(seed, i=0, v=0):
