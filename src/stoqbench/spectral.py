@@ -4,25 +4,31 @@
 diagonal matrix (a CNF's G), else LOBPCG on the sparse matrix from the
 all-ones start vector, or a dense ``eigh`` of the same matrix below
 LOBPCG's minimum size.  Every pair it returns has passed a residual
-check.  ``dense_spectrum`` is the one full-spectrum path: dense solves
-of the matrix's connected components, one row each when it is diagonal.
+check.  ``dense_spectrum`` is the one full-spectrum path: an operator
+sum's qubit groups are solved apart and their spectra added, and a
+group (or a one-group register) by dense solves of its matrix's
+connected components, one row each when it is diagonal.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .ops import ETA, DenseLimitError, OperatorSum, assemble_sparse, dense_limit
+from .ops import (ETA, DenseLimitError, OperatorSum, _index_dim,
+                  assemble_dense, assemble_sparse, dense_limit)
 
 # LOBPCG needs five rows per start vector; scipy goes dense below that.
 LOBPCG_MIN_DIM = 5
 
 # Entries per stacked eigvalsh call in dense_spectrum (128 MiB of floats).
 STACK_ENTRIES = 1 << 24
+
+# Qubit groups up to this size are solved whole, without a component split.
+GROUP_DENSE_QUBITS = 6
 
 # Eigenvalues closer than this are one level (level_gap, ground_dim).
 LEVEL_MERGE = 1e-8
@@ -114,6 +120,68 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
 def dense_spectrum(op) -> np.ndarray:
     """Every eigenvalue of an operator sum or symmetric matrix, ascending.
 
+    An operator sum's qubits first split into groups, two qubits sharing
+    a group when some term's support holds both.  Terms on disjoint
+    groups commute, so with two or more groups the spectrum is every sum
+    of one eigenvalue per group, plus the terms on no qubit: each group
+    is solved on its own qubits, whole by one ``eigvalsh`` when it has at
+    most GROUP_DENSE_QUBITS qubits, else by components as below.  A
+    register of one group, and a matrix, are solved by components.
+    Raises DenseLimitError when a component of a group has more than
+    2**dense_limit() rows.
+    """
+    if not isinstance(op, OperatorSum):
+        return _component_spectrum(sp.csr_matrix(np.asarray(op, dtype=float)))
+    _index_dim(op.n)  # past 62 qubits: one line, before any 2**n array
+    groups = _qubit_groups(op)
+    if len(groups) <= 1:
+        return _component_spectrum(assemble_sparse(op))
+    whole = min(GROUP_DENSE_QUBITS, dense_limit())
+    evals = np.array([sum(w * t.block[0, 0]
+                          for w, t in zip(op.weights, op.terms)
+                          if not t.support)], dtype=float)
+    for qubits in groups:
+        evals = np.add.outer(evals, _group_spectrum(op, qubits, whole)).ravel()
+    return np.sort(evals)
+
+
+def _qubit_groups(op: OperatorSum) -> list:
+    """op's qubits in groups that no term's support crosses, each group's
+    qubits ascending and the groups in order of their lowest qubit."""
+    root = list(range(op.n))
+
+    def find(q):
+        while root[q] != q:
+            root[q] = q = root[root[q]]
+        return q
+
+    for t in op.terms:
+        for q in t.support[1:]:
+            a, b = sorted((find(t.support[0]), find(q)))
+            root[b] = a  # a set's root is its lowest qubit
+    groups: dict = {}
+    for q in range(op.n):
+        groups.setdefault(find(q), []).append(q)
+    return list(groups.values())
+
+
+def _group_spectrum(op: OperatorSum, qubits, whole: int) -> np.ndarray:
+    """The eigenvalues of op's terms on ``qubits``, relabelled 0..k-1: one
+    dense eigvalsh up to ``whole`` qubits, else by components."""
+    local = {q: i for i, q in enumerate(qubits)}
+    pairs = [(w, t) for w, t in zip(op.weights, op.terms)
+             if t.support and t.support[0] in local]
+    sub = OperatorSum(len(qubits), tuple(
+        replace(t, support=tuple(local[q] for q in t.support))
+        for _, t in pairs), tuple(w for w, _ in pairs))
+    if sub.n <= whole:
+        return np.linalg.eigvalsh(assemble_dense(sub))
+    return _component_spectrum(assemble_sparse(sub))
+
+
+def _component_spectrum(mat) -> np.ndarray:
+    """Every eigenvalue of a sparse symmetric matrix, ascending.
+
     The matrix is block diagonal over the connected components of its
     graph, the irreducible blocks of Perron-Frobenius.  A diagonal
     matrix's spectrum is its sorted diagonal.  Otherwise each component
@@ -123,10 +191,6 @@ def dense_spectrum(op) -> np.ndarray:
     Raises DenseLimitError when a component has more than
     2**dense_limit() rows.
     """
-    if isinstance(op, OperatorSum):
-        mat = assemble_sparse(op)
-    else:
-        mat = sp.csr_matrix(np.asarray(op, dtype=float))
     coo, _, diag = _split(mat)
     if diag is not None:  # one-row components: LAPACK returns each entry
         return np.sort(diag)

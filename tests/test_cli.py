@@ -310,12 +310,47 @@ class TestRobustness:
     def test_trace_above_dense_limit_is_one_line_error(self, tmp_path, capsys,
                                                        monkeypatch):
         from stoqbench import LhMinInstance, LocalOperator, save
-        # -X on every qubit connects all 16 strings into one component
+        # -X on qubit 0 and -XX on each neighbour pair connect all 16
+        # strings of one qubit group into one component
         x = np.array([[0.0, -1.0], [-1.0, 0.0]])
         path = str(tmp_path / "h.json")
-        save(LhMinInstance(4, tuple(LocalOperator((q,), x) for q in range(4)),
+        save(LhMinInstance(4, (LocalOperator((0,), x),) + tuple(
+            LocalOperator((q, q + 1), np.kron(x, -x)) for q in range(3)),
                            -4.0, -3.0), path)
         monkeypatch.setenv("STOQ_DENSE_LIMIT", "2")
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--instance", path, "--out", str(out)]) \
+            == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dense limit" in err
+        assert not out.exists()
+        assert not (tmp_path / "t.csv.manifest.json").exists()
+
+    def test_one_group_above_dense_limit(self, tmp_path, capsys, monkeypatch):
+        """Qubits 0-3 are one group with a 16-row component, qubit 4 a
+        second group and qubit 5 a free one: under STOQ_DENSE_LIMIT=2 the
+        first group's component is too large, so spectrum falls back to
+        the LOBPCG min and max rows and trace exits 1."""
+        from stoqbench import LhMinInstance, LocalOperator, save
+        x = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        path = str(tmp_path / "h.json")
+        save(LhMinInstance(6, (LocalOperator((0,), x),) + tuple(
+            LocalOperator((q, q + 1), np.kron(x, -x)) for q in range(3)) + (
+            LocalOperator((4,), 0.5 * x),), -4.0, -3.0), path)
+        dense, sparse = tmp_path / "d.csv", tmp_path / "s.csv"
+        assert main(["spectrum", "--instance", path, "--out", str(dense)]) \
+            == EXIT_OK
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", "2")
+        assert main(["spectrum", "--instance", path, "--out", str(sparse)]) \
+            == EXIT_OK
+        want = dict(l.split(",") for l in dense.read_text().split()[1:])
+        got = dict(l.split(",") for l in sparse.read_text().split()[1:])
+        assert sorted(want) == ["gap", "ground_dim", "max", "min"]
+        assert sorted(got) == ["max", "min"]
+        for q in got:
+            assert float(got[q]) == pytest.approx(float(want[q]), abs=1e-9)
+        capsys.readouterr()
         out = tmp_path / "t.csv"
         assert main(["trace", "--instance", path, "--out", str(out)]) \
             == EXIT_ERROR

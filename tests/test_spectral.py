@@ -4,16 +4,19 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.csgraph
 from hypothesis import given, settings, strategies as st
 
-from stoqbench import (Gate, LocalOperator, OperatorSum, VerifierCircuit,
-                       assemble_dense, build_G, compile_circuit,
-                       cnf_ensemble_from_dimacs, dense_spectrum,
-                       extreme_eigenvalue, from_dimacs, perturbed_hamiltonian,
-                       random_projector_instance, spectral, spectral_gap)
-from stoqbench.ops import DenseLimitError
-from conftest import plus_instance
+from stoqbench import (Gate, LhMinInstance, LocalOperator, OperatorSum,
+                       VerifierCircuit, assemble_dense, assemble_sparse,
+                       build_G, compile_circuit, cnf_ensemble_from_dimacs,
+                       dense_spectrum, estimators, extreme_eigenvalue,
+                       from_dimacs, perturbed_hamiltonian,
+                       random_projector_instance, save, spectral, spectral_gap)
+from stoqbench.cli import EXIT_OK, main
+from stoqbench.ops import DenseLimitError, dense_limit
+from conftest import plus_instance, random_stoquastic_block
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 MINUS_X = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -287,9 +290,15 @@ class TestDenseSpectrum:
     def test_limit_bounds_component_rows(self, monkeypatch):
         g = build_G(random_projector_instance(4, 2, 3, seed=5))  # 16 rows
         diag = OperatorSum(6, (LocalOperator((0, 5), np.diag([0., 1, 2, 3])),))
+        # four -X qubits are four groups of two rows each
+        loose = OperatorSum(4, tuple(LocalOperator((q,), MINUS_X)
+                                     for q in range(4)))
         monkeypatch.setenv("STOQ_DENSE_LIMIT", "3")
         with pytest.raises(DenseLimitError, match="16 rows"):
             dense_spectrum(g)
+        monkeypatch.setenv("STOQ_DENSE_LIMIT", "1")
+        assert np.allclose(dense_spectrum(loose),
+                           [-4] + [-2] * 4 + [0] * 6 + [2] * 4 + [4])
         monkeypatch.setenv("STOQ_DENSE_LIMIT", "0")
         assert np.array_equal(dense_spectrum(diag),
                               np.repeat([0.0, 1.0, 2.0, 3.0], 16))
@@ -310,6 +319,158 @@ class TestDenseSpectrum:
         assert spectral.level_gap(evals) >= 1e-6
         assert evals[0] == pytest.approx(extreme_eigenvalue(h, "min").value,
                                          abs=1e-10)
+
+
+def ref_dense_spectrum(op):
+    """dense_spectrum without qubit groups: the components of the whole
+    register's matrix, solved in stacked eigvalsh calls by size."""
+    if isinstance(op, OperatorSum):
+        mat = assemble_sparse(op)
+    else:
+        mat = sp.csr_matrix(np.asarray(op, dtype=float))
+    coo, _, diag = spectral._split(mat)
+    if diag is not None:
+        return np.sort(diag)
+    _, labels = scipy.sparse.csgraph.connected_components(mat, directed=False)
+    sizes = np.bincount(labels)
+    if sizes.max() > 2**dense_limit():
+        raise DenseLimitError(
+            f"a component of {sizes.max()} rows exceeds the dense limit of "
+            f"2**{dense_limit()} rows")
+    order = np.lexsort((labels, sizes[labels]))
+    perm = np.empty_like(order)
+    perm[order] = np.arange(len(order))
+    row, col = perm[coo.row], perm[coo.col]
+    evals, start = [], 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        step = size * max(1, spectral.STACK_ENTRIES // size**2)
+        for lo in range(start, start + size * count, step):
+            hi = min(lo + step, start + size * count)
+            sel = (row >= lo) & (row < hi)
+            r, c = row[sel] - lo, col[sel] - lo
+            stack = np.zeros(((hi - lo) // size, size, size))
+            stack[r // size, r % size, c % size] = coo.data[sel]
+            evals.append(np.linalg.eigvalsh(stack))
+        start += size * count
+    return np.sort(np.concatenate(evals, axis=None))
+
+
+@st.composite
+def stoquastic_sums(draw, connected=False):
+    """Stoquastic sums of 1-3-qubit terms on random supports of at most 8
+    qubits, some blocks diagonal, sometimes with a term on no qubit; the
+    supports leave disjoint groups and free qubits.  ``connected`` adds a
+    term on each neighbour pair, so every qubit is in one group."""
+    n = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    if draw(st.booleans()):
+        terms.append(LocalOperator((), np.eye(1)))
+    for _ in range(draw(st.integers(0, 5)) if n else 0):
+        k = draw(st.integers(1, min(3, n)))
+        support = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                       max_size=k, unique=True)))
+        block = random_stoquastic_block(rng, len(support))
+        terms.append(LocalOperator(support, np.diag(np.diag(block))
+                                   if draw(st.booleans()) else block))
+    if connected:
+        terms += [LocalOperator((q, q + 1), random_stoquastic_block(rng, 2))
+                  for q in range(n - 1)]
+    weights = draw(st.lists(st.sampled_from([1.0, 0.5, 1 / 3, 2.0]),
+                            min_size=len(terms), max_size=len(terms)))
+    return OperatorSum(n, tuple(terms), tuple(weights))
+
+
+class TestQubitGroups:
+    """Registers whose terms fall into qubit groups with disjoint supports
+    are solved one group at a time; one group keeps the whole-register
+    component path bit for bit."""
+
+    def assert_matches_dense(self, op):
+        got = dense_spectrum(op)
+        want = np.linalg.eigvalsh(assemble_dense(op))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, op.norm_bound())
+        if len(spectral._qubit_groups(op)) <= 1:
+            assert np.array_equal(got, ref_dense_spectrum(op))
+
+    @settings(max_examples=120, deadline=None)
+    @given(stoquastic_sums())
+    def test_matches_eigvalsh(self, op):
+        self.assert_matches_dense(op)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stoquastic_sums(connected=True))
+    def test_one_group_is_the_component_path(self, op):
+        assert len(spectral._qubit_groups(op)) <= 1
+        self.assert_matches_dense(op)
+
+    @pytest.mark.parametrize("op", [
+        OperatorSum(0, ()),
+        OperatorSum(0, (LocalOperator((), np.eye(1)),), (0.5,)),
+        # two groups and a free qubit, one group diagonal
+        OperatorSum(5, (LocalOperator((), np.eye(1)),
+                        LocalOperator((0, 3), random_stoquastic_block(
+                            np.random.default_rng(1), 2)),
+                        LocalOperator((1, 4), np.diag([0.0, 1.0, 2.0, 0.5]))),
+                    (0.5, -0.25, 1.0)),
+        # free qubits only, beside the constant
+        OperatorSum(3, (LocalOperator((), np.eye(1)),), (2.0,)),
+        # a group of seven qubits goes through the component path
+        OperatorSum(8, tuple(LocalOperator((q, q + 1),
+                                           np.kron(MINUS_X, -MINUS_X))
+                             for q in range(6))),
+    ], ids=["empty", "constant", "groups", "free", "large-group"])
+    def test_edge_registers(self, op):
+        self.assert_matches_dense(op)
+
+    def test_groups_in_order_of_lowest_qubit(self):
+        op = OperatorSum(7, (LocalOperator((2, 5), np.eye(4)),
+                             LocalOperator((0, 6), np.eye(4)),
+                             LocalOperator((5, 6), np.eye(4))))
+        assert spectral._qubit_groups(op) == [[0, 2, 5, 6], [1], [3], [4]]
+
+    def test_spectrum_cli_level_structure(self, tmp_path):
+        # four groups, each G block (1/4)|++><++| with a threefold kernel
+        inst = plus_instance(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        path, out = tmp_path / "plus.json", tmp_path / "s.csv"
+        save(inst, str(path))
+        assert main(["spectrum", "--instance", str(path), "--out", str(out)]) \
+            == EXIT_OK
+        rows = dict(l.split(",") for l in out.read_text().split()[1:])
+        ref = np.linalg.eigvalsh(assemble_dense(build_G(inst)))
+        assert float(rows["min"]) == pytest.approx(ref[0], abs=1e-12)
+        assert float(rows["max"]) == pytest.approx(ref[-1], abs=1e-12)
+        assert float(rows["gap"]) == pytest.approx(spectral.level_gap(ref),
+                                                   abs=1e-12)
+        ground = int(np.sum(ref < ref[0] + spectral.LEVEL_MERGE))
+        assert int(rows["ground_dim"]) == ground == 3**4
+
+    @pytest.mark.parametrize("whole", [spectral.GROUP_DENSE_QUBITS, 0])
+    def test_exact_trace_is_one_public_call(self, monkeypatch, whole):
+        """The per-group solves, whole or by components, go around the
+        public name, so a wrapper of dense_spectrum sees one call per exact
+        trace, on the whole G."""
+        monkeypatch.setattr(spectral, "GROUP_DENSE_QUBITS", whole)
+        seen = []
+        original = spectral.dense_spectrum
+
+        def counted(op):
+            seen.append(op)
+            return original(op)
+
+        for module in (spectral, estimators):
+            monkeypatch.setattr(module, "dense_spectrum", counted)
+        h = LhMinInstance(6, (LocalOperator((0, 2), np.kron(MINUS_X, -MINUS_X)),
+                              LocalOperator((1,), MINUS_X),
+                              LocalOperator((3, 4), np.diag([1.0, 0, 0, 1]))),
+                          -2.0, -1.0)
+        g, _ = estimators.sbp_matrix(h)
+        assert len(spectral._qubit_groups(g)) == 4
+        report = estimators.trace_power(g, 3)
+        assert seen == [g]
+        want = np.trace(np.linalg.matrix_power(assemble_dense(g), 3))
+        assert report.value == pytest.approx(want, rel=1e-12)
 
 
 def test_import_loads_no_scipy_solvers():
