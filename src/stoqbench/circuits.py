@@ -88,12 +88,15 @@ def initial_state(v: VerifierCircuit, x: int, psi: np.ndarray) -> np.ndarray:
     return state
 
 
-def _out_expectation(state: np.ndarray, out_basis: str) -> float:
-    pairs = state.reshape(-1, 2)  # qubit 0 is the fastest index
+def _measured(state: np.ndarray, out_basis: str) -> np.ndarray:
+    """The amplitudes of ``state`` (a vector, or one column per witness
+    basis state) that the output measurement of qubit 0 keeps: the |0>
+    half, or the |+> projection.  Their squares sum to the acceptance
+    probability."""
+    half = state.reshape(-1, 2, *state.shape[1:])  # qubit 0 is fastest
     if out_basis == "zero":
-        return float(np.sum(pairs[:, 0] ** 2))
-    s = (pairs[:, 0] + pairs[:, 1]) / math.sqrt(2.0)
-    return float(np.sum(s * s))
+        return half[:, 0]
+    return (half[:, 0] + half[:, 1]) / math.sqrt(2.0)
 
 
 def acceptance_probability(v: VerifierCircuit, x: int, psi) -> float:
@@ -102,7 +105,8 @@ def acceptance_probability(v: VerifierCircuit, x: int, psi) -> float:
     perm = v.permutation()
     out = np.zeros_like(state)
     out[perm] = state
-    return _out_expectation(out, v.out_basis)
+    m = _measured(out, v.out_basis)
+    return float(np.sum(m * m))
 
 
 def acceptance_operator(v: VerifierCircuit, x: int) -> np.ndarray:
@@ -112,17 +116,10 @@ def acceptance_operator(v: VerifierCircuit, x: int) -> np.ndarray:
     dim_w = 2**v.n_w
     perm = v.permutation()
     cols = np.zeros((2**v.total_qubits, dim_w))
-    for w in range(dim_w):
-        e = np.zeros(dim_w)
-        e[w] = 1.0
-        state = initial_state(v, x, e)
-        cols[perm, w] = state
-    half = cols.reshape(-1, 2, dim_w)
-    if v.out_basis == "zero":
-        proj = half[:, 0, :]
-        return proj.T @ proj
-    plus = (half[:, 0, :] + half[:, 1, :]) / math.sqrt(2.0)
-    return plus.T @ plus
+    for w, e in enumerate(np.eye(dim_w)):
+        cols[perm, w] = initial_state(v, x, e)
+    m = _measured(cols, v.out_basis)
+    return m.T @ m
 
 
 def max_acceptance(v: VerifierCircuit, x: int):

@@ -228,6 +228,11 @@ def cmd_verify(args):
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"argument --steps: expected at least 1, got "
                          f"{args.steps}")
+    if args.transcripts and args.out != "-" and os.path.realpath(
+            args.transcripts) in {os.path.realpath(p) for p in (
+                args.out, f"{args.out}.manifest.json")}:
+        raise ValueError(f"argument --transcripts: {args.transcripts} would "
+                         f"overwrite --out {args.out} or its manifest")
     inst = _load(args, instances.StoqSatInstance)
     witness, witness_files = _load_witness(args.witness)
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)

@@ -36,7 +36,8 @@ DEFAULT_DENSE_LIMIT = 14
 
 
 def dense_limit() -> int:
-    """Max qubit count for dense assembly (env STOQ_DENSE_LIMIT overrides)."""
+    """Max log2 rows of a dense block: assemble_dense's register, a qubit
+    group solved whole, a component (env STOQ_DENSE_LIMIT overrides)."""
     text = os.environ.get("STOQ_DENSE_LIMIT", str(DEFAULT_DENSE_LIMIT))
     if not text.strip().isdecimal():
         raise ValueError("STOQ_DENSE_LIMIT must be a non-negative integer, "

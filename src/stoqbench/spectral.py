@@ -5,9 +5,9 @@ diagonal matrix (a CNF's G), else LOBPCG on the sparse matrix from the
 all-ones start vector, or a dense ``eigh`` of the same matrix below
 LOBPCG's minimum size.  Every pair it returns has passed a residual
 check.  ``dense_spectrum`` is the one full-spectrum path: an operator
-sum's qubit groups are solved apart and their spectra added, and a
-group (or a one-group register) by dense solves of its matrix's
-connected components, one row each when it is diagonal.
+sum's qubit groups are solved apart and their spectra added, a small
+group by one dense solve and a larger one by dense solves of its
+matrix's connected components, one row each when it is diagonal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ops import (ETA, DenseLimitError, OperatorSum, _index_dim,
                   assemble_dense, assemble_sparse, dense_limit)
@@ -117,30 +116,23 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
                           residual=residual, converged=True, method=method)
 
 
-def dense_spectrum(op) -> np.ndarray:
-    """Every eigenvalue of an operator sum or symmetric matrix, ascending.
+def dense_spectrum(op: OperatorSum) -> np.ndarray:
+    """Every eigenvalue of an operator sum, ascending.
 
-    An operator sum's qubits first split into groups, two qubits sharing
-    a group when some term's support holds both.  Terms on disjoint
-    groups commute, so with two or more groups the spectrum is every sum
-    of one eigenvalue per group, plus the terms on no qubit: each group
-    is solved on its own qubits, whole by one ``eigvalsh`` when it has at
-    most GROUP_DENSE_QUBITS qubits, else by components as below.  A
-    register of one group, and a matrix, are solved by components.
-    Raises DenseLimitError when a component of a group has more than
-    2**dense_limit() rows.
+    The qubits split into groups, two qubits sharing a group when some
+    term's support holds both.  Terms on disjoint groups commute, so the
+    spectrum is every sum of one eigenvalue per group, plus the terms on
+    no qubit.  Each group is solved on its own qubits, a register of one
+    group too: whole by one ``eigvalsh`` up to GROUP_DENSE_QUBITS qubits
+    and dense_limit(), else by ``_component_spectrum``, which raises
+    DenseLimitError on a component of over 2**dense_limit() rows.
     """
-    if not isinstance(op, OperatorSum):
-        return _component_spectrum(sp.csr_matrix(np.asarray(op, dtype=float)))
     _index_dim(op.n)  # past 62 qubits: one line, before any 2**n array
-    groups = _qubit_groups(op)
-    if len(groups) <= 1:
-        return _component_spectrum(assemble_sparse(op))
     whole = min(GROUP_DENSE_QUBITS, dense_limit())
     evals = np.array([sum(w * t.block[0, 0]
                           for w, t in zip(op.weights, op.terms)
                           if not t.support)], dtype=float)
-    for qubits in groups:
+    for qubits in _qubit_groups(op):
         evals = np.add.outer(evals, _group_spectrum(op, qubits, whole)).ravel()
     return np.sort(evals)
 
@@ -169,11 +161,15 @@ def _group_spectrum(op: OperatorSum, qubits, whole: int) -> np.ndarray:
     """The eigenvalues of op's terms on ``qubits``, relabelled 0..k-1: one
     dense eigvalsh up to ``whole`` qubits, else by components."""
     local = {q: i for i, q in enumerate(qubits)}
-    pairs = [(w, t) for w, t in zip(op.weights, op.terms)
-             if t.support and t.support[0] in local]
-    sub = OperatorSum(len(qubits), tuple(
-        replace(t, support=tuple(local[q] for q in t.support))
-        for _, t in pairs), tuple(w for w, _ in pairs))
+    terms, weights = [], []
+    for w, t in zip(op.weights, op.terms):
+        if t.support and t.support[0] in local:
+            support = tuple(local[q] for q in t.support)
+            # a term already on its local qubits is kept, not re-validated
+            terms.append(t if support == t.support
+                         else replace(t, support=support))
+            weights.append(w)
+    sub = OperatorSum(len(qubits), tuple(terms), tuple(weights))
     if sub.n <= whole:
         return np.linalg.eigvalsh(assemble_dense(sub))
     return _component_spectrum(assemble_sparse(sub))

@@ -7,9 +7,9 @@ from stoqbench import (Gate, LhMinInstance, LocalOperator, OperatorSum,
                        VerifierCircuit, acceptance_operator,
                        acceptance_probability, assemble_dense,
                        decompose_stoquastic, dyadic_weights,
-                       hamiltonian_to_verifier, load_circuit, max_acceptance,
-                       mix, save_circuit, x_projector_isometry,
-                       zero_projector_isometry)
+                       hamiltonian_to_verifier, initial_state, load_circuit,
+                       max_acceptance, mix, save_circuit,
+                       x_projector_isometry, zero_projector_isometry)
 from stoqbench.circuits import _part_verifier
 from stoqbench.ops import circuit_permutation
 
@@ -77,6 +77,53 @@ class TestVerifierCircuit:
             psi /= np.linalg.norm(psi)
             assert psi @ a @ psi == pytest.approx(
                 acceptance_probability(v, 1, psi), abs=1e-12)
+
+    def test_one_output_measurement_rule(self):
+        """acceptance_probability and acceptance_operator read the output
+        measurement from one helper; both equal, bit for bit, the separate
+        |0>/|+> projections of qubit 0 they once computed themselves."""
+        def ref_probability(state, out_basis):
+            pairs = state.reshape(-1, 2)
+            if out_basis == "zero":
+                return float(np.sum(pairs[:, 0] ** 2))
+            s = (pairs[:, 0] + pairs[:, 1]) / math.sqrt(2.0)
+            return float(np.sum(s * s))
+
+        def ref_operator(cols, out_basis):
+            half = cols.reshape(-1, 2, cols.shape[1])
+            if out_basis == "zero":
+                proj = half[:, 0, :]
+                return proj.T @ proj
+            plus = (half[:, 0, :] + half[:, 1, :]) / math.sqrt(2.0)
+            return plus.T @ plus
+
+        rng = np.random.default_rng(11)
+        kinds = {"X": 1, "CNOT": 2, "TOFFOLI": 3}
+        for i in range(200):
+            regs = rng.multinomial(int(rng.integers(3, 9)), [0.25] * 4)
+            regs[1] = max(regs[1], 1)  # a witness register to measure
+            total = int(regs.sum())
+            gates = []
+            for _ in range(int(rng.integers(1, 8))):
+                kind = str(rng.choice([k for k, w in kinds.items()
+                                       if w <= total]))
+                gates.append(Gate(kind, tuple(int(q) for q in rng.choice(
+                    total, size=kinds[kind], replace=False))))
+            v = VerifierCircuit(*(int(r) for r in regs), tuple(gates),
+                                out_basis=("plus", "zero")[i % 2])
+            x = int(rng.integers(2**v.n))
+            psi = rng.normal(size=2**v.n_w)
+            psi /= np.linalg.norm(psi)
+            out = np.zeros(2**total)
+            out[v.permutation()] = initial_state(v, x, psi)
+            assert acceptance_probability(v, x, psi) == \
+                ref_probability(out, v.out_basis)
+            cols = np.zeros((2**total, 2**v.n_w))
+            for w in range(2**v.n_w):
+                cols[v.permutation(), w] = initial_state(
+                    v, x, np.eye(2**v.n_w)[w])
+            assert np.array_equal(acceptance_operator(v, x),
+                                  ref_operator(cols, v.out_basis))
 
     def test_max_acceptance_beats_basis_witnesses(self):
         v = VerifierCircuit(n=0, n_w=2, n_0=1, n_plus=0,

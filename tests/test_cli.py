@@ -840,6 +840,33 @@ class TestRobustness:
         assert err == f"error: argument --steps: expected at least 1, got " \
                       f"{steps}\n"
 
+    @pytest.mark.parametrize("transcripts", [
+        "v.csv", "./v.csv", "v.csv.manifest.json",
+        "../{dir}/v.csv.manifest.json"])
+    def test_verify_transcripts_on_an_output_path(
+            self, sat_instance, tmp_path, capsys, monkeypatch, transcripts):
+        """--transcripts naming the CSV of --out, or its manifest, however
+        spelt, once overwrote it and exited 0."""
+        inputs = [p.name for p in tmp_path.iterdir()]
+        transcripts = transcripts.format(dir=tmp_path.name)
+        err = self.one_line_error(
+            ["verify", "--instance", sat_instance, "--witness", "6",
+             "--trials", "2", "--seed", "0", "--out", "v.csv",
+             "--transcripts", transcripts],
+            tmp_path, capsys, monkeypatch, inputs)
+        assert err == f"error: argument --transcripts: {transcripts} would " \
+                      f"overwrite --out v.csv or its manifest\n"
+
+    def test_verify_transcripts_beside_stdout(self, sat_instance, tmp_path,
+                                              capsys, monkeypatch):
+        # with --out - there is no output file to overwrite
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--instance", sat_instance, "--witness", "6",
+                     "--trials", "2", "--seed", "0", "--out", "-",
+                     "--transcripts=-.manifest.json"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("trial,")
+        assert (tmp_path / "-.manifest.json").read_text().count("\n") == 2
+
     def test_malformed_cases_start_from_valid_documents(self, tmp_path):
         (tmp_path / "h.json").write_text(json.dumps(self.LH_MIN))
         (tmp_path / "c.json").write_text(json.dumps(self.CIRCUIT))

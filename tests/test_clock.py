@@ -96,8 +96,8 @@ class TestGroundSpace:
                             gates=(Gate("CNOT", (1, 3)), Gate("X", (0,))),
                             out_basis="zero")
         clock = compile_circuit(v, 1)
-        h = assemble_dense(clock.hamiltonian().operator())
-        evals = np.linalg.eigvalsh(h)
+        h = clock.hamiltonian().operator()
+        evals = np.linalg.eigvalsh(assemble_dense(h))
         assert abs(evals[0]) <= 1e-10
         gap = spectral_gap(h)
         assert gap > 0.0

@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.csgraph
 from hypothesis import given, settings, strategies as st
 
@@ -167,44 +166,49 @@ class TestDiagonalEigenpair:
         assert np.all(res.vector[top] == res.vector[top[0]])
 
     def test_dense_spectrum_skips_components(self, monkeypatch):
-        # a diagonal matrix's spectrum is its sorted diagonal, bit for bit;
-        # no component labelling runs
-        g = build_G(from_dimacs(SAT_5))
-        want = np.linalg.eigvalsh(assemble_dense(g))
+        # a diagonal group too large to solve whole: its spectrum is its
+        # sorted diagonal, bit for bit, and no component labelling runs
+        rng = np.random.default_rng(2)
+        diag = OperatorSum(7, tuple(LocalOperator((q, q + 1),
+                                                  np.diag(rng.normal(size=4)))
+                                    for q in range(6)))
+        want = np.linalg.eigvalsh(assemble_dense(diag))
 
         def refuse(*args, **kwargs):
             raise AssertionError("connected_components ran")
 
         monkeypatch.setattr(scipy.sparse.csgraph, "connected_components",
                             refuse)
-        assert np.array_equal(dense_spectrum(g), want)
-        assert np.array_equal(dense_spectrum(np.diag([3.0, -1.0, 0.0])),
-                              [-1.0, 0.0, 3.0])
+        assert len(spectral._qubit_groups(diag)) == 1
+        assert diag.n > spectral.GROUP_DENSE_QUBITS
+        assert np.array_equal(dense_spectrum(diag), want)
         with pytest.raises(AssertionError, match="connected_components"):
-            dense_spectrum(build_G(plus_instance(2, [(0, 1)])))
+            dense_spectrum(build_G(plus_instance(7, [(q, q + 1)
+                                                     for q in range(6)])))
 
 
 class TestDenseDiagnostics:
     def test_gap_two_level(self):
-        assert spectral_gap(np.diag([0.0, 1.0])) == pytest.approx(1.0)
+        assert spectral.level_gap(np.array([0.0, 1.0])) == pytest.approx(1.0)
 
     def test_gap_skips_exact_degeneracy(self):
-        assert spectral_gap(np.diag([0.0, 0.0, 2.0])) == pytest.approx(2.0)
+        assert spectral.level_gap(np.array([0.0, 0.0, 2.0])) == \
+            pytest.approx(2.0)
 
     def test_gap_zero_for_flat_spectrum(self):
-        assert spectral_gap(np.zeros((2, 2))) == 0.0
+        assert spectral_gap(OperatorSum(1, ())) == 0.0
 
     def test_clock_gap_positive(self):
         v = VerifierCircuit(n=0, n_w=0, n_0=0, n_plus=1,
                             gates=(Gate("X", (0,)), Gate("X", (0,))))
         h = compile_circuit(v, 0).hamiltonian().operator()
-        assert spectral_gap(assemble_dense(h)) > 0.0
+        assert spectral_gap(h) > 0.0
 
     def test_clock_ground_dimension(self):
         v = VerifierCircuit(n=1, n_w=2, n_0=0, n_plus=0,
                             gates=(Gate("CNOT", (1, 2)), Gate("X", (0,))),
                             out_basis="zero")
-        h = assemble_dense(compile_circuit(v, 0).hamiltonian().operator())
+        h = compile_circuit(v, 0).hamiltonian().operator()
         gap = spectral_gap(h)
         assert np.sum(dense_spectrum(h) < gap / 2) == 2**v.n_w
 
@@ -273,10 +277,12 @@ class TestDenseSpectrum:
                                   np.linalg.eigvalsh(assemble_dense(op)))
 
     def test_matrix_input(self):
+        # a matrix enters as one term on every qubit
         rng = np.random.default_rng(3)
-        m = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.3)
+        m = rng.normal(size=(8, 8)) * (rng.random((8, 8)) < 0.3)
         m = m + m.T
-        assert np.allclose(dense_spectrum(m), np.linalg.eigvalsh(m),
+        op = OperatorSum(3, (LocalOperator((0, 1, 2), m),))
+        assert np.allclose(dense_spectrum(op), np.linalg.eigvalsh(m),
                            atol=1e-12)
 
     def test_stacks_split_by_size_agree(self, monkeypatch):
@@ -324,10 +330,7 @@ class TestDenseSpectrum:
 def ref_dense_spectrum(op):
     """dense_spectrum without qubit groups: the components of the whole
     register's matrix, solved in stacked eigvalsh calls by size."""
-    if isinstance(op, OperatorSum):
-        mat = assemble_sparse(op)
-    else:
-        mat = sp.csr_matrix(np.asarray(op, dtype=float))
+    mat = assemble_sparse(op)
     coo, _, diag = spectral._split(mat)
     if diag is not None:
         return np.sort(diag)
@@ -356,12 +359,12 @@ def ref_dense_spectrum(op):
 
 
 @st.composite
-def stoquastic_sums(draw, connected=False):
-    """Stoquastic sums of 1-3-qubit terms on random supports of at most 8
-    qubits, some blocks diagonal, sometimes with a term on no qubit; the
+def stoquastic_sums(draw, connected=False, n_min=0):
+    """Stoquastic sums of 1-3-qubit terms on random supports of n_min to
+    8 qubits, some blocks diagonal, sometimes with a term on no qubit; the
     supports leave disjoint groups and free qubits.  ``connected`` adds a
     term on each neighbour pair, so every qubit is in one group."""
-    n = draw(st.integers(0, 8))
+    n = draw(st.integers(n_min, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     terms = []
     if draw(st.booleans()):
@@ -383,16 +386,25 @@ def stoquastic_sums(draw, connected=False):
 
 class TestQubitGroups:
     """Registers whose terms fall into qubit groups with disjoint supports
-    are solved one group at a time; one group keeps the whole-register
-    component path bit for bit."""
+    are solved one group at a time, a register of one group included; a
+    group too large to solve whole keeps the component path bit for
+    bit."""
 
     def assert_matches_dense(self, op):
         got = dense_spectrum(op)
         want = np.linalg.eigvalsh(assemble_dense(op))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, op.norm_bound())
-        if len(spectral._qubit_groups(op)) <= 1:
-            assert np.array_equal(got, ref_dense_spectrum(op))
+        if len(spectral._qubit_groups(op)) == 1 \
+                and op.n > spectral.GROUP_DENSE_QUBITS:
+            # the terms on no qubit add a constant to the group's spectrum
+            pairs = [(w, t) for w, t in zip(op.weights, op.terms)
+                     if t.support]
+            group = OperatorSum(op.n, tuple(t for _, t in pairs),
+                                tuple(w for w, _ in pairs))
+            const = sum(w * t.block[0, 0]
+                        for w, t in zip(op.weights, op.terms) if not t.support)
+            assert np.array_equal(got, const + ref_dense_spectrum(group))
 
     @settings(max_examples=120, deadline=None)
     @given(stoquastic_sums())
@@ -400,10 +412,43 @@ class TestQubitGroups:
         self.assert_matches_dense(op)
 
     @settings(max_examples=40, deadline=None)
-    @given(stoquastic_sums(connected=True))
+    @given(stoquastic_sums(connected=True,
+                           n_min=spectral.GROUP_DENSE_QUBITS + 1))
     def test_one_group_is_the_component_path(self, op):
-        assert len(spectral._qubit_groups(op)) <= 1
+        assert len(spectral._qubit_groups(op)) == 1
         self.assert_matches_dense(op)
+
+    @pytest.mark.parametrize("op", [
+        build_G(plus_instance(2, [(0, 1)])),
+        build_G(from_dimacs(SAT_5)),
+        compile_circuit(VerifierCircuit(0, 1, 0, 1, (Gate("CNOT", (0, 1)),)),
+                        0).hamiltonian().operator(),
+    ], ids=["plus", "cnf", "clock"])
+    def test_small_group_is_one_dense_solve(self, monkeypatch, op):
+        """A register of one group of at most GROUP_DENSE_QUBITS qubits is
+        built once by assemble_dense and solved by one eigvalsh: no sparse
+        assembly and no component labelling."""
+        calls = {"assemble_dense": 0, "assemble_sparse": 0,
+                 "connected_components": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(spectral, "assemble_dense")
+        counted(spectral, "assemble_sparse")
+        counted(scipy.sparse.csgraph, "connected_components")
+        assert len(spectral._qubit_groups(op)) == 1
+        assert op.n <= spectral.GROUP_DENSE_QUBITS
+        got = dense_spectrum(op)
+        assert calls == {"assemble_dense": 1, "assemble_sparse": 0,
+                         "connected_components": 0}
+        want = np.linalg.eigvalsh(assemble_dense(op))
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, op.norm_bound())
 
     @pytest.mark.parametrize("op", [
         OperatorSum(0, ()),
