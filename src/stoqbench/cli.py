@@ -104,6 +104,47 @@ _KINDS = {instances.StoqSatInstance: "a stoq-sat",
           instances.DisorderEnsemble: "an ensemble"}
 
 
+# the flags that name a file a command reads (compile's --input is the
+# circuit's input string, not a path)
+_INPUT_FLAGS = ("instance", "witness", "dimacs", "cnf", "circuit")
+
+
+def _file_id(path):
+    """(device, inode) of the file at ``path``, or None if there is none."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _check_outputs(args):
+    """Raise ValueError when --transcripts is --out or its manifest, by
+    real path, or when a file the command would write is, by device and
+    inode, a file it reads."""
+    outs = [] if args.out == "-" else [
+        ("argument --out:", args.out),
+        ("argument --out: its manifest", f"{args.out}.manifest.json")]
+    transcripts = getattr(args, "transcripts", "")
+    if transcripts:
+        real = os.path.realpath
+        if real(transcripts) in {real(p) for _, p in outs}:
+            raise ValueError(f"argument --transcripts: {transcripts} would "
+                             f"overwrite --out {args.out} or its manifest")
+        outs.append(("argument --transcripts:", transcripts))
+    written = {_file_id(p): f"{what} {p}" for what, p in outs}
+    written.pop(None, None)  # an output not yet written is no input
+    if not written:
+        return
+    for flag in _INPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path is None or flag == "witness" and _literal(path) is not None:
+            continue
+        what = written.get(_file_id(path))
+        if what is not None:
+            raise ValueError(f"{what} would overwrite --{flag} {path}")
+
+
 def _load(args, *kinds):
     """The instance at ``args.instance``, which must be one of ``kinds``,
     classes that _KINDS names."""
@@ -210,14 +251,22 @@ def cmd_prove(args):
     return EXIT_PROMISE if hw.looks_unsat else EXIT_OK, [args.instance]
 
 
+def _literal(text: str):
+    """``text`` as an int literal (0b.., 0x.. or decimal), else None."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        return None
+
+
 def _load_witness(text: str):
     """The witness and the files it came from: ``text`` is an int literal
-    (0b.., 0x.. or decimal) or the path of a witness file."""
-    try:
-        return int(text, 0), []
-    except ValueError:
-        with open(text, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    or the path of a witness file."""
+    value = _literal(text)
+    if value is not None:
+        return value, []
+    with open(text, encoding="utf-8") as fh:
+        doc = json.load(fh)
     argmax = doc.get("argmax") if isinstance(doc, dict) else None
     if type(argmax) is not int:
         raise ValueError(f"witness file {text} has no integer \"argmax\"")
@@ -228,11 +277,6 @@ def cmd_verify(args):
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"argument --steps: expected at least 1, got "
                          f"{args.steps}")
-    if args.transcripts and args.out != "-" and os.path.realpath(
-            args.transcripts) in {os.path.realpath(p) for p in (
-                args.out, f"{args.out}.manifest.json")}:
-        raise ValueError(f"argument --transcripts: {args.transcripts} would "
-                         f"overwrite --out {args.out} or its manifest")
     inst = _load(args, instances.StoqSatInstance)
     witness, witness_files = _load_witness(args.witness)
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
@@ -415,6 +459,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         dense_limit()  # a bad STOQ_DENSE_LIMIT fails before any output
+        _check_outputs(args)
         # looked up per call, not held by the once-built parser, so a
         # cmd_* rebound on this module (bench/instrument.py wraps them)
         # is the one that runs

@@ -29,6 +29,10 @@ STACK_ENTRIES = 1 << 24
 # Qubit groups up to this size are solved whole, without a component split.
 GROUP_DENSE_QUBITS = 6
 
+# dense_spectrum returns all 2**n eigenvalues of a register of at most
+# this many qubits (128 MiB of floats), and raises DenseLimitError above.
+SPECTRUM_QUBITS = 24
+
 # Eigenvalues closer than this are one level (level_gap, ground_dim).
 LEVEL_MERGE = 1e-8
 
@@ -125,9 +129,15 @@ def dense_spectrum(op: OperatorSum) -> np.ndarray:
     no qubit.  Each group is solved on its own qubits, a register of one
     group too: whole by one ``eigvalsh`` up to GROUP_DENSE_QUBITS qubits
     and dense_limit(), else by ``_component_spectrum``, which raises
-    DenseLimitError on a component of over 2**dense_limit() rows.
+    DenseLimitError on a component of over 2**dense_limit() rows.  A
+    register of over SPECTRUM_QUBITS qubits raises DenseLimitError before
+    any group is solved.
     """
-    _index_dim(op.n)  # past 62 qubits: one line, before any 2**n array
+    # past 62 qubits: one line, before any 2**n array
+    if _index_dim(op.n) > 2**SPECTRUM_QUBITS:
+        raise DenseLimitError(
+            f"{op.n} qubits have 2**{op.n} eigenvalues, past the dense "
+            f"limit of 2**{SPECTRUM_QUBITS} for a full spectrum")
     whole = min(GROUP_DENSE_QUBITS, dense_limit())
     evals = np.array([sum(w * t.block[0, 0]
                           for w, t in zip(op.weights, op.terms)

@@ -22,6 +22,15 @@ import numpy as np
 from .ops import ETA, OperatorSum, apply_to_basis, column
 from .instances import StoqSatInstance
 
+# exact_acceptance leaves a closure of more strings than this to the Monte
+# Carlo: P^L on the closure costs (strings)^3 log L.
+EXACT_CLOSURE_CAP = 64
+
+# The most by which an edge's log r may miss phi(y) - phi(x) in
+# exact_acceptance: far below ETA, so that the drift it allows over L
+# steps stays clear of the ETA * L threshold.
+PHI_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -235,27 +244,96 @@ class WalkRunner:
         draws: every string reachable from it has a compiled row, and every
         move of those rows has log r exactly 0.0, so a trial takes its L
         steps adding only 0.0 to log_r_sum (as on |+> projectors, where
-        theta is flat on the witness's support).  A depth-first pass over
-        the compiled rows, which fills the walk's row cache; False at the
-        first rejecting row, the first move whose log r is not 0.0 (None
-        included), or once the closure would pass ``cap`` strings.
+        theta is flat on the witness's support).  False at the first
+        rejecting row of the ``_closure`` pass, the first move whose log r
+        is not 0.0 (None included), or once the closure would pass ``cap``
+        strings.
         """
+        for _, row in self._closure(witness, cap):
+            if not isinstance(row, tuple):
+                return False
+            for _, log_r in row[1]:
+                if log_r != 0.0:
+                    return False
+        return True
+
+    def exact_acceptance(self, witness: int, steps: int, cap: int):
+        """The probability that a trial of ``steps`` steps from ``witness``
+        is accepted, summed over its closure, or None.
+
+        The walk is a Markov chain P on the closure: string x moves to the
+        y of its k-th move with probability bounds[k] - bounds[k-1], the
+        differences of [0, *bounds, 1], as bisect_left draws it for a
+        uniform.  A move whose log r is None, or into a rejecting string,
+        carries rejection mass and has no entry in P.  log_r_sum
+        telescopes on the potential phi(y) = phi(x) + log r(x, y), with
+        phi(witness) = 0, so a trial that survives is accepted when its
+        end string has phi <= ETA * steps.  The answer is the mass that
+        row ``witness`` of P^steps puts on those strings, clamped to [0, 1];
+        exactly 1.0 when no closure string rejects, no move has log r None
+        and every end string passes, and 0.0 when the walk rejects at the
+        witness.  None when the closure would pass ``cap`` strings, when an
+        edge breaks phi by more than PHI_TOL, or when an end string's phi
+        is so close to ETA * steps that a trial's rounded log_r_sum could
+        fall on either side.
+        """
+        closure = list(self._closure(witness, cap))
+        if closure[-1][1] is None:
+            return None
+        live = {x: row for x, row in closure if isinstance(row, tuple)}
+        if witness not in live:  # every trial rejects at the witness
+            return 0.0
+        index = {x: i for i, x in enumerate(live)}  # the witness is 0
+        P = np.zeros((len(index), len(index)))
+        phi = {witness: 0.0}
+        sure = len(live) == len(closure)
+        # closure order is discovery order: phi[x] is set before x's row
+        for x, (bounds, moves, *_) in live.items():
+            for (y, log_r), lo, hi in zip(moves, [0.0, *bounds],
+                                          [*bounds, 1.0]):
+                if log_r is None or y not in index:
+                    sure = False
+                    continue
+                P[index[x], index[y]] = hi - lo
+                f = phi.setdefault(y, phi[x] + log_r)
+                if abs(phi[x] + log_r - f) > PHI_TOL:
+                    return None
+        mass = np.linalg.matrix_power(P, steps)[0]
+        ends = [(m, phi[x]) for x, m in zip(index, mass.tolist()) if m > 0.0]
+        # a trial's log_r_sum is its end string's phi, off by at most
+        # PHI_TOL per step and the rounding of its running sum
+        threshold = ETA * steps
+        span = max(abs(f) for f in phi.values())
+        margin = steps * (PHI_TOL + 2.0**-51 * (span + steps * PHI_TOL))
+        if any(abs(f - threshold) <= margin for _, f in ends):
+            return None
+        passed = [m for m, f in ends if f <= threshold]
+        if sure and len(passed) == len(ends):
+            return 1.0
+        return min(1.0, max(0.0, math.fsum(passed)))
+
+    def _closure(self, witness: int, cap: int):
+        """Depth-first pass over the strings that a walk from ``witness``
+        can reach, filling the row cache: yields (x, row) on each string's
+        first visit, row its compiled row or the reason the walk rejects
+        there, and (None, None) before it stops once the closure would pass
+        ``cap`` strings.  A move whose log r is None is not followed: the
+        walk rejects on drawing it."""
         self._start(witness)
         seen, todo = {witness}, [witness]
         while todo:
             x = todo.pop()
             row = self._rows.get(x) or self._row(x)
+            yield x, row
             if isinstance(row, str):
-                return False
+                continue
             for y, log_r in row[1]:
-                if log_r != 0.0:
-                    return False
-                if y not in seen:
+                if log_r is not None and y not in seen:
                     if len(seen) >= cap:
-                        return False
+                        yield None, None
+                        return
                     seen.add(y)
                     todo.append(y)
-        return True
 
     def _start(self, witness: int):
         """The compiled row of the witness, or the reason the walk rejects
@@ -363,14 +441,16 @@ class AcceptanceReport:
     lower: float
     upper: float
     trials: int
-    accepted: int
+    accepted: int  # None in an exact report, which runs no trial
     deterministic: bool = False
+    exact: bool = False
 
 
 def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
                     config: WalkConfig, runner: WalkRunner = None,
                     majority: int = 1) -> AcceptanceReport:
-    """Monte Carlo acceptance over seeded independent trials.
+    """Acceptance probability of a witness: exact where the closure allows,
+    else Monte Carlo over seeded independent trials.
 
     The trials are those of WalkRunner.sweep: vote v of trial i draws the
     Philox stream with counter [0, 0, i, v], so results are a pure
@@ -379,9 +459,14 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
     0 runs: 0 <= 0 <= 0 for a rejection at step 0, and the Wilson
     interval of all trials accepted, as the Monte Carlo would give it,
     for a fixed point or a witness that ``WalkRunner.certain`` accepts
-    within trials x majority x steps strings.  ``majority`` > 1 repeats
-    each trial and takes a majority vote (the amplification wrapper for
-    delta-perturbed sampling).
+    within trials x majority x steps strings.  Otherwise, when
+    ``WalkRunner.exact_acceptance`` gives the probability p within
+    EXACT_CLOSURE_CAP strings, no trial runs and the report is marked
+    exact: rate = lower = upper = the chance that more than half of
+    ``majority`` independent votes accept, p itself for one vote, with
+    ``accepted`` None.  ``majority`` > 1 repeats each trial and takes a
+    majority vote (the amplification wrapper for delta-perturbed
+    sampling).
     """
     if runner is None:
         runner = WalkRunner(instance)
@@ -394,8 +479,25 @@ def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
             witness, trials * majority * config.steps):
         return AcceptanceReport(*wilson_interval(trials, trials), trials,
                                 trials, deterministic=True)
+    p = runner.exact_acceptance(witness, config.steps, EXACT_CLOSURE_CAP)
+    if p is not None:
+        p = _majority_tail(p, majority)
+        return AcceptanceReport(p, p, p, trials, None, exact=True)
     accepted = 0
     for trial in votes:
         accepted += sum(t.accepted for t in trial) * 2 > majority
     rate, lo, hi = wilson_interval(accepted, trials)
     return AcceptanceReport(rate, lo, hi, trials, accepted)
+
+
+def _majority_tail(p: float, majority: int) -> float:
+    """The chance that more than half of ``majority`` independent votes,
+    each accepted with probability p, accept: the binomial tail, its terms
+    in log space so that no binomial coefficient overflows a double."""
+    if majority == 1 or p in (0.0, 1.0):
+        return p
+    log_p, log_q, top = math.log(p), math.log1p(-p), math.lgamma(majority + 1)
+    return min(1.0, math.fsum(
+        math.exp(top - math.lgamma(k + 1) - math.lgamma(majority - k + 1)
+                 + k * log_p + (majority - k) * log_q)
+        for k in range(majority // 2 + 1, majority + 1)))

@@ -153,7 +153,9 @@ def test_criterion_1_completeness():
                                   else ""))
 
 
-def test_criterion_2_soundness():
+def soundness_fixtures():
+    """Criterion 2's no-instances as (kind, instance): unsat CNFs and the
+    clock exports of rejecting circuits."""
     fixtures = []
     rng = np.random.default_rng(202)
     for n, extra in [(2, 0), (3, 2), (4, 3), (5, 4), (6, 5), (6, 8), (7, 6),
@@ -164,6 +166,11 @@ def test_criterion_2_soundness():
         assert inst.metadata["lambda_max"] < 1.0 - 1e-6
         fixtures.append(("export", inst))
     assert len(fixtures) >= 20
+    return fixtures
+
+
+def test_criterion_2_soundness():
+    fixtures = soundness_fixtures()
     failures = []
     worst = 0.0
     for kind, inst in fixtures:
@@ -191,6 +198,28 @@ def test_criterion_2_soundness():
            f"{len(fixtures)} no-instances, all basis witnesses, worst "
            f"rate {worst:.4f} <= 1/3 + Wilson half-width"
            + ("; " + "; ".join(failures[:5]) if failures else ""))
+
+
+def test_criterion_2_exact_soundness():
+    """Criterion 2's walking witnesses, those whose report is not
+    deterministic, each get an exact acceptance <= 1/3: no trial runs."""
+    walking, worst, failures = 0, 0.0, []
+    for kind, inst in soundness_fixtures():
+        steps = required_steps(inst.n, inst.epsilon, inst.m)
+        runner = WalkRunner(inst)
+        config = WalkConfig(steps=steps, seed=22)
+        for w in range(2**inst.n):
+            rep = acceptance_rate(inst, w, 200, config, runner=runner)
+            if rep.deterministic:
+                continue
+            walking += 1
+            worst = max(worst, rep.rate)
+            if not rep.exact or rep.rate > 1.0 / 3.0:
+                failures.append(f"{kind} n={inst.n} w={w}: {rep}")
+    report(2, "exact soundness", walking and not failures,
+           f"{walking} walking basis witnesses, worst exact acceptance "
+           f"{worst:.4f} <= 1/3" + ("; " + "; ".join(failures[:5])
+                                    if failures else ""))
 
 
 def random_block_projector(rng):

@@ -857,6 +857,57 @@ class TestRobustness:
         assert err == f"error: argument --transcripts: {transcripts} would " \
                       f"overwrite --out v.csv or its manifest\n"
 
+    # argv, then the head of the one error line
+    OVERWRITES = {
+        "spectrum-out": (["spectrum", "--instance", "orig.json", "--out",
+                          "orig.json"], "argument --out: orig.json would "
+                         "overwrite --instance orig.json"),
+        "verify-transcripts": (
+            ["verify", "--instance", "inst.json", "--witness", "6",
+             "--trials", "2", "--seed", "0", "--out", "v.csv",
+             "--transcripts", "inst.json"],
+            "argument --transcripts: inst.json would overwrite --instance"),
+        "manifest": (["prove", "--instance", "inst.json.manifest.json",
+                      "--out", "./inst.json"], "argument --out: its manifest"),
+        "witness-file": (["verify", "--instance", "inst.json", "--witness",
+                          "w.json", "--seed", "0", "--out", "w.json"],
+                         "argument --out: w.json would overwrite --witness"),
+        "dimacs": (["gen", "from-dimacs", "--dimacs", "f.cnf", "--out",
+                    "../{dir}/f.cnf"], "argument --out: ../"),
+        "circuit": (["compile", "--to", "clock", "--circuit", "c.json",
+                     "--out", "c.json"], "argument --out: c.json"),
+    }
+
+    @pytest.mark.parametrize("case", OVERWRITES)
+    def test_output_path_names_an_input(self, case, tmp_path, capsys,
+                                        monkeypatch):
+        """An output path that names one of the command's inputs, however
+        spelt, once overwrote it and exited 0: now exit 1 with one line,
+        before any file is read or written, the input's bytes unchanged."""
+        save(instances.from_dimacs(SAT_3), tmp_path / "orig.json")
+        save(instances.from_dimacs(SAT_3), tmp_path / "inst.json")
+        write(tmp_path / "inst.json.manifest.json",
+              (tmp_path / "inst.json").read_text())
+        write(tmp_path / "w.json", '{"argmax": 6}')
+        write(tmp_path / "f.cnf", SAT_3)
+        save_circuit(VerifierCircuit(0, 0, 0, 1, (Gate("X", (0,)),)),
+                     tmp_path / "c.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv, head = self.OVERWRITES[case]
+        argv = [a.format(dir=tmp_path.name) for a in argv]
+        err = self.one_line_error(argv, tmp_path, capsys, monkeypatch,
+                                  list(before))
+        assert err.startswith(f"error: {head.format(dir=tmp_path.name)}")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_witness_literal_is_not_a_path(self, sat_instance, tmp_path,
+                                           monkeypatch):
+        # --witness 6 names no file, so an output called 6 is allowed
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--instance", sat_instance, "--witness", "6",
+                     "--trials", "2", "--seed", "0", "--out", "6"]) == EXIT_OK
+        assert (tmp_path / "6").read_text().startswith("trial,")
+
     def test_verify_transcripts_beside_stdout(self, sat_instance, tmp_path,
                                               capsys, monkeypatch):
         # with --out - there is no output file to overwrite

@@ -23,7 +23,8 @@ from stoqbench import (AcceptanceReport, Gate, LocalOperator, StoqSatInstance,
 from stoqbench.cli import main as cli_main
 from stoqbench.ops import ETA
 from conftest import plus_instance
-from test_acceptance import planted_sat_dimacs, rejecting_circuits
+from test_acceptance import (planted_sat_dimacs, rejecting_circuits,
+                             soundness_fixtures)
 from test_ops import ref_element
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -403,7 +404,12 @@ class TestAcceptanceRate:
         assert rep == AcceptanceReport(0.0, 0.0, 0.0, 300, 0,
                                        deterministic=True)
         assert calls == []
-        # a witness whose walk draws does derive them, one Philox per call
+        # a witness that walks is summed exactly over its closure and
+        # derives none either; one left to the Monte Carlo derives them,
+        # one Philox per call
+        assert acceptance_rate(inst, 0, 300, config, majority=3).exact
+        assert calls == []
+        monkeypatch.setattr(walk, "EXACT_CLOSURE_CAP", 1)
         acceptance_rate(inst, 0, 300, config, majority=3)
         assert len(calls) == 1
 
@@ -604,6 +610,138 @@ class TestFixedPointWitness:
         assert rep == dataclasses.replace(ref, deterministic=True)
         assert (rep.rate, rep.lower, rep.upper) == wilson_interval(20, 20)
         assert runs == []
+
+
+def rank_one(*amplitudes):
+    """|psi><psi| for psi proportional to ``amplitudes``."""
+    psi = np.array(amplitudes, dtype=float)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi)
+
+
+def skewed_instance(n):
+    """The rank-one projector on (1, 2)/sqrt(5) on each of n qubits: every
+    string walks, and every move's log r is 0 or +-log(2)."""
+    return StoqSatInstance(n, 0.5, tuple(LocalOperator((q,), rank_one(1, 2))
+                                         for q in range(n)))
+
+
+class TestExactAcceptance:
+    """WalkRunner.exact_acceptance sums a trial's acceptance over P^L on the
+    witness's closure; acceptance_rate reports it in place of the Monte
+    Carlo, or runs today's Monte Carlo where it gives None."""
+
+    # |u><u| + |v><v| with u on 00, 11 and v on 01, 10 flips both qubits
+    # with r = 1, while the first projector flips qubit 0 with r = 2 or
+    # 1/2: every row normalizes, but a cycle 00 -> 01 -> 10 -> 11 -> 00
+    # sums log r to 2 log 2, so no potential phi exists
+    BROKEN = StoqSatInstance(2, 0.5, (
+        LocalOperator((0,), rank_one(1, 2)),
+        LocalOperator((0, 1), rank_one(1, 0, 0, 1) + rank_one(0, 1, 1, 0))))
+
+    @staticmethod
+    def tied(steps):
+        """A one-qubit rank-one projector whose move 0 -> 1 has log r
+        within rounding of ETA * steps, the product test's threshold."""
+        return StoqSatInstance(1, 1.0, (LocalOperator(
+            (0,), rank_one(1, math.exp(ETA * steps))),))
+
+    def test_closure_that_cannot_reject_is_exactly_one(self):
+        # test_walking_witness_is_not_deterministic's instance: witness 1
+        # moves to 0 with r = 1/2, no string rejects and every end string
+        # passes, so the sum, which rounds to 1 + 2^-52 there, is not used
+        psi = np.array([1.0, 2.0]) / math.sqrt(5.0)
+        inst = StoqSatInstance(1, 1.0,
+                               (LocalOperator((0,), np.outer(psi, psi)),))
+        runner = WalkRunner(inst)
+        assert not runner.certain(1, 100)
+        assert runner.exact_acceptance(1, 4, walk.EXACT_CLOSURE_CAP) == 1.0
+        rep = acceptance_rate(inst, 1, 20, WalkConfig(steps=4, seed=2))
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 20, None, exact=True)
+        for majority in (2, 3, 4):
+            assert acceptance_rate(inst, 1, 20, WalkConfig(steps=4, seed=2),
+                                   majority=majority).rate == 1.0
+        # from 0 an end string at 1 fails the product test (phi = log 2),
+        # and each step lands on 0 with probability 1/5 from either string
+        p = runner.exact_acceptance(0, 4, walk.EXACT_CLOSURE_CAP)
+        assert p == pytest.approx(0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("majority", [2, 3, 4, 5, 7])
+    def test_majority_tail_matches_enumeration(self, majority):
+        inst = random_projector_instance(3, 2, 3, 0)
+        config = WalkConfig(steps=5, seed=4)
+        p = WalkRunner(inst).exact_acceptance(0, 5, walk.EXACT_CLOSURE_CAP)
+        assert 0.0 < p < 1.0
+        want = math.fsum(
+            math.prod(p if v else 1.0 - p for v in votes)
+            for votes in itertools.product((0, 1), repeat=majority)
+            if sum(votes) * 2 > majority)
+        rep = acceptance_rate(inst, 0, 30, config, majority=majority)
+        assert rep.exact and rep.accepted is None
+        assert rep.rate == rep.lower == rep.upper
+        assert rep.rate == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert acceptance_rate(inst, 0, 30, config).rate == p
+
+    @pytest.mark.parametrize("case", ["cap", "broken-phi", "tie"])
+    def test_none_gives_the_monte_carlo_report(self, case):
+        if case == "cap":
+            # 2^7 strings reachable from every witness
+            inst, witness, steps = skewed_instance(7), 0b1111111, 6
+            assert WalkRunner(inst).exact_acceptance(witness, steps, 128) \
+                == 1.0
+        elif case == "broken-phi":
+            inst, witness, steps = self.BROKEN, 0, 5
+        else:
+            inst, witness, steps = self.tied(6), 0, 6
+        runner = WalkRunner(inst)
+        assert not runner.certain(witness, 10**6)
+        assert runner.exact_acceptance(witness, steps,
+                                       walk.EXACT_CLOSURE_CAP) is None
+        config = WalkConfig(steps=steps, seed=3)
+        rep = acceptance_rate(inst, witness, 60, config, runner=runner)
+        assert not rep.exact and not rep.deterministic
+        assert rep == reference_acceptance_rate(WalkRunner(inst), witness, 60,
+                                                config)
+
+    def test_each_edge_checked_against_phi(self):
+        # the broken instance gives None from every string, within any cap
+        runner = WalkRunner(self.BROKEN)
+        for w in range(4):
+            assert isinstance(runner._start(w), tuple)
+            assert runner.exact_acceptance(w, 5, 4) is None
+        # without the first projector every move has r = 1: phi is flat
+        runner = WalkRunner(StoqSatInstance(2, 0.5, (LocalOperator(
+            (0, 1), rank_one(1, 0, 0, 1) + rank_one(0, 1, 1, 0)),)))
+        assert runner.certain(0, 4)
+
+    def test_exact_value_inside_monte_carlo_interval(self):
+        """Criterion 2's walking witnesses, the i-th walked by the per-trial
+        reference at seed i: the exact value lies in the 200-trial Wilson
+        interval for at least 95% of them (184 of 189 here; at these
+        values the binomial gives 96.2% +- 1.4% on average), and the
+        pooled count of accepted trials is within 4 standard deviations of
+        200 times the sum of the exact values."""
+        cases = []
+        for _, inst in soundness_fixtures():
+            runner = WalkRunner(inst)
+            steps = required_steps(inst.n, inst.epsilon, inst.m)
+            for w in range(2**inst.n):
+                row = runner._start(w)
+                if isinstance(row, tuple) and row[1] != [(w, 0.0)] and \
+                        not runner.certain(w, 10**6):
+                    cases.append((runner, w, steps, runner.exact_acceptance(
+                        w, steps, walk.EXACT_CLOSURE_CAP)))
+        assert len(cases) == 189
+        inside = accepted = 0
+        for i, (runner, w, steps, p) in enumerate(cases):
+            ref = reference_acceptance_rate(runner, w, 200,
+                                            WalkConfig(steps=steps, seed=i))
+            inside += ref.lower <= p <= ref.upper
+            accepted += ref.accepted
+        assert inside >= 0.95 * len(cases), inside
+        mean = 200 * math.fsum(p for *_, p in cases)
+        sd = math.sqrt(200 * math.fsum(p * (1 - p) for *_, p in cases))
+        assert abs(accepted - mean) <= 4 * sd, (accepted, mean, sd)
 
 
 def reference_verify_csv(inst, witness, steps, trials, seed):
