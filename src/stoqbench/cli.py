@@ -359,9 +359,8 @@ def cmd_ensemble(args):
         stats = estimators.lambda_stats(ens, args.samples, seed=args.seed)
         decision = ""
     rows = []
-    for i, lam in enumerate(stats.lambdas):
-        r_hex = "-".join(format(r, "x") for r in stats.rs[i]) if stats.rs else ""
-        rows.append([i, r_hex, lam])
+    for i, (lam, r) in enumerate(zip(stats.lambdas, stats.rs)):
+        rows.append([i, "-".join(format(x, "x") for x in r.tolist()), lam])
     rows.append(["mean", "", stats.mean])
     rows.append(["std", "", stats.std])
     if decision:

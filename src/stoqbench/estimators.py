@@ -49,7 +49,7 @@ class EnsembleStats:
     std: float
     lambdas: list
     replicas: int = 1
-    rs: list = None  # per sample: tuple of the replica r draws
+    rs: np.ndarray = None  # int64 (samples, replicas): each sample's r draws
 
 
 def sbp_matrix(h: LhMinInstance):
@@ -86,9 +86,11 @@ def trace_power(g: OperatorSum, L: int, mode: str = "exact",
     scale = 2.0 ** (n * L)
     blocks = []
     for xs in draw_blocks(seed, 2**n, paths, L):
+        # G(x_j, x_{j+1}) for every step of every path in one read
+        steps = matrix_elements(g, xs, np.roll(xs, -1, axis=1))
         prod = np.ones(len(xs))
-        for j in range(L):
-            prod *= matrix_elements(g, xs[:, j], xs[:, (j + 1) % L])
+        for column in steps.T:
+            prod *= column
         blocks.append(scale * prod)
     vals = np.concatenate(blocks)
     value = float(np.mean(vals))
@@ -186,8 +188,9 @@ class _LambdaSolver:
         """
         if samples < 1:
             raise ValueError("samples must be >= 1")
-        lams, rs = [], []
+        lams, rs = [], np.empty((samples, replicas), dtype=np.int64)
         for r in draw_blocks(seed, 2**self.base.m, samples, replicas):
+            rs[len(lams):len(lams) + len(r)] = r
             keys, where = np.unique(r, return_inverse=True)
             keys = keys.tolist()
             for x in keys:
@@ -196,7 +199,6 @@ class _LambdaSolver:
             table = np.array([self._cache[x] for x in keys])
             lam = np.hstack([np.zeros((len(r), 1)), table[where.reshape(r.shape)]])
             lams.extend((np.add.accumulate(lam, axis=1)[:, -1] / replicas).tolist())
-            rs.extend(map(tuple, r.tolist()))
         arr = np.asarray(lams)
         std = float(np.std(arr, ddof=1)) if samples > 1 else 0.0
         return EnsembleStats(samples=samples, mean=float(np.mean(arr)), std=std,

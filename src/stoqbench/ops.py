@@ -14,10 +14,15 @@ a gate flips its target where all its controls are set
 (:meth:`Gate.apply` and :func:`circuit_permutation`, so a reversible
 circuit permutes basis states).
 
-Two entry rules, each written once here: :func:`matrix_elements` reads
-<x|op|y> for pairs of basis states, and :func:`column` reads a term's
-column at x, with its diagonal, the one place a block column is read;
-:func:`apply_to_basis` and the walk's rows are sums over such columns.
+Two entry rules, each written once here.  :func:`matrix_elements` reads
+<x|op|y> for arrays of pairs of basis states through the sum's term
+table (:attr:`OperatorSum.table`: every term's inverted mask, padded
+support and block, in one set of arrays): it keeps the pairs that differ
+in at most as many bits as the widest term covers, finds the terms each
+such pair hits, and adds each entry's hits in term order from +0.0.
+:func:`column` reads a term's column at x, with its diagonal, the one
+place a block column is read; :func:`apply_to_basis` and the walk's rows
+are sums over such columns.
 """
 
 from __future__ import annotations
@@ -182,8 +187,28 @@ class OperatorSum:
             weights = tuple(float(w) for w in self.weights)
             if len(weights) != len(terms):
                 raise ValueError("weights length mismatch")
+            if not np.isfinite(weights).all():  # w * 0.0 would be NaN
+                raise ValueError("weights must be finite")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "weights", weights)
+
+    @cached_property
+    def table(self):
+        """The terms as arrays for matrix_elements: (inverted masks,
+        supports padded to the widest term's k with bit 63, which is 0 in
+        every valid index, each term's k, its block's offset in the flat
+        array of all blocks, that array, the weights)."""
+        ts = self.terms
+        k_max = max((t.k for t in ts), default=0)
+        sup = np.full((len(ts), k_max), 63, dtype=np.int64)
+        for row, t in zip(sup, ts):
+            row[:t.k] = t.support
+        ks = np.array([t.k for t in ts], dtype=np.int64)
+        sizes = 4**ks
+        flat = np.concatenate([t.block.ravel() for t in ts] + [np.zeros(0)])
+        return (np.array([~t.mask for t in ts], dtype=np.int64), sup, ks,
+                np.cumsum(sizes) - sizes, flat,
+                np.array(self.weights, dtype=float))
 
     def norm_bound(self) -> float:
         """Safe upper bound on the operator norm: sum of term block bounds."""
@@ -194,29 +219,46 @@ class OperatorSum:
 
 
 def matrix_element(op: OperatorSum, x: int, y: int) -> float:
-    """<x|op|y> computed term by term, without assembly."""
+    """<x|op|y> for one pair of basis states, by matrix_elements."""
     return float(matrix_elements(op, x, y))
 
 
 def matrix_elements(op: OperatorSum, xs, ys) -> np.ndarray:
-    """<x|op|y> for arrays of basis states, term by term, without assembly.
+    """<x|op|y> for arrays of basis states, without assembly.
 
-    Each term contributes ``w * block[lx, ly]`` where x and y agree
-    outside its support and ``w * 0.0`` elsewhere; contributions are
-    added in term order starting from 0.0, so every entry is bitwise
-    the left-to-right sum of the scalar per-term elements.  Basis states
-    are int64, which limits the register to 62 qubits.
+    Term t contributes ``w * block[lx, ly]`` where x and y agree outside
+    its support, which needs x ^ y to have at most k_max bits set, k_max
+    the widest term's k.  One pass over the term table keeps those pairs,
+    takes the candidates x terms hit matrix in pair-major order, reads
+    every hit's local indices in one k_max-bit loop and adds the
+    contributions with np.add.at, in term order per entry from +0.0.
+    A term that misses would add w * 0.0, a signed zero, which leaves
+    such a sum as it is, so every entry is bitwise the left-to-right sum
+    of the scalar per-term elements.  Basis states are int64, which
+    limits the register to 62 qubits.
     """
-    dim = _index_dim(op.n)
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    if np.any((xs < 0) | (xs >= dim)) or np.any((ys < 0) | (ys >= dim)):
+    _index_dim(op.n)  # raises past 62 qubits
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64),
+                                 np.asarray(ys, dtype=np.int64))
+    # a negative index keeps its sign bit under >> n, one >= 2^n a set bit
+    if np.any((xs | ys) >> op.n):
         raise IndexError("basis index out of range")
-    out = np.zeros(np.broadcast(xs, ys).shape)
-    for w, t in zip(op.weights, op.terms):
-        lx = gather(xs, t.support)
-        ly = gather(ys, t.support)
-        out += w * np.where(((xs ^ ys) & ~t.mask) == 0, t.block[lx, ly], 0.0)
+    inv, sup, ks, offsets, flat, weights = op.table
+    out = np.zeros(xs.shape)
+    xs, ys = xs.ravel(), ys.ravel()
+    diff = few = xs ^ ys
+    for _ in range(sup.shape[1]):  # clear the lowest set bit k_max times
+        few = few & (few - 1)
+    cand = np.flatnonzero(few == 0)
+    p, t = np.nonzero((diff[cand, None] & inv) == 0)
+    at = cand[p]
+    x, y, bits = xs[at], ys[at], sup[t]
+    lx, ly = np.zeros_like(at), np.zeros_like(at)
+    for i in range(sup.shape[1]):
+        lx |= ((x >> bits[:, i]) & 1) << i
+        ly |= ((y >> bits[:, i]) & 1) << i
+    np.add.at(out.reshape(-1), at,
+              weights[t] * flat[offsets[t] + (lx << ks[t]) + ly])
     return out
 
 

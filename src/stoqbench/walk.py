@@ -244,18 +244,12 @@ class WalkRunner:
         draws: every string reachable from it has a compiled row, and every
         move of those rows has log r exactly 0.0, so a trial takes its L
         steps adding only 0.0 to log_r_sum (as on |+> projectors, where
-        theta is flat on the witness's support).  False at the first
-        rejecting row of the ``_closure`` pass, the first move whose log r
-        is not 0.0 (None included), or once the closure would pass ``cap``
-        strings.
+        theta is flat on the witness's support).  False when the ``flat``
+        closure pass stops: at the first rejecting row, the first move
+        whose log r is not 0.0 (None included), or once the closure would
+        pass ``cap`` strings.
         """
-        for _, row in self._closure(witness, cap):
-            if not isinstance(row, tuple):
-                return False
-            for _, log_r in row[1]:
-                if log_r != 0.0:
-                    return False
-        return True
+        return self._closure(witness, cap, flat=True) is not None
 
     def exact_acceptance(self, witness: int, steps: int, cap: int):
         """The probability that a trial of ``steps`` steps from ``witness``
@@ -277,8 +271,8 @@ class WalkRunner:
         is so close to ETA * steps that a trial's rounded log_r_sum could
         fall on either side.
         """
-        closure = list(self._closure(witness, cap))
-        if closure[-1][1] is None:
+        closure = self._closure(witness, cap)
+        if closure is None:
             return None
         live = {x: row for x, row in closure if isinstance(row, tuple)}
         if witness not in live:  # every trial rejects at the witness
@@ -312,28 +306,38 @@ class WalkRunner:
             return 1.0
         return min(1.0, max(0.0, math.fsum(passed)))
 
-    def _closure(self, witness: int, cap: int):
+    def _closure(self, witness: int, cap: int, flat: bool = False):
         """Depth-first pass over the strings that a walk from ``witness``
-        can reach, filling the row cache: yields (x, row) on each string's
-        first visit, row its compiled row or the reason the walk rejects
-        there, and (None, None) before it stops once the closure would pass
-        ``cap`` strings.  A move whose log r is None is not followed: the
-        walk rejects on drawing it."""
+        can reach, filling the row cache: the list of (x, row) in the order
+        of each string's first visit, row its compiled row or the reason
+        the walk rejects there; None once the closure would pass ``cap``
+        strings.  A move whose log r is None is not followed: the walk
+        rejects on drawing it.  With ``flat`` the pass also returns None at
+        the first rejecting row and at the first move whose log r is not
+        0.0, before it compiles another row."""
         self._start(witness)
-        seen, todo = {witness}, [witness]
+        rows = self._rows
+        seen, todo, out = {witness}, [witness], []
         while todo:
             x = todo.pop()
-            row = self._rows.get(x) or self._row(x)
-            yield x, row
+            row = rows.get(x) or self._row(x)
+            out.append((x, row))
             if isinstance(row, str):
+                if flat:
+                    return None
                 continue
             for y, log_r in row[1]:
-                if log_r is not None and y not in seen:
+                if log_r != 0.0:
+                    if flat:
+                        return None
+                    if log_r is None:
+                        continue
+                if y not in seen:
                     if len(seen) >= cap:
-                        yield None, None
-                        return
+                        return None
                     seen.add(y)
                     todo.append(y)
+        return out
 
     def _start(self, witness: int):
         """The compiled row of the witness, or the reason the walk rejects

@@ -236,7 +236,7 @@ class TestReplicaEnsemble:
         dense = lambda_stats(ens, 12, seed=5)
         monkeypatch.setenv("STOQ_DENSE_LIMIT", "0")
         sparse = lambda_stats(ens, 12, seed=5)
-        assert sparse.rs == dense.rs
+        assert np.array_equal(sparse.rs, dense.rs)
         assert np.allclose(sparse.lambdas, dense.lambdas, atol=1e-9)
 
 
@@ -434,12 +434,20 @@ def reference_av_decide(ens, lambda_yes, lambda_no, samples, seed,
 
 
 def assert_same_bits(got, want):
-    """Equal field by field, floats to the bit (repr keeps the sign of 0)."""
-    for name, a, b in zip([f.name for f in dataclasses.fields(got)],
-                          dataclasses.astuple(got), dataclasses.astuple(want)):
+    """Equal field by field, floats to the bit (repr keeps the sign of 0);
+    a nested report field by field, and an array (the r draws, against a
+    reference's list of tuples) by dtype, shape and bytes."""
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if dataclasses.is_dataclass(a):
+            assert_same_bits(a, b)
+            continue
+        if isinstance(a, np.ndarray):
+            b = np.asarray(b)
+            a, b = (a.dtype, a.shape, a.tobytes()), (b.dtype, b.shape, b.tobytes())
         if repr(a) != repr(b):
             # no assert: a diff of reprs with 10^5 draws would take minutes
-            pytest.fail(f"{name} differs")
+            pytest.fail(f"{f.name} differs")
 
 
 def margin_for(ens, replicas, gap, seed):

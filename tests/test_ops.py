@@ -493,6 +493,147 @@ class TestLayoutMatchesLoopReference:
                 matrix_elements(op, [0, x], [0, y])
 
 
+def ref_elements(op, xs, ys):
+    """ref_matrix_element at every pair of the broadcast of xs and ys."""
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64),
+                                 np.asarray(ys, dtype=np.int64))
+    return np.array([ref_matrix_element(op, int(x), int(y))
+                     for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())],
+                    dtype=float).reshape(xs.shape)
+
+
+def signed_sum(rng, n, supports):
+    """An OperatorSum of random symmetric blocks, some entries 0, on the
+    given supports, with signed weights (so a missed term is w * 0.0 of
+    either sign)."""
+    terms = []
+    for sup in supports:
+        m = rng.normal(size=(2 ** len(sup),) * 2)
+        m[rng.random(m.shape) < 0.3] = 0.0
+        terms.append(LocalOperator(sup, m + m.T))
+    return OperatorSum(n, tuple(terms), tuple(rng.normal(size=len(terms))))
+
+
+def near_pairs(rng, op, count):
+    """x uniform, y = x with a random part of a random term's support
+    flipped, and sometimes one more bit."""
+    n = op.n
+    xs = [int(v) for v in rng.integers(0, 2**n, size=count, dtype=np.int64)]
+    ys = []
+    for x in xs:
+        y = x
+        if op.terms:
+            t = op.terms[int(rng.integers(0, len(op.terms)))]
+            y ^= ops.scatter(int(rng.integers(0, 2**t.k)), t.support)
+        if rng.random() < 0.3:
+            y ^= 1 << int(rng.integers(0, n))
+        ys.append(y)
+    return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+
+
+class TestMatrixElementsTermTable:
+    """matrix_elements through OperatorSum.table, byte for byte against the
+    scalar per-term loop."""
+
+    def assert_bytes(self, op, xs, ys):
+        got, want = matrix_elements(op, xs, ys), ref_elements(op, xs, ys)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scalar_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        op = signed_sum(rng, 5, [(0, 2), (1,), (), (1, 3, 4)])
+        xs, ys = near_pairs(rng, op, 16)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            for a, b in [(x, y), (np.int64(x), np.int64(y)),
+                         (np.array(x), np.array(y))]:
+                self.assert_bytes(op, a, b)
+                assert matrix_elements(op, a, b).shape == ()
+            assert repr(matrix_element(op, x, y)) \
+                == repr(ref_matrix_element(op, x, y))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_broadcast_shapes(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        op = signed_sum(rng, 4, [(0, 1), (2,), (1, 3), ()])
+        xs = np.arange(16, dtype=np.int64)
+        ys = rng.integers(0, 16, size=7)
+        self.assert_bytes(op, xs[:, None], ys)      # (16, 1) against (7,)
+        self.assert_bytes(op, ys[:, None], xs)      # (7, 1) against (16,)
+        self.assert_bytes(op, xs, int(ys[0]))       # (16,) against a scalar
+        self.assert_bytes(op, xs.reshape(4, 4), xs.reshape(4, 4).T)
+        self.assert_bytes(op, xs[:0], ys[:0])       # no pairs at all
+
+    def test_no_terms(self):
+        op = OperatorSum(4, ())
+        xs = np.arange(16)
+        self.assert_bytes(op, xs[:, None], xs)
+        assert not np.signbit(matrix_elements(op, xs[:, None], xs)).any()
+
+    @pytest.mark.parametrize("w", [0.5, -0.5, -0.0])
+    def test_identity_term_only(self, w):
+        op = OperatorSum(4, (LocalOperator((), np.eye(1)),), (w,))
+        xs = np.arange(16)
+        got = matrix_elements(op, xs[:, None], xs)
+        self.assert_bytes(op, xs[:, None], xs)
+        # off the diagonal no term hits: +0.0, never w * 0.0 = -0.0
+        assert not np.signbit(got[~np.eye(16, dtype=bool)]).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 12), st.integers(0, 2**32 - 1))
+    def test_terms_up_to_six_qubits(self, n, seed):
+        rng = np.random.default_rng(seed)
+        supports = [tuple(sorted(int(q) for q in
+                                 rng.choice(n, size=k, replace=False)))
+                    for k in rng.integers(0, 7, size=int(rng.integers(1, 8)))]
+        supports.append(tuple(sorted(int(q) for q in
+                                     rng.choice(n, size=6, replace=False))))
+        op = signed_sum(rng, n, supports)
+        xs, ys = near_pairs(rng, op, 200)
+        self.assert_bytes(op, xs, ys)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_61_on_62_qubits(self, seed):
+        """The padding bit 63 lies above every valid index; terms touching
+        bits 61, 60 and 0 read indices that have bit 61 set."""
+        rng = np.random.default_rng(20 + seed)
+        op = signed_sum(rng, 62, [(61,), (0, 60, 61), (5, 61), (), (3,)])
+        xs, ys = near_pairs(rng, op, 64)
+        xs |= 1 << 61
+        ys |= 1 << 61
+        assert xs.max() >> 61 == 1
+        self.assert_bytes(op, xs, ys)
+        x, y = int(xs[0]), int(ys[0])
+        assert repr(matrix_element(op, x, y)) == repr(ref_matrix_element(op, x, y))
+
+    def test_out_of_range_on_62_qubits(self):
+        op = OperatorSum(62, (LocalOperator((61,), X),))
+        top = 2**62 - 1
+        assert matrix_element(op, top, top ^ (1 << 61)) == 1.0
+        for x, y in [(2**62, 0), (0, 2**62), (-1, 0), (0, -2**62), (2**62, -1)]:
+            with pytest.raises(IndexError):
+                matrix_element(op, x, y)
+            with pytest.raises(IndexError):
+                matrix_elements(op, [[0], [x]], [0, y])
+
+    @pytest.mark.parametrize("w", [float("inf"), -float("inf"), float("nan")])
+    def test_weights_must_be_finite(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            OperatorSum(1, (LocalOperator((0,), X),), (w,))
+
+    def test_table_is_built_once(self):
+        op = signed_sum(np.random.default_rng(0), 3, [(0, 2), (1,)])
+        assert op.table is op.table
+        inv, sup, ks, offsets, flat, weights = op.table
+        assert inv.tolist() == [~0b101, ~0b010]
+        assert sup.tolist() == [[0, 2], [1, 63]]
+        assert ks.tolist() == [2, 1] and offsets.tolist() == [0, 16]
+        assert flat.tobytes() == np.concatenate(
+            [t.block.ravel() for t in op.terms]).tobytes()
+        assert weights.tolist() == list(op.weights)
+
+
 # ---------------------------------------------------------------------------
 # Loop references for the two bit rules: the per-site copies that
 # ops.gather, ops.scatter and Gate.apply replaced.

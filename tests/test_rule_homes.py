@@ -3,6 +3,9 @@
 * a term's bit mask: ``ops.support_mask``, which ``_support_maps`` calls
   and ``LocalOperator.mask`` holds for ``column``, ``matrix_elements``
   and ``apply_to_basis``
+* an entry of a sum: ``ops.matrix_elements``, the one reader of
+  ``OperatorSum.table``, under ``matrix_element`` and the sampled
+  ``trace_power``
 * a term's column: ``ops.column``, the one read of a block column, which
   ``apply_to_basis`` sums and the walk's rows cache per runner
 * the circuit permutation: ``ops.circuit_permutation``, which
@@ -65,6 +68,8 @@ def ref_element(t, x, y):
 
 
 def ref_matrix_elements(op, xs, ys):
+    """matrix_elements as a loop over the terms, before its term table:
+    each term's mask, local indices and hits, one numpy pass per term."""
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     out = np.zeros(np.broadcast(xs, ys).shape)
@@ -120,7 +125,8 @@ def ref_gate_matrix(gate):
 
 
 def ref_trace_draws(g, L, paths, seed):
-    """The sampled trace_power's block loop: its draws and its values."""
+    """The sampled trace_power's block loop: its draws and its values, with
+    G's entries read one step at a time through ref_matrix_elements."""
     rng = np.random.default_rng(seed)
     scale = 2.0 ** (g.n * L)
     rows = max(1, estimators.DRAW_CHUNK // L)
@@ -131,7 +137,7 @@ def ref_trace_draws(g, L, paths, seed):
         draws.append(xs)
         prod = np.ones(len(xs))
         for j in range(L):
-            prod *= matrix_elements(g, xs[:, j], xs[:, (j + 1) % L])
+            prod *= ref_matrix_elements(g, xs[:, j], xs[:, (j + 1) % L])
         vals[start:start + len(xs)] = scale * prod
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
@@ -443,7 +449,7 @@ class TestDrawBlocks:
                                               seed, replicas)
         assert [b.tobytes() for b in blocks] == [b.tobytes() for b in draws]
         assert [v.hex() for v in stats.lambdas] == [v.hex() for v in lams]
-        assert stats.rs == rs
+        assert stats.rs.dtype == np.int64 and np.array_equal(stats.rs, rs)
 
 
 def clock_terms(clock):
@@ -576,6 +582,9 @@ def _is_call_of(node, dotted):
     ("the trial and majority count check",
      lambda node: _is_call_of(node, "_check_counts"),
      [("walk", "sweep")]),
+    ("a read of an operator sum's term table",
+     lambda node: isinstance(node, ast.Attribute) and node.attr == "table",
+     [("ops", "matrix_elements")]),
 ])
 def test_each_rule_has_one_home(rule, match, home):
     assert _homes(match) == home, f"{rule} written outside its home"

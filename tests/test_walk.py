@@ -794,6 +794,27 @@ def plus_and_random_instances(draw):
                                      draw(st.integers(0, 2**32 - 1)))
 
 
+def reference_certain(runner, witness, cap):
+    """WalkRunner.certain as its own depth-first loop, before it shared
+    the closure pass with exact_acceptance."""
+    runner._start(witness)
+    seen, todo = {witness}, [witness]
+    while todo:
+        x = todo.pop()
+        row = runner._rows.get(x) or runner._row(x)
+        if isinstance(row, str):
+            return False
+        for y, log_r in row[1]:
+            if log_r != 0.0:
+                return False
+            if y not in seen:
+                if len(seen) >= cap:
+                    return False
+                seen.add(y)
+                todo.append(y)
+    return True
+
+
 class TestCertainWitness:
     """verify without --transcripts runs no trial for a witness that
     WalkRunner.certain accepts, and formats a row that no draw can change
@@ -848,6 +869,22 @@ class TestCertainWitness:
                                       tmp_path_factory.mktemp("verify"))
         assert bare == logged == reference_verify_csv(inst, witness, steps,
                                                       trials, seed).encode()
+
+    @settings(max_examples=80, deadline=None)
+    @given(plus_and_random_instances(), st.data())
+    def test_matches_its_loop_and_fills_the_same_rows(self, inst, data):
+        """Same answers, and the row cache and reject reasons filled with
+        the same strings in the same order, over a run of witnesses and
+        caps on one runner."""
+        runner, ref = WalkRunner(inst), WalkRunner(inst)
+        for _ in range(data.draw(st.integers(1, 6), label="calls")):
+            witness = data.draw(st.integers(0, 2**inst.n - 1),
+                                label="witness")
+            cap = data.draw(st.integers(1, 2**inst.n + 1), label="cap")
+            assert runner.certain(witness, cap) \
+                == reference_certain(ref, witness, cap)
+            assert list(runner._rows) == list(ref._rows)
+            assert list(runner._rejects) == list(ref._rejects)
 
 
 def philox_stream(seed, i=0, v=0):
