@@ -290,9 +290,9 @@ def cmd_verify(args):
     else:
         tail = None
     if tail is None:
-        transcripts = [trial[0] for trial in votes]
-        body = _csv([i, *_trial_fields(t)] for i, t in enumerate(transcripts))
-        accepted = sum(t.accepted for t in transcripts)
+        records = [trial[0] for trial in votes]
+        body = _csv([i, *_trial_fields(r)] for i, r in enumerate(records))
+        accepted = sum(r.accepted for r in records)
     else:
         # no draw changes a row: its fields are formatted once, and need
         # no quoting, so each row is the index and that text
@@ -313,18 +313,20 @@ def cmd_verify(args):
                 os.remove(args.transcripts)
             raise
         if args.transcripts and first is not None:
-            fh.write((first.to_json() + "\n") * args.trials)
+            line = runner.transcript(witness, first).to_json() + "\n"
+            fh.write(line * args.trials)
         elif args.transcripts:
-            fh.writelines(t.to_json() + "\n" for t in transcripts)
+            fh.writelines(runner.transcript(witness, r).to_json() + "\n"
+                          for r in records)
     return EXIT_OK, [args.instance, *witness_files]
 
 
-def _trial_fields(t) -> list:
-    """A verify CSV row after its trial index: accepted, steps taken,
-    reject step, reject reason and log_r_sum."""
-    return [int(t.accepted), len(t.visited) - 1,
-            t.reject_step if t.reject_step is not None else "",
-            t.reject_reason or "", t.log_r_sum]
+def _trial_fields(r) -> list:
+    """A verify CSV row after its trial index, from the trial's record:
+    accepted, steps taken, reject step, reject reason and log_r_sum."""
+    return [int(r.accepted), r.steps,
+            r.reject_step if r.reject_step is not None else "",
+            r.reject_reason or "", r.log_r_sum]
 
 
 def cmd_trace(args):

@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,28 @@ class WalkConfig:
             raise ValueError("steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+
+class TrialRecord(NamedTuple):
+    """One trial as the loop leaves it.  ``steps`` is the steps taken (L
+    for a trial that reached the product test), ``reject_step`` is None
+    for an accepted trial, and ``moves`` is the (step, string) of each
+    draw that left the lazy-step lane, the walk being at that string after
+    the step; a lazy step records nothing.  WalkRunner.transcript expands
+    it into the WalkTranscript."""
+    accepted: bool
+    steps: int
+    reject_step: int
+    reject_reason: str
+    log_r_sum: float
+    rng_draws: int
+    moves: list
+
+
+# the record of a trial rejected at its witness, by reason: its moves are
+# an empty tuple, so it cannot change, and every such trial returns it
+_REJECTED_AT_START = {reason: TrialRecord(False, 0, 0, reason, 0.0, 0, ())
+                      for reason in ("diag-zero", "unnormalized")}
 
 
 @dataclass
@@ -125,19 +148,21 @@ class WalkRunner:
 
     # -- per-string protocol data ------------------------------------------
 
-    def _columns_at(self, x: int):
-        """Yield (weight, x with the projector's support bits cleared, its
-        column at x) for each projector in index order."""
-        for w, p, columns in self._columns:
-            key = x & p.mask
-            col = columns.get(key)
-            if col is None:
-                col = columns[key] = column(p, key)
-            yield w, x ^ key, col
+    @staticmethod
+    def _fill(p, columns: dict, key: int):
+        """Projector p's column at the strings whose bits on its support
+        are ``key``, built by ops.column and kept in ``columns``."""
+        col = columns[key] = column(p, key)
+        return col
 
     def diag_positive(self, x: int) -> bool:
-        """Step 2: <x|Pi_a|x> > 0 for every projector."""
-        return all(col[0] > ETA for _, _, col in self._columns_at(x))
+        """Step 2: <x|Pi_a|x> > 0 for every projector, checked in index
+        order up to the first that fails."""
+        for _, p, columns in self._columns:
+            key = x & p.mask
+            if not (columns.get(key) or self._fill(p, columns, key))[0] > ETA:
+                return False
+        return True
 
     def neighborhood(self, x: int) -> list:
         """Step 3: all y with G_{x,y} above tolerance, with the entries."""
@@ -153,7 +178,10 @@ class WalkRunner:
         apply_to_basis does and takes r from the first entry above ETA.
         """
         g, r = {}, {}
-        for w, base, (dx, entries) in self._columns_at(x):
+        for w, p, columns in self._columns:
+            key = x & p.mask
+            dx, entries = columns.get(key) or self._fill(p, columns, key)
+            base = x ^ key
             for s, v, dy in entries:
                 y = base | s
                 g[y] = g.get(y, 0.0) + w * v
@@ -208,34 +236,57 @@ class WalkRunner:
 
     def run(self, witness: int, config: WalkConfig) -> WalkTranscript:
         rng = next(_generators(config.seed, 1, 1))
-        return self._run_with_rng(witness, config, rng)
+        record = self._run_with_rng(witness, config, rng)
+        return self.transcript(witness, record)
+
+    def transcript(self, witness: int, record: TrialRecord) -> WalkTranscript:
+        """The transcript of a trial from ``witness`` that this runner
+        walked, expanded from its record: ``visited`` holds each string
+        again for every lazy step up to the next move, and
+        ``sampling_delta`` adds, left to right from 0.0 with one addition
+        per draw, the row bound d of the string at each of the first
+        ``rng_draws`` steps (no sum or fsum, whose rounding differs)."""
+        visited = [witness]
+        for j, y in record.moves:
+            visited += [visited[-1]] * (j - len(visited) + 1)
+            visited.append(y)
+        visited += [visited[-1]] * (record.steps + 1 - len(visited))
+        rows = self._rows
+        delta = 0.0
+        for x in visited[:record.rng_draws]:
+            delta += rows[x][2]
+        return WalkTranscript(visited, record.log_r_sum, record.accepted,
+                              record.reject_step, record.reject_reason,
+                              record.rng_draws, delta)
 
     def sweep(self, witness: int, config: WalkConfig, count: int,
               majority: int = 1):
-        """``count`` trials of ``majority`` votes each, as (first, votes).
+        """``count`` trials of ``majority`` votes each, as (first, votes) of
+        TrialRecords.
 
-        When no draw can change a transcript, ``first`` is trial 0's
-        transcript, run once, which every vote of every trial would give,
-        and ``votes`` is empty: the walk rejects at the witness before its
+        When no draw can change a record, ``first`` is trial 0's record,
+        run once, which every vote of every trial would give, and
+        ``votes`` is empty: the walk rejects at the witness before its
         first draw, or the witness is a fixed point (G_ww = 1, as every
         satisfying string of a CNF), whose row is the one move w -> w with
         log r = 0, which bisect_left over the empty bounds picks for every
         uniform.  Otherwise ``first`` is None and ``votes`` lazily yields
-        each trial as the list of its ``majority`` transcripts; vote v of
+        each trial as the list of its ``majority`` records; vote v of
         trial i draws numpy's Philox stream with the key of
         Philox(config.seed) and counter [0, 0, i, v], so every trial is a
         pure function of (instance, witness, config, i, v).  A witness
         that ``certain`` accepts still yields votes here, since its
-        transcripts' ``visited`` and ``sampling_delta`` follow the draws;
-        a caller that needs only the tally asks ``certain`` instead.
+        records' moves follow the draws; a caller that needs only the
+        tally asks ``certain`` instead.
         """
         _check_counts(count, majority)
         row = self._start(witness)
         if isinstance(row, str):
             return self._run_with_rng(witness, config, None), ()
-        if row[1] == [(witness, 0.0)]:
-            return self.run(witness, config), ()
-        rngs = _generators(config.seed, count, majority)
+        fixed = row[1] == [(witness, 0.0)]
+        rngs = _generators(config.seed, 1 if fixed else count, majority)
+        if fixed:  # trial 0's stream, which run draws
+            return self._run_with_rng(witness, config, next(rngs)), ()
         return None, ([self._run_with_rng(witness, config, next(rngs))
                        for _ in range(majority)] for _ in range(count))
 
@@ -347,44 +398,42 @@ class WalkRunner:
                              f"[0, 2^{self.instance.n})")
         return self._rows.get(witness) or self._row(witness)
 
-    def _run_with_rng(self, witness: int, config: WalkConfig, rng) -> WalkTranscript:
-        """One trial, Steps 1-11: the protocol's only per-step loop."""
-        row = self._start(witness)
+    def _run_with_rng(self, witness: int, config: WalkConfig, rng) -> TrialRecord:
+        """One trial, Steps 1-11: the protocol's only per-step loop.  A
+        lazy step costs only the test of u against the row's lane."""
         rows = self._rows
-        L = config.steps
-        x = witness
-        visited = [x]
-        log_r_sum = 0.0
-        delta = 0.0
+        # a string in either cache is a basis string: _start checked it
+        row = (rows.get(witness) or self._rejects.get(witness)
+               or self._start(witness))
         if isinstance(row, str):
-            return WalkTranscript(visited, log_r_sum, False, 0, row, 0, delta)
-        bounds, moves, d, lo, hi = row
+            return _REJECTED_AT_START[row]
+        L = config.steps
+        log_r_sum = 0.0
+        taken = []
+        bounds, moves, _, lo, hi = row
         for j, u in enumerate(chain.from_iterable(_uniforms(rng, L))):
-            delta += d
             if lo < u <= hi:
                 # the lazy step x -> x: bisect_left would pick it, and its
                 # log r of 0.0 leaves log_r_sum and the row as they are
-                visited.append(x)
                 continue
             # Step 8: seeded inverse CDF over the checked distribution
             x, log_r = moves[bisect_left(bounds, u)]
             if log_r is None:
-                return WalkTranscript(visited, log_r_sum, False, j,
-                                      "unnormalized", j + 1, delta)
+                return TrialRecord(False, j, j, "unnormalized", log_r_sum,
+                                   j + 1, taken)
             log_r_sum += log_r
-            visited.append(x)
+            taken.append((j, x))
             row = rows.get(x)
             if row is None:
                 row = self._row(x)
                 if isinstance(row, str):
-                    return WalkTranscript(visited, log_r_sum, False, j + 1,
-                                          row, j + 1, delta)
-            bounds, moves, d, lo, hi = row
+                    return TrialRecord(False, j + 1, j + 1, row, log_r_sum,
+                                       j + 1, taken)
+            bounds, moves, _, lo, hi = row
         if log_r_sum > ETA * L:
-            return WalkTranscript(visited, log_r_sum, False, L,
-                                  "product-exceeds-one", L, delta)
-        return WalkTranscript(visited, log_r_sum, True, rng_draws=L,
-                              sampling_delta=delta)
+            return TrialRecord(False, L, L, "product-exceeds-one", log_r_sum,
+                               L, taken)
+        return TrialRecord(True, L, None, None, log_r_sum, L, taken)
 
 
 def _check_counts(count: int, majority: int) -> None:

@@ -117,7 +117,9 @@ def random_lhmin(n, n_terms, rng, lo=0.0, hi=1.0):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_completeness():
+def completeness_fixtures():
+    """Criterion 1's yes-instances as (kind, instance): planted CNFs, |+>
+    instances and the clock exports of accepting circuits."""
     fixtures = []
     rng = np.random.default_rng(101)
     for n in (4, 6, 8, 9, 10, 11, 12, 12):
@@ -135,6 +137,11 @@ def test_criterion_1_completeness():
     for v in accepting_circuits():
         assert v.num_gates <= 6
         fixtures.append(("export", export_6sat(compile_circuit(v, 0))))
+    return fixtures
+
+
+def test_criterion_1_completeness():
+    fixtures = completeness_fixtures()
     assert len(fixtures) >= 20
     failures = []
     for kind, inst in fixtures:

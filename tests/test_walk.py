@@ -23,8 +23,8 @@ from stoqbench import (AcceptanceReport, Gate, LocalOperator, StoqSatInstance,
 from stoqbench.cli import main as cli_main
 from stoqbench.ops import ETA
 from conftest import plus_instance
-from test_acceptance import (planted_sat_dimacs, rejecting_circuits,
-                             soundness_fixtures)
+from test_acceptance import (completeness_fixtures, planted_sat_dimacs,
+                             rejecting_circuits, soundness_fixtures)
 from test_ops import ref_element
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -355,10 +355,12 @@ class TestRunWalk:
     def test_run_is_trial_zero(self, witness):
         inst = plus_instance(3, [(0, 1), (1, 2)])
         config = WalkConfig(steps=30, seed=11)
-        _, votes = WalkRunner(inst).sweep(witness, config, 1)
+        runner = WalkRunner(inst)
+        _, votes = runner.sweep(witness, config, 1)
         [first] = next(votes)
         t = WalkRunner(inst).run(witness, config)
-        assert dataclasses.asdict(t) == dataclasses.asdict(first)
+        assert dataclasses.asdict(t) \
+            == dataclasses.asdict(runner.transcript(witness, first))
 
     def test_out_of_range_witness_rejected(self):
         inst = plus_instance(2, [(0, 1)])
@@ -413,6 +415,23 @@ class TestAcceptanceRate:
         acceptance_rate(inst, 0, 300, config, majority=3)
         assert len(calls) == 1
 
+    def test_rejection_at_the_witness_checks_it_once(self, monkeypatch):
+        """A witness rejected at its first string is range-checked and
+        looked up by one _start call, and its one trial is a record."""
+        inst = random_projector_instance(3, 2, 3, 0)
+        runner = WalkRunner(inst)
+        starts = []
+        start = runner._start
+        monkeypatch.setattr(runner, "_start",
+                            lambda w: starts.append(w) or start(w))
+        rep = acceptance_rate(inst, 1, 300, WalkConfig(steps=5, seed=4),
+                              runner=runner)
+        assert rep.deterministic and rep.rate == 0.0
+        assert starts == [1]
+        first, votes = runner.sweep(1, WalkConfig(steps=5, seed=4), 3)
+        assert first == walk.TrialRecord(False, 0, 0, "diag-zero", 0.0, 0, ())
+        assert votes == () and starts == [1, 1]
+
     def test_runner_of_another_instance_rejected(self):
         inst = plus_instance(2, [(0, 1)])
         runner = WalkRunner(plus_instance(2, [(0, 1)]))
@@ -434,20 +453,23 @@ class TestAcceptanceRate:
 
 def reference_trials(runner, witness, config, count, majority=1):
     """The trials before fixed points ran once: every vote of every trial
-    walks its own Philox stream (a rejecting start draws nothing)."""
+    walks its own Philox stream (a rejecting start draws nothing), each
+    expanded into its transcript."""
     for i in range(count):
-        yield [runner._run_with_rng(witness, config,
-                                    philox_stream(config.seed, i, v))
+        yield [runner.transcript(witness, runner._run_with_rng(
+                   witness, config, philox_stream(config.seed, i, v)))
                for v in range(majority)]
 
 
 def swept_trials(runner, witness, config, count, majority=1):
-    """WalkRunner.sweep's trials as count lists of majority transcripts:
-    its ``first`` for every vote when it has one, else its votes."""
+    """WalkRunner.sweep's trials as count lists of majority transcripts,
+    expanded from its records: its ``first`` for every vote when it has
+    one, else its votes."""
     first, votes = runner.sweep(witness, config, count, majority)
     if first is not None:
-        return [[first] * majority for _ in range(count)]
-    return list(votes)
+        return [[runner.transcript(witness, first)] * majority
+                for _ in range(count)]
+    return [[runner.transcript(witness, t) for t in trial] for trial in votes]
 
 
 def reference_acceptance_rate(runner, witness, trials, config, majority=1):
@@ -501,7 +523,8 @@ class TestFixedPointWitness:
                 for votes in reference_trials(WalkRunner(inst), w, config,
                                               count, majority)
                 for t in votes]
-        assert want == [dataclasses.asdict(first)] * (count * majority)
+        assert want == [dataclasses.asdict(runner.transcript(w, first))] \
+            * (count * majority)
         rep = acceptance_rate(inst, w, count, config, runner=runner,
                               majority=majority)
         ref = reference_acceptance_rate(WalkRunner(inst), w, count, config,
@@ -516,7 +539,8 @@ class TestFixedPointWitness:
         config = WalkConfig(steps=6, seed=7)
         first, votes = runner.sweep(witness, config, 4, majority=3)
         assert first.reject_reason == (None if witness else "diag-zero")
-        assert first.visited == ([witness] * 7 if witness else [witness])
+        assert runner.transcript(witness, first).visited \
+            == ([witness] * 7 if witness else [witness])
         assert votes == ()
         # a walking witness has no first, and one list per trial
         runner = WalkRunner(plus_instance(2, [(0, 1)]))
@@ -553,7 +577,8 @@ class TestFixedPointWitness:
 
         monkeypatch.setattr(runner, "_run_with_rng", counted)
         first, votes = runner.sweep(0b110, config, 2**64)
-        assert first.accepted and first.visited == [0b110] * 7
+        assert first.accepted
+        assert runner.transcript(0b110, first).visited == [0b110] * 7
         assert votes == ()
         rep = acceptance_rate(inst, 0b110, 2**64, config, runner=runner)
         assert rep == AcceptanceReport(*wilson_interval(2**64, 2**64), 2**64,
@@ -665,6 +690,37 @@ class TestExactAcceptance:
         # and each step lands on 0 with probability 1/5 from either string
         p = runner.exact_acceptance(0, 4, walk.EXACT_CLOSURE_CAP)
         assert p == pytest.approx(0.2, rel=1e-12)
+
+    def test_honest_argmax_is_exactly_one(self):
+        """The honest prover's argmax is accepted with probability exactly
+        1.0: on every criterion-1 fixture, summed over its whole closure,
+        and on all 58 yes instances among random projector instances of
+        six shapes at seeds 0-59, within EXACT_CLOSURE_CAP.  Only the
+        argmax is tested.  A trial's log_r_sum is log psi(x_L) -
+        log psi(x_0) for the honest vector psi, so the product test needs
+        psi(x_L) <= psi(x_0) up to ETA * L, which the argmax alone meets
+        for every end string; 594 of the 730 other strings of those
+        random instances' honest supports are accepted with probability
+        below 1."""
+        for kind, inst in completeness_fixtures():
+            hw = honest_witness(inst)
+            steps = required_steps(inst.n, inst.epsilon, inst.m)
+            assert WalkRunner(inst).exact_acceptance(
+                hw.argmax, steps, 2**inst.n) == 1.0, (kind, inst.n)
+        yes = 0
+        for shape in [(3, 2, 2), (4, 2, 3), (5, 3, 3), (4, 1, 4), (6, 2, 4),
+                      (5, 2, 2)]:
+            for seed in range(60):
+                inst = random_projector_instance(*shape, seed)
+                hw = honest_witness(inst)
+                if hw.looks_unsat:
+                    continue
+                yes += 1
+                steps = required_steps(inst.n, inst.epsilon, inst.m)
+                assert WalkRunner(inst).exact_acceptance(
+                    hw.argmax, steps, walk.EXACT_CLOSURE_CAP) == 1.0, \
+                    (shape, seed)
+        assert yes == 58
 
     @pytest.mark.parametrize("majority", [2, 3, 4, 5, 7])
     def test_majority_tail_matches_enumeration(self, majority):
@@ -976,7 +1032,8 @@ class TestTrialStreams:
         [first] = next(votes)
         expect = reference_trial(WalkRunner(inst), 0, config,
                                  philox_stream(1, 0, 0))
-        assert dataclasses.asdict(first) == dataclasses.asdict(expect)
+        assert dataclasses.asdict(runner.transcript(0, first)) \
+            == dataclasses.asdict(expect)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -1148,6 +1205,32 @@ class TestEngineEquivalence:
                        "e4b37ead25305495aa81e4bb",
         }
 
+    def test_walking_export_verify_output_pinned(self, tmp_path):
+        """verify CSV, without and with --transcripts, and the transcripts
+        of a witness that walks on the L = 651 export, as the per-step
+        transcript loop wrote them: every trial is rejected, at steps
+        spread over the walk, so the records expand into transcripts of
+        many lengths."""
+        inst, witnesses = longest_export()
+        assert 496 in witnesses
+        sat = str(tmp_path / "sat.json")
+        save(inst, sat)
+        out, logs = tmp_path / "v.csv", tmp_path / "t.jsonl"
+        argv = ["verify", "--instance", sat, "--witness", "496",
+                "--trials", "200", "--seed", "7", "--out", str(out)]
+        assert cli_main(argv) == 0
+        bare = out.read_bytes()
+        assert cli_main([*argv, "--transcripts", str(logs)]) == 0
+        assert out.read_bytes() == bare
+        digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in (out, logs)}
+        assert digest == {
+            "v.csv": "0fc1a26dd68b748b9c6fe32ebfb78c91b9eed64f"
+                     "0d89f8365fa751fded89730d",
+            "t.jsonl": "9fd4c26e3f7635607698b366e4e5d67456b5b64d"
+                       "0940530d3ce766bf4701d8d9",
+        }
+
     def test_classical_verify_output_pinned(self, tmp_path):
         """verify CSV and transcripts of a satisfying string of a CNF, a
         fixed point of the walk, as the per-trial loop wrote them."""
@@ -1213,7 +1296,8 @@ class TestLazyStepLane:
         row = runner._row(2)
         config = WalkConfig(steps=1)
         for u in probes(row[0]):
-            got = runner._run_with_rng(2, config, Uniforms([u]))
+            got = runner.transcript(2, runner._run_with_rng(
+                2, config, Uniforms([u])))
             expect = reference_trial(self.runner(ys, ps, rs), 2, config,
                                      Uniforms([u]))
             assert dataclasses.asdict(got) == dataclasses.asdict(expect), u
@@ -1300,6 +1384,10 @@ class TestLazyStepLane:
                            if not t.accepted)
         assert len(calls) == departures + unnormalized
         assert lazy > departures > 0
+        # a record keeps only the moves that left the lane
+        records = [t for w in witnesses
+                   for trial in runner.sweep(w, config, 4)[1] for t in trial]
+        assert sum(len(r.moves) for r in records) == departures
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
