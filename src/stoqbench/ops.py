@@ -22,7 +22,8 @@ in at most as many bits as the widest term covers, finds the terms each
 such pair hits, and adds each entry's hits in term order from +0.0.
 :func:`column` reads a term's column at x, with its diagonal, the one
 place a block column is read; :func:`apply_to_basis` and the walk's rows
-are sums over such columns.
+are sums over such columns.  :func:`diagonal` reads the diagonal of a
+sum of diagonal blocks (a CNF's G) term by term, with no assembly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 # Entrywise tolerance for positivity / zero tests.
 ETA = 1e-9
@@ -308,7 +308,11 @@ def assemble_dense(op: OperatorSum) -> np.ndarray:
     return out
 
 
-def assemble_sparse(op: OperatorSum) -> sp.csr_matrix:
+def assemble_sparse(op: OperatorSum):
+    """op as a scipy CSR matrix: every term's nonzero block entries at
+    each of its 2**(n-k) offsets, summed per entry by COO->CSR."""
+    import scipy.sparse as sp
+
     dim = _index_dim(op.n)
     rows, cols, data = [], [], []
     for w, t in zip(op.weights, op.terms):
@@ -325,6 +329,32 @@ def assemble_sparse(op: OperatorSum) -> sp.csr_matrix:
         shape=(dim, dim),
     )
     return mat.tocsr()
+
+
+def diagonal(op: OperatorSum):
+    """The diagonal of op when every term's block is diagonal, else None
+    (the scan stops at the first term with an off-diagonal entry).
+
+    Each term adds ``w * diag(block)`` by one broadcast add on a (2,)*n
+    view of the output, axis n-1-q being qubit q as in local_term, in
+    term order from +0.0: bitwise the diagonal of assemble_sparse(op),
+    whose COO->CSR sums the same nonzero products in the same order (a
+    product w * b that is -0.0, from a zero weight, reads +0.0 here).
+    """
+    diags = []
+    for t in op.terms:
+        d = t.block.diagonal()
+        if np.count_nonzero(t.block) > np.count_nonzero(d):
+            return None
+        diags.append(d)
+    out = np.zeros(_index_dim(op.n))
+    view = out.reshape((2,) * op.n)
+    for w, t, d in zip(op.weights, op.terms, diags):
+        shape = [1] * op.n
+        for q in t.support:
+            shape[op.n - 1 - q] = 2
+        view += w * d.reshape(shape)
+    return out
 
 
 def _expand_support(support, gates):
@@ -428,6 +458,7 @@ def block_decompose(pi):
     ok, residual = projector_check(mat, tol=1e-8)
     if not ok:
         raise ValueError(f"input is not a non-negative projector (residual {residual:g})")
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     _, labels = connected_components(sp.csr_matrix(mat > ETA), directed=False)

@@ -37,8 +37,8 @@ def honest_witness(instance: StoqSatInstance) -> HonestWitness:
     all-ones vector projected onto all of it (see extreme_eigenvalue).
     The instance looks unsat when the top eigenvalue is below 1 - 1e-8."""
     res = extreme_eigenvalue(build_G(instance), "max")
-    amplitudes = {int(x): float(a) for x, a in enumerate(res.vector)
-                  if a > ETA}
+    support = np.flatnonzero(res.vector > ETA)
+    amplitudes = dict(zip(support.tolist(), res.vector[support].tolist()))
     norm = float(np.sqrt(sum(a * a for a in amplitudes.values())))
     amplitudes = {x: a / norm for x, a in amplitudes.items()}
     peak = max(amplitudes.values())

@@ -1,12 +1,14 @@
 """Eigenvalue solvers used as the oracle layer by every module.
 
 ``extreme_eigenvalue`` is the one extreme-eigenpair path: read off a
-diagonal matrix (a CNF's G), else LOBPCG on the sparse matrix from the
+diagonal matrix (a CNF's G), whose diagonal ``ops.diagonal`` reads term
+by term before any assembly, else LOBPCG on the sparse matrix from the
 all-ones start vector, or a dense ``eigh`` of the same matrix below
 LOBPCG's minimum size.  Every pair it returns has passed a residual
 check.  ``dense_spectrum`` is the one full-spectrum path: an operator
 sum's qubit groups are solved apart and their spectra added, a small
-group by one dense solve and a larger one by dense solves of its
+group by one dense solve and a larger one by its sorted term-wise
+diagonal when every term is diagonal, else by dense solves of its
 matrix's connected components, one row each when it is diagonal.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ops import (ETA, DenseLimitError, OperatorSum, _index_dim,
-                  assemble_dense, assemble_sparse, dense_limit)
+                  assemble_dense, assemble_sparse, dense_limit, diagonal)
 
 # LOBPCG needs five rows per start vector; scipy goes dense below that.
 LOBPCG_MIN_DIM = 5
@@ -66,7 +68,10 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
     non-negative and the same whichever solver ran.  On a diagonal
     matrix that projection is exact: the indicator of the strings whose
     diagonal entry is within the residual bound of the extreme one, the
-    dense branch's own rule, and no solver runs.  Otherwise the
+    dense branch's own rule, and no solver runs.  The diagonal comes
+    from ``ops.diagonal`` when every term is diagonal, with no assembly
+    and the product ``diag * v`` in the residual check; a sum is
+    assembled only when some term is not.  Otherwise the
     all-ones vector may miss the eigenspace, so a fixed random vector
     joins LOBPCG's start block.  Raises ValueError unless the residual
     ||A v - lambda v|| is at most tol * max(1, norm bound); max_iter caps
@@ -74,13 +79,16 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
     """
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
-    mat = assemble_sparse(op)
-    dim = mat.shape[0]
     bound = tol * max(1.0, op.norm_bound())
-    _, off, diag = _split(mat)
-    start = np.ones((dim, 1))
-    if np.any(off < -ETA if which == "max" else off > ETA):
-        start = np.hstack([start, np.random.default_rng(0).random((dim, 1))])
+    diag = diagonal(op)
+    if diag is None:  # a term is off-diagonal; the sum may still be diagonal
+        mat = assemble_sparse(op)
+        dim = mat.shape[0]
+        _, off, diag = _split(mat)
+        start = np.ones((dim, 1))
+        if np.any(off < -ETA if which == "max" else off > ETA):
+            start = np.hstack([start,
+                               np.random.default_rng(0).random((dim, 1))])
     if diag is not None:
         method, iterations = "diagonal", 0
         edge = diag.max() if which == "max" else diag.min()
@@ -108,7 +116,7 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
     v = v / np.linalg.norm(v)
     if v.sum() < 0:
         v = -v
-    av = mat @ v
+    av = diag * v if diag is not None else mat @ v
     value = float(v @ av)
     residual = float(np.linalg.norm(av - value * v))
     if not residual <= bound:
@@ -128,7 +136,8 @@ def dense_spectrum(op: OperatorSum) -> np.ndarray:
     spectrum is every sum of one eigenvalue per group, plus the terms on
     no qubit.  Each group is solved on its own qubits, a register of one
     group too: whole by one ``eigvalsh`` up to GROUP_DENSE_QUBITS qubits
-    and dense_limit(), else by ``_component_spectrum``, which raises
+    and dense_limit(), else as its sorted ``ops.diagonal`` when every
+    term is diagonal, else by ``_component_spectrum``, which raises
     DenseLimitError on a component of over 2**dense_limit() rows.  A
     register of over SPECTRUM_QUBITS qubits raises DenseLimitError before
     any group is solved.
@@ -182,6 +191,9 @@ def _group_spectrum(op: OperatorSum, qubits, whole: int) -> np.ndarray:
     sub = OperatorSum(len(qubits), tuple(terms), tuple(weights))
     if sub.n <= whole:
         return np.linalg.eigvalsh(assemble_dense(sub))
+    diag = diagonal(sub)
+    if diag is not None:  # as _component_spectrum's, with no assembly
+        return np.sort(diag)
     return _component_spectrum(assemble_sparse(sub))
 
 

@@ -46,7 +46,8 @@ class TestGen:
     def test_from_dimacs_writes_instance_and_manifest(self, sat_instance):
         inst = load(sat_instance)
         assert inst.n == 3 and inst.m == 3
-        manifest = json.loads(open(sat_instance + ".manifest.json").read())
+        manifest = json.loads(
+            Path(sat_instance + ".manifest.json").read_text())
         assert manifest["tool"] == "stoqbench"
         assert len(manifest["inputs"]) == 1
 
@@ -55,7 +56,7 @@ class TestGen:
         for out in (a, b):
             assert main(["gen", "random", "--n", "4", "--k", "2",
                          "--terms", "3", "--seed", "5", "--out", out]) == EXIT_OK
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_cnf_ensemble(self, tmp_path):
         cnf = write(tmp_path / "e.cnf", UNSAT_BIASED)
@@ -76,12 +77,12 @@ class TestPipeline:
         wit = str(tmp_path / "wit.json")
         assert main(["prove", "--instance", sat_instance, "--out", wit]) \
             == EXIT_OK
-        doc = json.loads(open(wit).read())
+        doc = json.loads(Path(wit).read_text())
         assert not doc["looks_unsat"]
         out = str(tmp_path / "verify.csv")
         assert main(["verify", "--instance", sat_instance, "--witness", wit,
                      "--trials", "20", "--seed", "1", "--out", out]) == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("trial,accepted")
         rate_row = [l for l in lines if l.startswith("rate")][0]
         assert rate_row.split(",")[1] == "1"
@@ -93,7 +94,7 @@ class TestPipeline:
         wit = str(tmp_path / "wit.json")
         assert main(["prove", "--instance", inst, "--out", wit]) \
             == EXIT_PROMISE
-        assert json.loads(open(wit).read())["looks_unsat"]
+        assert json.loads(Path(wit).read_text())["looks_unsat"]
 
     def test_verify_literal_witness_and_transcripts(self, sat_instance,
                                                     tmp_path):
@@ -102,7 +103,7 @@ class TestPipeline:
         assert main(["verify", "--instance", sat_instance, "--witness", "0b110",
                      "--trials", "5", "--seed", "0", "--out", out,
                      "--transcripts", logs]) == EXIT_OK
-        records = [json.loads(l) for l in open(logs).read().splitlines()]
+        records = [json.loads(l) for l in Path(logs).read_text().splitlines()]
         assert len(records) == 5
         assert all(r["accepted"] for r in records)
 
@@ -111,7 +112,7 @@ class TestPipeline:
         assert main(["spectrum", "--instance", sat_instance, "--out", out]) \
             == EXIT_OK
         rows = dict(l.split(",")[:2] for l in
-                    open(out).read().splitlines()[1:])
+                    Path(out).read_text().splitlines()[1:])
         assert float(rows["max"]) == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= float(rows["min"]) <= 1.0
 
@@ -131,7 +132,8 @@ class TestCompile:
                      "--out", out]) == EXIT_OK
         s = str(tmp_path / "spec.csv")
         assert main(["spectrum", "--instance", out, "--out", s]) == EXIT_OK
-        rows = dict(l.split(",")[:2] for l in open(s).read().splitlines()[1:])
+        rows = dict(l.split(",")[:2]
+                    for l in Path(s).read_text().splitlines()[1:])
         assert abs(float(rows["min"])) <= 1e-10
 
     def test_spectrum_above_dense_limit(self, sat_instance, tmp_path,
@@ -151,7 +153,7 @@ class TestCompile:
         assert main(["spectrum", "--instance", sat_instance, "--out", diag]) \
             == EXIT_OK
         monkeypatch.delenv("STOQ_DENSE_LIMIT")
-        assert open(diag).read() == open(dense).read()
+        assert Path(diag).read_text() == Path(dense).read_text()
         for inst in (rand, clock):
             dense, sparse = str(tmp_path / "d.csv"), str(tmp_path / "s.csv")
             assert main(["spectrum", "--instance", inst, "--out", dense]) \
@@ -160,8 +162,10 @@ class TestCompile:
             assert main(["spectrum", "--instance", inst, "--out", sparse]) \
                 == EXIT_OK
             monkeypatch.delenv("STOQ_DENSE_LIMIT")
-            want = dict(l.split(",") for l in open(dense).read().split()[1:])
-            got = dict(l.split(",") for l in open(sparse).read().split()[1:])
+            want = dict(l.split(",")
+                        for l in Path(dense).read_text().split()[1:])
+            got = dict(l.split(",")
+                       for l in Path(sparse).read_text().split()[1:])
             assert sorted(got) == ["max", "min"]
             for q in got:
                 assert float(got[q]) == pytest.approx(float(want[q]), abs=1e-9)
@@ -178,7 +182,7 @@ class TestCompile:
         assert main(["prove", "--instance", out, "--out", wit]) == EXIT_OK
         assert main(["verify", "--instance", out, "--witness", wit,
                      "--trials", "10", "--seed", "2", "--out", v]) == EXIT_OK
-        rate_row = [l for l in open(v).read().splitlines()
+        rate_row = [l for l in Path(v).read_text().splitlines()
                     if l.startswith("rate")][0]
         assert rate_row.split(",")[1] == "1"
 
@@ -191,7 +195,7 @@ class TestCompile:
         out = str(tmp_path / "ver.json")
         assert main(["compile", "--instance", path, "--to", "verifier",
                      "--out", out]) == EXIT_OK
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["kind"] == "mixed-verifier"
         assert sum(p["p"] for p in doc["parts"]) == pytest.approx(1.0)
 
@@ -209,7 +213,7 @@ class TestTraceAndEnsemble:
         out = str(tmp_path / "tr.csv")
         assert main(["trace", "--instance", self.lhmin_path(tmp_path),
                      "--power", "2", "--out", out]) == EXIT_OK
-        row = open(out).read().splitlines()[1].split(",")
+        row = Path(out).read_text().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(5.0 / 9.0)
         assert row[3] == "exact"
 
@@ -224,7 +228,7 @@ class TestTraceAndEnsemble:
         exact = str(tmp_path / "exact.csv")
         assert main(["trace", "--instance", path, "--power", "2",
                      "--out", exact]) == EXIT_OK
-        assert float(open(exact).read().splitlines()[1].split(",")[1]) > 0
+        assert float(Path(exact).read_text().splitlines()[1].split(",")[1]) > 0
         capsys.readouterr()
         out = tmp_path / "sampled.csv"
         assert main(["trace", "--instance", path, "--power", "2", "--paths",
@@ -247,8 +251,8 @@ class TestTraceAndEnsemble:
         for out in (a, b):
             assert main(["ensemble", "--instance", ens, "--samples", "50",
                          "--seed", "4", "--out", out]) == EXIT_OK
-        assert open(a).read() == open(b).read()
-        lines = open(a).read().splitlines()
+        assert Path(a).read_text() == Path(b).read_text()
+        lines = Path(a).read_text().splitlines()
         assert lines[0] == "sample_index,r,lambda"
 
     def test_ensemble_decide_yes(self, tmp_path):
@@ -258,7 +262,7 @@ class TestTraceAndEnsemble:
         assert main(["ensemble", "--instance", ens, "--samples", "60",
                      "--seed", "0", "--decide", "--lambda-yes", "1e-9",
                      "--lambda-no", "0.5", "--out", out]) == EXIT_OK
-        assert "decision,,yes" in open(out).read()
+        assert "decision,,yes" in Path(out).read_text()
 
     def test_ensemble_decide_inconclusive_code(self, tmp_path):
         # thresholds placed so the zero lambda falls between them
@@ -267,7 +271,7 @@ class TestTraceAndEnsemble:
         assert main(["ensemble", "--instance", ens, "--samples", "40",
                      "--seed", "0", "--decide", "--lambda-yes", "-2.0",
                      "--lambda-no", "2.0", "--out", out]) == EXIT_PROMISE
-        assert "decision,,inconclusive" in open(out).read()
+        assert "decision,,inconclusive" in Path(out).read_text()
 
 
 class TestRobustness:
@@ -366,7 +370,7 @@ class TestRobustness:
         argv = ["verify", "--instance", sat_instance, "--witness", "6",
                 "--trials", "3", "--seed", "1", "--out", out]
         assert main(argv) == EXIT_OK
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["command"] == argv
 
     @pytest.mark.parametrize("limit", [None, "12"])
@@ -379,7 +383,7 @@ class TestRobustness:
         out = str(tmp_path / "v.csv")
         assert main(["verify", "--instance", sat_instance, "--witness", "6",
                      "--trials", "3", "--seed", "1", "--out", out]) == EXIT_OK
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
         assert manifest["scipy"] == scipy.__version__
@@ -397,7 +401,7 @@ class TestRobustness:
         assert type(elapsed) is float and math.isfinite(elapsed)
         assert elapsed >= 0.0
         assert manifest["seed"] == 3
-        assert json.loads(open(sat_instance + ".manifest.json").read())[
+        assert json.loads(Path(sat_instance + ".manifest.json").read_text())[
             "seed"] is None
         # the CSV carries no timing: it matches stdout, which gets no
         # manifest, and the bytes written before manifests timed the run
@@ -993,9 +997,9 @@ class TestRobustness:
             assert main(["verify", "--instance", sat_instance, "--witness",
                          witness, "--trials", "3", "--seed", "0",
                          "--out", out]) == EXIT_OK
-            manifest = json.loads(open(out + ".manifest.json").read())
+            manifest = json.loads(Path(out + ".manifest.json").read_text())
             assert manifest["inputs"] == {
-                p: hashlib.sha256(open(p, "rb").read()).hexdigest()
+                p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
                 for p in inputs}
 
 

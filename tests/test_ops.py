@@ -266,6 +266,75 @@ class TestAssembly:
         assert np.min(assemble_dense(op)) >= 0.0
 
 
+# entries of both signs and zeros, none so small that a product underflows
+DIAGONAL_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 2.0),
+                             st.floats(-2.0, -1e-3))
+
+
+@st.composite
+def diagonal_term_sums(draw):
+    """Sums of diagonal terms on up to 6 qubits (n = 0 and terms on no
+    qubit included) with nonzero weights of both signs: a zero weight
+    times a negative entry is a -0.0 that assemble_sparse stores."""
+    n = draw(st.integers(0, 6))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(0, min(3, n)))
+        support = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                       max_size=k, unique=True))) if k else []
+        entries = draw(st.lists(DIAGONAL_ENTRIES, min_size=2**k,
+                                max_size=2**k))
+        terms.append(LocalOperator(support, np.diag(entries)))
+    weights = draw(st.lists(DIAGONAL_ENTRIES.filter(bool),
+                            min_size=len(terms), max_size=len(terms)))
+    return OperatorSum(n, tuple(terms), tuple(weights))
+
+
+class TestDiagonal:
+    """ops.diagonal reads a sum of diagonal terms term by term: bitwise the
+    assembled diagonal, and None as soon as a term has an off-diagonal
+    entry."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(diagonal_term_sums())
+    def test_is_the_assembled_diagonal_bitwise(self, op):
+        got = ops.diagonal(op)
+        want = assemble_sparse(op).diagonal()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_term_order_and_qubit_layout(self):
+        # three terms whose left-to-right sum rounds differently from
+        # other orders, on qubits out of the support's bit order
+        third = LocalOperator((0, 2), np.diag([0.1, 0.2, 0.3, 0.7]))
+        op = OperatorSum(3, (LocalOperator((1,), np.diag([1e16, 1.0])),
+                             third, LocalOperator((), [[-1e16]])),
+                         (1.0, 1 / 3, 1.0))
+        got = ops.diagonal(op)
+        assert got.tobytes() == assemble_sparse(op).diagonal().tobytes()
+        x = 0b101  # qubits 0 and 2 set: local index 3 of the (0, 2) term
+        assert got[x] == 0.0 + 1e16 + 1 / 3 * 0.7 - 1e16 == 0.0
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_none_when_a_term_is_off_diagonal(self, late):
+        off = LocalOperator((0, 1), np.diag([1.0, 0.0, 0.5, 0.0])
+                            + 1e-300 * np.eye(4)[::-1])
+        diag = [LocalOperator((q,), np.diag([0.0, 1.0])) for q in range(3)]
+        terms = diag + [off] if late else [off] + diag
+        assert ops.diagonal(OperatorSum(3, tuple(terms))) is None
+
+    def test_scan_stops_at_the_first_off_diagonal_term(self):
+        class Unread:
+            support = (0,)
+
+            @property
+            def block(self):
+                raise AssertionError("a term after the off-diagonal one")
+
+        op = OperatorSum(2, (LocalOperator((1,), np.eye(2)),
+                             LocalOperator((0,), X), Unread()))
+        assert ops.diagonal(op) is None
+
+
 # ---------------------------------------------------------------------------
 # Loop references for the vectorised layout routines: the per-entry and
 # per-pattern versions these routines replaced, kept to pin their output

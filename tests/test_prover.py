@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stoqbench import (adversarial_witnesses, assemble_sparse, build_G,
-                       from_dimacs, honest_witness, random_projector_instance)
+                       dense_spectrum, from_dimacs, honest_witness, ops,
+                       random_projector_instance, spectral)
 from stoqbench.ops import ETA
 from conftest import plus_instance
 from test_acceptance import planted_sat_dimacs, unsat_dimacs
@@ -122,6 +123,24 @@ class TestDiagonalG:
         assert sorted(hw.vector.amplitudes) == sorted(amps)
         for x, a in amps.items():
             assert hw.vector.amplitudes[x] == pytest.approx(a, abs=1e-12)
+
+    def test_sixteen_qubits_without_assembly(self, monkeypatch):
+        # a CNF's G is read term by term: neither the eigenpair nor the
+        # spectrum builds a sparse matrix
+        inst = from_dimacs(planted_sat_dimacs(16, 64,
+                                              np.random.default_rng(5))[0])
+
+        def refuse(op):
+            raise AssertionError("assemble_sparse ran")
+
+        monkeypatch.setattr(ops, "assemble_sparse", refuse)
+        monkeypatch.setattr(spectral, "assemble_sparse", refuse)
+        hw = honest_witness(inst)
+        evals = dense_spectrum(build_G(inst))
+        assert not hw.looks_unsat and evals.size == 2**16
+        assert evals[-1] == hw.eigenvalue
+        assert len(hw.vector.amplitudes) == np.count_nonzero(
+            evals == evals[-1])
 
     def test_unsat_cnfs_still_flagged(self):
         # acceptance criterion 2's unsat CNFs

@@ -23,6 +23,9 @@
 * the output opener: ``instances.open_output``, the one ``open`` or
   ``os.open`` of a file for writing in src/, under ``write_text`` and
   ``verify --transcripts``; no ``O_TRUNC`` anywhere
+* a term's diagonal: ``ops.diagonal``, the one read of a block's
+  diagonal, under ``extreme_eigenvalue`` and ``dense_spectrum``
+  (``LocalOperator`` has no ``diag`` of its own)
 
 Each reference is compared bytewise with its home under hypothesis, and
 the source guard at the end keeps each rule from being written twice.
@@ -575,6 +578,17 @@ def _opens_for_writing(node):
                                 and set(modes[0].value) <= set("rbt"))
 
 
+def _reads_block_diagonal(node):
+    """``<term>.block.diagonal()``, or np.diag or np.diagonal of a
+    ``<term>.block``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = ast.unparse(node.func)
+    if func in ("np.diag", "np.diagonal"):
+        return bool(node.args) and ast.unparse(node.args[0]).endswith(".block")
+    return func.endswith(".block.diagonal")
+
+
 @pytest.mark.parametrize("rule, match, home", [
     ("the mask expression scatter((1 << k) - 1, bits)",
      lambda node: _is_call_of(node, "scatter") and node.args
@@ -607,6 +621,9 @@ def _opens_for_writing(node):
     ("a file opened for writing",
      _opens_for_writing,
      [("instances", "open_output")] * 2),
+    ("a read of a term block's diagonal",
+     _reads_block_diagonal,
+     [("ops", "diagonal")]),
 ])
 def test_each_rule_has_one_home(rule, match, home):
     assert _homes(match) == home, f"{rule} written outside its home"

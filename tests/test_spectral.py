@@ -11,7 +11,7 @@ from stoqbench import (Gate, LhMinInstance, LocalOperator, OperatorSum,
                        VerifierCircuit, assemble_dense, assemble_sparse,
                        build_G, compile_circuit, cnf_ensemble_from_dimacs,
                        dense_spectrum, estimators, extreme_eigenvalue,
-                       from_dimacs, perturbed_hamiltonian,
+                       from_dimacs, ops, perturbed_hamiltonian,
                        random_projector_instance, save, spectral, spectral_gap)
 from stoqbench.cli import EXIT_OK, main
 from stoqbench.ops import DenseLimitError, dense_limit
@@ -127,6 +127,20 @@ def diagonal_sums(draw):
     return OperatorSum(n, tuple(terms), tuple(weights))
 
 
+def assembled_diagonal_pair(op, which, tol=1e-10):
+    """extreme_eigenvalue's diagonal branch as it ran on the assembled
+    matrix, before ops.diagonal: (value, vector, residual)."""
+    mat = assemble_sparse(op)
+    _, _, diag = spectral._split(mat)
+    edge = diag.max() if which == "max" else diag.min()
+    bound = tol * max(1.0, op.norm_bound())
+    v = (np.abs(diag - edge) <= bound).astype(float)
+    v = v / np.linalg.norm(v)
+    av = mat @ v
+    value = float(v @ av)
+    return value, v, float(np.linalg.norm(av - value * v))
+
+
 class TestDiagonalEigenpair:
     """A diagonal matrix's extreme eigenpair is read off its diagonal: the
     normalised indicator of its extreme entries, with no solver run."""
@@ -155,6 +169,30 @@ class TestDiagonalEigenpair:
     ], ids=["zero", "zero-rows", "one-qubit"])
     def test_degenerate_and_zero_rows(self, op, which):
         self.assert_matches_projection(op, which)
+
+    def assert_assembled_pair(self, op, which):
+        value, vector, residual = assembled_diagonal_pair(op, which)
+        res = extreme_eigenvalue(op, which)
+        assert res.method == "diagonal"
+        assert res.value == value and res.residual == residual
+        assert res.vector.tobytes() == vector.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(diagonal_sums(), st.sampled_from(["max", "min"]))
+    def test_same_pair_as_the_assembled_route(self, op, which):
+        assert ops.diagonal(op) is not None
+        self.assert_assembled_pair(op, which)
+
+    @pytest.mark.parametrize("which", ["max", "min"])
+    def test_cancelling_off_diagonals_still_read_off_the_diagonal(self, which):
+        # no term is diagonal, so the sum is assembled and _split finds
+        # every off-diagonal entry cancelled
+        x_plus_diag = np.diag([0.0, 2.0]) - MINUS_X
+        op = OperatorSum(2, (LocalOperator((0,), x_plus_diag),
+                             LocalOperator((0,), MINUS_X),
+                             LocalOperator((1,), np.diag([1.0, 0.5]))))
+        assert ops.diagonal(op) is None
+        self.assert_assembled_pair(op, which)
 
     def test_cnf_top_is_the_satisfying_strings(self):
         inst = from_dimacs(SAT_5)
@@ -518,13 +556,30 @@ class TestQubitGroups:
         assert report.value == pytest.approx(want, rel=1e-12)
 
 
-def test_import_loads_no_scipy_solvers():
-    # csgraph and the sparse solvers are imported where they are used,
-    # keeping them out of every command's start-up time
+def _sparse_modules_after(code, cwd=None):
+    """The scipy.sparse modules loaded by ``code`` in a fresh process."""
     src = os.path.dirname(os.path.dirname(spectral.__file__))
-    code = ("import sys, stoqbench; print(sorted(m for m in sys.modules if "
-            "m.startswith(('scipy.sparse.csgraph', 'scipy.sparse.linalg'))))")
+    code += ("\nimport sys; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.sparse')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+                         text=True, check=True, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy_solvers():
+    # scipy.sparse, csgraph and the sparse solvers are imported where they
+    # are used, keeping them out of every command's start-up time
+    assert _sparse_modules_after("import stoqbench, stoqbench.cli") == "[]"
+
+
+def test_cnf_pipeline_loads_no_scipy_sparse(tmp_path):
+    # a CNF's G is diagonal: gen, prove and verify never assemble it
+    (tmp_path / "f.cnf").write_text(SAT_5, encoding="utf-8")
+    code = ("from stoqbench.cli import main\n"
+            "for argv in (['gen', 'from-dimacs', '--dimacs', 'f.cnf', "
+            "'--out', 'i.json'], ['prove', '--instance', 'i.json', '--out', "
+            "'w.json'], ['verify', '--instance', 'i.json', '--witness', "
+            "'w.json', '--trials', '10', '--seed', '1', '--out', 'v.csv']):\n"
+            "    assert main(argv) == 0, argv")
+    assert _sparse_modules_after(code, cwd=tmp_path) == "[]"
