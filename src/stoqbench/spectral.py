@@ -1,15 +1,15 @@
 """Eigenvalue solvers used as the oracle layer by every module.
 
-``extreme_eigenvalue`` is the one extreme-eigenpair path: read off a
-diagonal matrix (a CNF's G), whose diagonal ``ops.diagonal`` reads term
-by term before any assembly, else LOBPCG on the sparse matrix from the
-all-ones start vector, or a dense ``eigh`` of the same matrix below
-LOBPCG's minimum size.  Every pair it returns has passed a residual
+``extreme_eigenvalue`` is the one extreme-eigenpair path: read off the
+diagonal of a sum of diagonal terms (a CNF's G), which ``ops.diagonal``
+reads term by term with no assembly, else LOBPCG on the sparse matrix
+from the all-ones start vector, or a dense ``eigh`` of the same matrix
+below LOBPCG's minimum size.  Every pair it returns has passed a residual
 check.  ``dense_spectrum`` is the one full-spectrum path: an operator
 sum's qubit groups are solved apart and their spectra added, a small
 group by one dense solve and a larger one by its sorted term-wise
 diagonal when every term is diagonal, else by dense solves of its
-matrix's connected components, one row each when it is diagonal.
+matrix's connected components.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ class SpectralResult:
     method: str  # "diagonal", "lobpcg" or "dense"
 
 
-def _split(mat):
-    """A sparse matrix's COO form, its entries stored off the diagonal, and
-    its diagonal when none of those is nonzero (else None)."""
-    coo = mat.tocoo()
-    off = coo.data[coo.row != coo.col]
-    return coo, off, None if off.any() else coo.diagonal()
-
-
 def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
                        max_iter: int = 5000) -> SpectralResult:
     """Largest or smallest eigenpair of a local-operator sum.
@@ -65,26 +57,26 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
     (non-negative entries for "max", non-positive for "min": the Perron
     vector of G, the ground state of a stoquastic Hamiltonian) the vector
     is the all-ones vector projected onto that eigenspace and normalised:
-    non-negative and the same whichever solver ran.  On a diagonal
-    matrix that projection is exact: the indicator of the strings whose
-    diagonal entry is within the residual bound of the extreme one, the
-    dense branch's own rule, and no solver runs.  The diagonal comes
-    from ``ops.diagonal`` when every term is diagonal, with no assembly
-    and the product ``diag * v`` in the residual check; a sum is
-    assembled only when some term is not.  Otherwise the
-    all-ones vector may miss the eigenspace, so a fixed random vector
-    joins LOBPCG's start block.  Raises ValueError unless the residual
-    ||A v - lambda v|| is at most tol * max(1, norm bound); max_iter caps
-    the LOBPCG iterations.
+    non-negative and the same whichever solver ran.  When every term is
+    diagonal (a CNF's G) that projection is exact: the indicator of the
+    strings whose diagonal entry is within the residual bound of the
+    extreme one, the dense branch's own rule.  The diagonal is then read
+    term by term by ``ops.diagonal``, with no assembly and no solver,
+    and the residual check multiplies by it; any other sum is assembled.
+    Otherwise the all-ones vector may miss the eigenspace, so a fixed
+    random vector joins LOBPCG's start block.  Raises ValueError unless
+    the residual ||A v - lambda v|| is at most tol * max(1, norm bound);
+    max_iter caps the LOBPCG iterations.
     """
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
     bound = tol * max(1.0, op.norm_bound())
     diag = diagonal(op)
-    if diag is None:  # a term is off-diagonal; the sum may still be diagonal
+    if diag is None:
         mat = assemble_sparse(op)
         dim = mat.shape[0]
-        _, off, diag = _split(mat)
+        coo = mat.tocoo()
+        off = coo.data[coo.row != coo.col]
         start = np.ones((dim, 1))
         if np.any(off < -ETA if which == "max" else off > ETA):
             start = np.hstack([start,
@@ -178,7 +170,8 @@ def _qubit_groups(op: OperatorSum) -> list:
 
 def _group_spectrum(op: OperatorSum, qubits, whole: int) -> np.ndarray:
     """The eigenvalues of op's terms on ``qubits``, relabelled 0..k-1: one
-    dense eigvalsh up to ``whole`` qubits, else by components."""
+    dense eigvalsh up to ``whole`` qubits, else the sorted diagonal when
+    every term is diagonal, else by components."""
     local = {q: i for i, q in enumerate(qubits)}
     terms, weights = [], []
     for w, t in zip(op.weights, op.terms):
@@ -192,7 +185,7 @@ def _group_spectrum(op: OperatorSum, qubits, whole: int) -> np.ndarray:
     if sub.n <= whole:
         return np.linalg.eigvalsh(assemble_dense(sub))
     diag = diagonal(sub)
-    if diag is not None:  # as _component_spectrum's, with no assembly
+    if diag is not None:  # a diagonal matrix's spectrum, with no assembly
         return np.sort(diag)
     return _component_spectrum(assemble_sparse(sub))
 
@@ -201,19 +194,16 @@ def _component_spectrum(mat) -> np.ndarray:
     """Every eigenvalue of a sparse symmetric matrix, ascending.
 
     The matrix is block diagonal over the connected components of its
-    graph, the irreducible blocks of Perron-Frobenius.  A diagonal
-    matrix's spectrum is its sorted diagonal.  Otherwise each component
+    graph, the irreducible blocks of Perron-Frobenius.  Each component
     is solved densely on its own: rows are permuted to group components
     by size, and each size's diagonal blocks go through one stacked
     ``eigvalsh`` of at most STACK_ENTRIES entries (or one component).
     Raises DenseLimitError when a component has more than
     2**dense_limit() rows.
     """
-    coo, _, diag = _split(mat)
-    if diag is not None:  # one-row components: LAPACK returns each entry
-        return np.sort(diag)
     from scipy.sparse.csgraph import connected_components
 
+    coo = mat.tocoo()
     _, labels = connected_components(mat, directed=False)
     sizes = np.bincount(labels)
     if sizes.max() > 2**dense_limit():

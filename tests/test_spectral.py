@@ -131,7 +131,7 @@ def assembled_diagonal_pair(op, which, tol=1e-10):
     """extreme_eigenvalue's diagonal branch as it ran on the assembled
     matrix, before ops.diagonal: (value, vector, residual)."""
     mat = assemble_sparse(op)
-    _, _, diag = spectral._split(mat)
+    diag = mat.diagonal()
     edge = diag.max() if which == "max" else diag.min()
     bound = tol * max(1.0, op.norm_bound())
     v = (np.abs(diag - edge) <= bound).astype(float)
@@ -170,29 +170,15 @@ class TestDiagonalEigenpair:
     def test_degenerate_and_zero_rows(self, op, which):
         self.assert_matches_projection(op, which)
 
-    def assert_assembled_pair(self, op, which):
+    @settings(max_examples=80, deadline=None)
+    @given(diagonal_sums(), st.sampled_from(["max", "min"]))
+    def test_same_pair_as_the_assembled_route(self, op, which):
+        assert ops.diagonal(op) is not None
         value, vector, residual = assembled_diagonal_pair(op, which)
         res = extreme_eigenvalue(op, which)
         assert res.method == "diagonal"
         assert res.value == value and res.residual == residual
         assert res.vector.tobytes() == vector.tobytes()
-
-    @settings(max_examples=80, deadline=None)
-    @given(diagonal_sums(), st.sampled_from(["max", "min"]))
-    def test_same_pair_as_the_assembled_route(self, op, which):
-        assert ops.diagonal(op) is not None
-        self.assert_assembled_pair(op, which)
-
-    @pytest.mark.parametrize("which", ["max", "min"])
-    def test_cancelling_off_diagonals_still_read_off_the_diagonal(self, which):
-        # no term is diagonal, so the sum is assembled and _split finds
-        # every off-diagonal entry cancelled
-        x_plus_diag = np.diag([0.0, 2.0]) - MINUS_X
-        op = OperatorSum(2, (LocalOperator((0,), x_plus_diag),
-                             LocalOperator((0,), MINUS_X),
-                             LocalOperator((1,), np.diag([1.0, 0.5]))))
-        assert ops.diagonal(op) is None
-        self.assert_assembled_pair(op, which)
 
     def test_cnf_top_is_the_satisfying_strings(self):
         inst = from_dimacs(SAT_5)
@@ -369,9 +355,9 @@ def ref_dense_spectrum(op):
     """dense_spectrum without qubit groups: the components of the whole
     register's matrix, solved in stacked eigvalsh calls by size."""
     mat = assemble_sparse(op)
-    coo, _, diag = spectral._split(mat)
-    if diag is not None:
-        return np.sort(diag)
+    coo = mat.tocoo()
+    if not coo.data[coo.row != coo.col].any():
+        return np.sort(coo.diagonal())
     _, labels = scipy.sparse.csgraph.connected_components(mat, directed=False)
     sizes = np.bincount(labels)
     if sizes.max() > 2**dense_limit():
