@@ -22,7 +22,8 @@ import numpy as np
 
 from .ops import (ETA, Gate, LocalOperator, circuit_permutation,
                   conjugate_by_circuit)
-from .instances import LhMinInstance, json_int, require_valid, write_json
+from .instances import (LhMinInstance, document_boundary, json_int,
+                        require_valid, write_json)
 
 CIRCUIT_SCHEMA_VERSION = 1
 
@@ -44,16 +45,15 @@ class VerifierCircuit:
             size = getattr(self, name)
             if size < 0:
                 raise ValueError(f"{name} must be >= 0, got {size}")
-        gates = tuple(g if isinstance(g, Gate) else Gate(*g) for g in self.gates)
-        if not gates:
+        object.__setattr__(self, "gates", tuple(self.gates))
+        if not self.gates:
             raise ValueError("circuit needs at least one gate")
         if self.out_basis not in ("plus", "zero"):
             raise ValueError("out_basis must be 'plus' or 'zero'")
         total = self.total_qubits
-        for g in gates:
+        for g in self.gates:
             if max(g.qubits) >= total:
                 raise ValueError(f"gate {g} outside {total} qubits")
-        object.__setattr__(self, "gates", gates)
 
     @property
     def total_qubits(self) -> int:
@@ -301,9 +301,9 @@ def mix(v1, v2) -> MixedVerifier:
     return MixedVerifier(n_w=n1, parts=parts)
 
 
-def dyadic_weights(weights, bits: int = SELECTOR_BITS):
-    """Round weights to multiples of 2^-bits that still sum to one."""
-    scale = 1 << bits
+def dyadic_weights(weights):
+    """Round weights to multiples of 2^-SELECTOR_BITS that still sum to one."""
+    scale = 1 << SELECTOR_BITS
     raw = [w * scale for w in weights]
     ints = [int(round(r)) for r in raw]
     diff = scale - sum(ints)
@@ -389,23 +389,14 @@ def circuit_to_document(v: VerifierCircuit) -> dict:
 
 def circuit_from_document(doc: dict) -> VerifierCircuit:
     """The circuit a JSON document holds; ValueError if malformed or invalid."""
-    if not isinstance(doc, dict):
-        raise ValueError("circuit document is not a JSON object")
-    version = doc.get("version")
-    if type(version) is not int or version != CIRCUIT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported circuit schema version {version}")
-    try:
+    with document_boundary(doc, "circuit", CIRCUIT_SCHEMA_VERSION,
+                           "circuit schema"):
         gates = tuple(Gate(g["kind"], tuple(json_int(q, "gate qubit")
                                             for q in g["qubits"]))
                       for g in doc["gates"])
         return VerifierCircuit(
             **{f: json_int(doc[f], f) for f in ("n", "n_w", "n_0", "n_plus")},
-            gates=gates, out_basis=doc["out_basis"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"circuit document has no {exc} field") from None
-    except (TypeError, AttributeError, OverflowError) as exc:
-        raise ValueError(f"malformed circuit document: {exc}") from None
+            gates=gates, out_basis=doc["out_basis"])
 
 
 def save_circuit(v: VerifierCircuit, path) -> None:

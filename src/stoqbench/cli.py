@@ -182,13 +182,23 @@ def cmd_gen(args):
     return EXIT_OK, inputs
 
 
+# the flags each compile --to target reads, the file it compiles first
+_COMPILE_READS = {"clock": ("circuit", "input", "delta"),
+                  "6sat": ("circuit", "input", "epsilon"),
+                  "verifier": ("instance",)}
+
+
 def cmd_compile(args):
-    needs = "instance" if args.to == "verifier" else "circuit"
-    if getattr(args, needs) is None:
-        raise ValueError(f"compile --to {args.to} needs --{needs}")
+    reads = _COMPILE_READS[args.to]
+    for flag in sorted({f for fs in _COMPILE_READS.values() for f in fs}):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"argument --{flag}: compile --to {args.to} "
+                             "does not read it")
+    if getattr(args, reads[0]) is None:
+        raise ValueError(f"compile --to {args.to} needs --{reads[0]}")
     if args.to in ("clock", "6sat"):
         circ = circuits.load_circuit(args.circuit)
-        compiled = clock.compile_circuit(circ, x=args.input)
+        compiled = clock.compile_circuit(circ, x=args.input or 0)
         if args.to == "clock":
             inst = compiled.hamiltonian()
             if args.delta:
@@ -212,7 +222,7 @@ def cmd_compile(args):
             ],
         }
         instances.write_json(args.out, doc)
-    return EXIT_OK, [getattr(args, needs)]
+    return EXIT_OK, [getattr(args, reads[0])]
 
 
 def cmd_spectrum(args):
@@ -406,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--circuit")
     c.add_argument("--instance")
     c.add_argument("--to", required=True, choices=["clock", "6sat", "verifier"])
-    c.add_argument("--input", type=lambda s: int(s, 0), default=0)
-    c.add_argument("--delta", type=float, default=0.0)
-    c.add_argument("--epsilon", type=float, default=None)
+    # None where not given, so that cmd_compile can refuse an unread flag
+    c.add_argument("--input", type=lambda s: int(s, 0))
+    c.add_argument("--delta", type=float)
+    c.add_argument("--epsilon", type=float)
     c.add_argument("--out", required=True)
 
     s = sub.add_parser("spectrum", help="eigenvalue report")

@@ -369,18 +369,30 @@ def to_document(instance) -> dict:
     raise TypeError(f"cannot serialize {type(instance).__name__}")
 
 
+@contextlib.contextmanager
+def document_boundary(doc, what: str, version: int, schema="schema"):
+    """The one home of the boundary checks around reading a ``what`` from
+    ``doc``: SchemaError if it is no JSON object, its version is not the
+    integer ``version``, or the body misses a field or meets a bad value."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} document is not a JSON object")
+    try:
+        found = doc.get("version")
+        if type(found) is not int or found != version:
+            raise SchemaError(f"unsupported {schema} version {found}")
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{what} document has no {exc} field") from None
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise SchemaError(f"malformed {what} document: {exc}") from None
+
+
 def from_document(doc: dict):
     """The instance a JSON document holds; SchemaError (or ValueError for
     a value that does not parse) if it is malformed or invalid."""
-    if not isinstance(doc, dict):
-        raise SchemaError("instance document is not a JSON object")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
+    if isinstance(doc, dict) and not isinstance(doc.get("metadata", {}), dict):
         raise SchemaError("instance metadata is not a JSON object")
-    try:
-        version = doc.get("version")
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema version {version}")
+    with document_boundary(doc, "instance", SCHEMA_VERSION):
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
             raise SchemaError(f"unknown instance kind {kind!r}")
@@ -389,11 +401,7 @@ def from_document(doc: dict):
                    **{f: parse(doc[f], f) for f, parse in fields.items()},
                    **{terms: tuple(_term_from_json(t, cls is DisorderEnsemble)
                                    for t in doc["terms"])},
-                   metadata=metadata)
-    except KeyError as exc:
-        raise SchemaError(f"instance document has no {exc} field") from None
-    except (TypeError, AttributeError, OverflowError) as exc:
-        raise SchemaError(f"malformed instance document: {exc}") from None
+                   metadata=doc.get("metadata", {}))
     return require_valid(inst)
 
 

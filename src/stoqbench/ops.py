@@ -396,12 +396,8 @@ def local_term(support, factors) -> np.ndarray:
     return out.reshape(2**k, 2**k)
 
 
-def conjugate_by_circuit(op, gates):
+def conjugate_by_circuit(op: LocalOperator, gates) -> LocalOperator:
     """U . op . U^dag for a reversible circuit U (exact basis permutation)."""
-    gates = [g if isinstance(g, Gate) else Gate(*g) for g in gates]
-    if isinstance(op, OperatorSum):
-        new_terms = [conjugate_by_circuit(t, gates) for t in op.terms]
-        return OperatorSum(op.n, tuple(new_terms), op.weights)
     new_support = _expand_support(op.support, gates)
     block = local_term(new_support, [(op.support, op.block)])
     pos = {q: i for i, q in enumerate(new_support)}
@@ -481,13 +477,3 @@ def block_decompose(pi):
         )
     return components
 
-
-def amplitude_ratio(pi, x: int, y: int) -> float:
-    """theta_y / theta_x for the invariant state of the block containing
-    x, y; entries at most ETA count as zero."""
-    mat = np.asarray(pi, dtype=float)
-    if mat[x, x] <= ETA:
-        raise ValueError(f"zero diagonal at {x}: no invariant state touches it")
-    if mat[x, y] <= ETA:
-        raise ValueError(f"<{x}|Pi|{y}> = 0: strings lie in different blocks")
-    return float(np.sqrt(mat[y, y] / mat[x, x]))

@@ -25,6 +25,10 @@ from .ops import (ETA, DenseLimitError, OperatorSum, _index_dim,
 # LOBPCG needs five rows per start vector; scipy goes dense below that.
 LOBPCG_MIN_DIM = 5
 
+# extreme_eigenvalue's relative residual bound and LOBPCG cap, read per call
+EIGEN_TOL = 1e-10
+LOBPCG_MAX_ITER = 5000
+
 # Entries per stacked eigvalsh call in dense_spectrum (128 MiB of floats).
 STACK_ENTRIES = 1 << 24
 
@@ -49,8 +53,7 @@ class SpectralResult:
     method: str  # "diagonal", "lobpcg" or "dense"
 
 
-def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
-                       max_iter: int = 5000) -> SpectralResult:
+def extreme_eigenvalue(op: OperatorSum, which: str = "max") -> SpectralResult:
     """Largest or smallest eigenpair of a local-operator sum.
 
     When the off-diagonal signs make the extreme eigenspace a Perron one
@@ -65,12 +68,11 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
     and the residual check multiplies by it; any other sum is assembled.
     Otherwise the all-ones vector may miss the eigenspace, so a fixed
     random vector joins LOBPCG's start block.  Raises ValueError unless
-    the residual ||A v - lambda v|| is at most tol * max(1, norm bound);
-    max_iter caps the LOBPCG iterations.
-    """
+    ||A v - lambda v|| <= EIGEN_TOL * max(1, norm bound) after at most
+    LOBPCG_MAX_ITER iterations."""
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
-    bound = tol * max(1.0, op.norm_bound())
+    bound = EIGEN_TOL * max(1.0, op.norm_bound())
     diag = diagonal(op)
     if diag is None:
         mat = assemble_sparse(op)
@@ -101,7 +103,8 @@ def extreme_eigenvalue(op: OperatorSum, which: str = "max", tol: float = 1e-10,
             # non-convergence is caught by the residual check below
             warnings.simplefilter("ignore", UserWarning)
             _, vecs, history = lobpcg(mat, start, tol=bound / 100,
-                                      maxiter=max_iter, largest=which == "max",
+                                      maxiter=LOBPCG_MAX_ITER,
+                                      largest=which == "max",
                                       retLambdaHistory=True)
         iterations = len(history) - 2
         v = vecs[:, 0]

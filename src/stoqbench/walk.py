@@ -186,9 +186,9 @@ class WalkRunner:
                 y = base | s
                 g[y] = g.get(y, 0.0) + w * v
                 if v > ETA and y not in r:
-                    r[y] = math.sqrt(dy / dx) if dx > ETA else 0.0
-        # G_{x,y} > 0 forces some cross element > 0; a tolerance split can
-        # lose it, and r = 0 marks that unnormalizable direction
+                    r[y] = math.sqrt(dy / dx) if dx > ETA and dy > 0.0 else 0.0
+        # a tolerance split can lose the cross element > 0 that G_{x,y} > 0
+        # forces, or leave <y|Pi|y> <= 0: r = 0 marks that direction
         ys = sorted(y for y, v in g.items() if v > ETA)
         rs = [r.get(y, 0.0) for y in ys]
         return ys, [g[y] * ry for y, ry in zip(ys, rs)], rs

@@ -5,7 +5,7 @@ import pytest
 
 from stoqbench import (Gate, LhMinInstance, LocalOperator, OperatorSum,
                        VerifierCircuit, acceptance_operator,
-                       acceptance_probability, assemble_dense,
+                       acceptance_probability, assemble_dense, circuits,
                        decompose_stoquastic, dyadic_weights,
                        hamiltonian_to_verifier, initial_state, load_circuit,
                        max_acceptance, mix, save_circuit,
@@ -269,16 +269,18 @@ class TestMixing:
         with pytest.raises(ValueError):
             mix(v1, v2)
 
-    def test_dyadic_weights_sum_to_one(self):
+    def test_dyadic_weights_sum_to_one(self, monkeypatch):
+        monkeypatch.setattr(circuits, "SELECTOR_BITS", 20)
         w = [0.3, 0.3, 0.4]
-        approx, err = dyadic_weights(w, bits=20)
+        approx, err = dyadic_weights(w)
         assert sum(approx) == pytest.approx(1.0, abs=0.0)
         assert err <= 2.0**-20
         for a in approx:
             assert (a * 2**20) == int(a * 2**20)
 
-    def test_dyadic_weights_low_precision(self):
-        approx, err = dyadic_weights([1 / 3, 1 / 3, 1 / 3], bits=2)
+    def test_dyadic_weights_low_precision(self, monkeypatch):
+        monkeypatch.setattr(circuits, "SELECTOR_BITS", 2)
+        approx, err = dyadic_weights([1 / 3, 1 / 3, 1 / 3])
         assert sum(approx) == pytest.approx(1.0)
         assert err <= 0.25 + 1e-12
 

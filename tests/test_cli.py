@@ -956,6 +956,65 @@ class TestRobustness:
         assert caught == []
         assert err == f"error: delta must be positive and finite, got {delta}\n"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--instance", "h.json", "--to", "verifier", "--delta", "-5",
+          "--epsilon", "7", "--input", "9"], "--delta"),
+        (["--instance", "h.json", "--to", "verifier", "--input", "0"],
+         "--input"),
+        (["--circuit", "c.json", "--instance", "h.json", "--to", "verifier"],
+         "--circuit"),
+        (["--to", "6sat", "--delta", "-3"], "--delta"),
+        (["--circuit", "c.json", "--to", "6sat", "--delta", "0"], "--delta"),
+        (["--to", "clock", "--epsilon", "-3", "--instance", "missing.json"],
+         "--epsilon"),
+        (["--circuit", "c.json", "--to", "clock", "--instance", "h.json"],
+         "--instance"),
+    ])
+    def test_compile_refuses_a_flag_its_target_does_not_read(
+            self, argv, flag, tmp_path, capsys, monkeypatch):
+        save_circuit(VerifierCircuit(0, 0, 0, 1, (Gate("X", (0,)),)),
+                     tmp_path / "c.json")
+        save(LhMinInstance(1, (LocalOperator((0,), -np.eye(2)),), 0.0, 1.0),
+             tmp_path / "h.json")
+        err = self.one_line_error(["compile", *argv, "--out", "o.json"],
+                                  tmp_path, capsys, monkeypatch,
+                                  ["c.json", "h.json"])
+        target = argv[argv.index("--to") + 1]
+        assert err == (f"error: argument {flag}: compile --to {target} "
+                       "does not read it\n")
+
+    @pytest.mark.parametrize("target, given", [
+        ("clock", ["--input", "0", "--delta", "0"]),
+        ("6sat", ["--input", "0"]),
+    ])
+    def test_compile_flags_at_their_defaults_write_the_same_bytes(
+            self, target, given, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_circuit(VerifierCircuit(1, 0, 0, 1, (Gate("CNOT", (0, 1)),)),
+                     "c.json")
+        base = ["compile", "--circuit", "c.json", "--to", target, "--out"]
+        assert main(base + ["a.json"]) == EXIT_OK
+        assert main(base + ["b.json", *given]) == EXIT_OK
+        assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
+
+    @pytest.mark.parametrize("witness", ["0", "1", "2", "3"])
+    def test_projector_within_eta_walks_without_a_math_error(
+            self, witness, tmp_path, capsys):
+        """A block that passes validate only within ETA has a negative
+        <y|Pi|y>; the walk gives that move r = 0, not sqrt of a negative."""
+        doc = {"version": 1, "kind": "stoq-sat", "n": 2, "epsilon": 0.5,
+               "terms": [{"qubits": [0], "dim": 2,
+                          "matrix": [1.0, 2e-9, 2e-9, -5e-10]},
+                         {"qubits": [1], "dim": 2,
+                          "matrix": [0.5, 0.5, 0.5, 0.5]}]}
+        assert instances.validate(instances.from_document(doc)) == []
+        path = write(tmp_path / "eta.json", json.dumps(doc))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--instance", path, "--witness", witness,
+                     "--trials", "5", "--seed", "1", "--out", str(out)]) \
+            == EXIT_OK, capsys.readouterr().err
+        assert out.read_text().splitlines()[-1].startswith("rate,")
+
     @pytest.mark.parametrize("command", ["spectrum", "prove", "trace"])
     def test_register_too_large_is_one_line(self, command, tmp_path, capsys,
                                             monkeypatch):

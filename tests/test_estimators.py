@@ -17,7 +17,8 @@ from stoqbench import (DisorderEnsemble, LhMinInstance, LocalOperator,
 from stoqbench.cli import main as cli_main
 from stoqbench.estimators import AvDecision, EnsembleStats
 from conftest import random_stoquastic_block
-from test_ops import random_sum, ref_matrix_element
+from refs import ref_elements
+from test_ops import random_sum
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -381,7 +382,7 @@ def reference_trace_power(g, L, paths, seed):
         xs = rng.integers(0, 2**g.n, size=L)
         prod = 1.0
         for j in range(L):
-            prod *= ref_matrix_element(g, int(xs[j]), int(xs[(j + 1) % L]))
+            prod *= float(ref_elements(g, xs[j], xs[(j + 1) % L]))
             if prod == 0.0:
                 break
         vals[i] = scale * prod

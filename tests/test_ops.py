@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoqbench import (Gate, LocalOperator, OperatorSum, amplitude_ratio,
-                       apply_to_basis, assemble_dense, assemble_sparse,
-                       block_decompose, conjugate_by_circuit, make_block_projector,
+from stoqbench import (Gate, LocalOperator, OperatorSum, apply_to_basis,
+                       assemble_dense, assemble_sparse, block_decompose,
+                       conjugate_by_circuit, make_block_projector,
                        matrix_element, projector_check)
 from stoqbench import ops
 from stoqbench.ops import (BlockComponent, DenseLimitError, _support_maps,
                            dense_limit, local_term, matrix_elements)
+from refs import (ref_apply_to_basis, ref_element, ref_elements,
+                  ref_local_index, ref_support_maps)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -116,13 +118,6 @@ class TestConjugation:
         out = conjugate_by_circuit(op, [Gate("X", (0,))])
         assert np.array_equal(out.block, np.diag([0.0, 1.0]))
 
-    def test_operator_sum_conjugated_termwise(self):
-        op = OperatorSum(2, (LocalOperator((0,), PLUS),), (2.0,))
-        out = conjugate_by_circuit(op, [Gate("CNOT", (0, 1))])
-        d_in = assemble_dense(op)
-        perm = dense_gate(Gate("CNOT", (0, 1)), 2)
-        assert np.allclose(assemble_dense(out), perm @ d_in @ perm.T)
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_self_inverse_circuit_conjugation_is_involution(self, seed):
@@ -196,34 +191,6 @@ class TestBlockDecompose:
     def test_non_projector_rejected(self):
         with pytest.raises(ValueError):
             block_decompose(X)
-
-
-class TestAmplitudeRatio:
-    def test_symmetric_component_gives_one(self):
-        assert amplitude_ratio(PLUS, 0, 1) == pytest.approx(1.0)
-
-    def test_one_two_vector_gives_two(self):
-        psi = np.array([1.0, 2.0]) / np.sqrt(5.0)
-        assert amplitude_ratio(np.outer(psi, psi), 0, 1) == pytest.approx(2.0)
-
-    def test_reciprocity(self):
-        rng = np.random.default_rng(3)
-        v = rng.random(4) + 0.05
-        v /= np.linalg.norm(v)
-        mat = np.outer(v, v)
-        for x in range(4):
-            for y in range(4):
-                assert amplitude_ratio(mat, x, y) * amplitude_ratio(mat, y, x) \
-                    == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_diagonal_rejected(self):
-        mat = np.diag([0.0, 1.0])
-        with pytest.raises(ValueError):
-            amplitude_ratio(mat, 0, 1)
-
-    def test_cross_block_rejected(self):
-        with pytest.raises(ValueError):
-            amplitude_ratio(np.eye(2), 0, 1)
 
 
 class TestAssembly:
@@ -400,15 +367,6 @@ def ref_embed_block(block, old_support, new_support):
         idx_extra[:, None] == idx_extra[None, :])
 
 
-def ref_support_maps(support, n):
-    rest_qubits = [q for q in range(n) if q not in support]
-    sup = np.array([sum(1 << q for i, q in enumerate(support) if (a >> i) & 1)
-                    for a in range(2 ** len(support))], dtype=np.int64)
-    rest = np.array([sum(1 << q for i, q in enumerate(rest_qubits) if (r >> i) & 1)
-                     for r in range(2 ** len(rest_qubits))], dtype=np.int64)
-    return sup, rest
-
-
 def ref_assemble_dense(op):
     dim = 2**op.n
     out = np.zeros((dim, dim))
@@ -418,11 +376,6 @@ def ref_assemble_dense(op):
             idx = sup + r
             out[np.ix_(idx, idx)] += w * t.block
     return out
-
-
-def ref_matrix_element(op, x, y):
-    """The scalar term loop matrix_element ran before the array form."""
-    return sum(w * ref_element(t, x, y) for w, t in zip(op.weights, op.terms))
 
 
 def random_factors(rng, support, signed=False):
@@ -547,11 +500,10 @@ class TestLayoutMatchesLoopReference:
         flips = (rng.integers(0, 2**n, size=64) & rng.integers(0, 2**n, size=64)
                  & rng.integers(0, 2**n, size=64))
         ys = xs ^ flips
-        want = np.array([ref_matrix_element(op, int(x), int(y))
-                         for x, y in zip(xs, ys)])
+        want = ref_elements(op, xs, ys)
         assert matrix_elements(op, xs, ys).tobytes() == want.tobytes()
         x, y = int(xs[0]), int(ys[0])
-        assert repr(matrix_element(op, x, y)) == repr(ref_matrix_element(op, x, y))
+        assert repr(matrix_element(op, x, y)) == repr(float(ref_elements(op, x, y)))
 
     def test_matrix_elements_reject_out_of_range(self):
         op = OperatorSum(2, (LocalOperator((0,), X),))
@@ -560,15 +512,6 @@ class TestLayoutMatchesLoopReference:
                 matrix_element(op, x, y)
             with pytest.raises(IndexError):
                 matrix_elements(op, [0, x], [0, y])
-
-
-def ref_elements(op, xs, ys):
-    """ref_matrix_element at every pair of the broadcast of xs and ys."""
-    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64),
-                                 np.asarray(ys, dtype=np.int64))
-    return np.array([ref_matrix_element(op, int(x), int(y))
-                     for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())],
-                    dtype=float).reshape(xs.shape)
 
 
 def signed_sum(rng, n, supports):
@@ -620,7 +563,7 @@ class TestMatrixElementsTermTable:
                 self.assert_bytes(op, a, b)
                 assert matrix_elements(op, a, b).shape == ()
             assert repr(matrix_element(op, x, y)) \
-                == repr(ref_matrix_element(op, x, y))
+                == repr(float(ref_elements(op, x, y)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_broadcast_shapes(self, seed):
@@ -674,7 +617,7 @@ class TestMatrixElementsTermTable:
         assert xs.max() >> 61 == 1
         self.assert_bytes(op, xs, ys)
         x, y = int(xs[0]), int(ys[0])
-        assert repr(matrix_element(op, x, y)) == repr(ref_matrix_element(op, x, y))
+        assert repr(matrix_element(op, x, y)) == repr(float(ref_elements(op, x, y)))
 
     def test_out_of_range_on_62_qubits(self):
         op = OperatorSum(62, (LocalOperator((61,), X),))
@@ -705,44 +648,8 @@ class TestMatrixElementsTermTable:
 
 # ---------------------------------------------------------------------------
 # Loop references for the two bit rules: the per-site copies that
-# ops.gather, ops.scatter and Gate.apply replaced.
-
-
-def ref_local_index(support, x):
-    """LocalOperator.local_index as it was: bit i is qubit support[i]."""
-    lx = 0
-    for i, q in enumerate(support):
-        lx |= ((x >> q) & 1) << i
-    return lx
-
-
-def ref_element(t, x, y):
-    """LocalOperator.element as it was, with its own mask loop."""
-    mask = 0
-    for q in t.support:
-        mask |= 1 << q
-    if (x & ~mask) != (y & ~mask):
-        return 0.0
-    return float(t.block[ref_local_index(t.support, x),
-                         ref_local_index(t.support, y)])
-
-
-def ref_apply_to_basis(op, x):
-    """apply_to_basis as it was, with its clear-and-set loops."""
-    row = {}
-    for w, t in zip(op.weights, op.terms):
-        lx = ref_local_index(t.support, x)
-        col = t.block[:, lx]
-        base = x
-        for q in t.support:
-            base &= ~(1 << q)
-        for ly in np.nonzero(col)[0]:
-            y = base
-            for i, q in enumerate(t.support):
-                if (int(ly) >> i) & 1:
-                    y |= 1 << q
-            row[y] = row.get(y, 0.0) + w * float(col[ly])
-    return {y: v for y, v in row.items() if v != 0.0}
+# ops.gather, ops.scatter and Gate.apply replaced (ref_local_index,
+# ref_element and ref_apply_to_basis are in refs.py).
 
 
 def ref_circuit_images(gates, qubit_map, perm):

@@ -26,6 +26,9 @@
 * a term's diagonal: ``ops.diagonal``, the one read of a block's
   diagonal, under ``extreme_eigenvalue`` and ``dense_spectrum``
   (``LocalOperator`` has no ``diag`` of its own)
+* the document boundary: ``instances.document_boundary``, the one raise
+  of the not-an-object, version, missing-field and malformed-value
+  messages, around ``from_document`` and ``circuit_from_document``
 
 Each reference is compared bytewise with its home under hypothesis, and
 the source guard at the end keeps each rule from being written twice.
@@ -48,15 +51,18 @@ from hypothesis import given, settings, strategies as st
 
 from stoqbench import (DisorderEnsemble, Gate, LhMinInstance, LocalOperator,
                        OperatorSum, SchemaError, TermTemplate, VerifierCircuit,
-                       apply_to_basis, cli, clock, decompose_stoquastic,
-                       estimators, instances, ops, sbp_matrix, trace_power,
-                       walk)
+                       apply_to_basis, circuits, cli, clock,
+                       decompose_stoquastic, estimators, instances, ops,
+                       sbp_matrix, trace_power, walk)
 from stoqbench.clock import ClockInstance, compile_circuit, gate_matrix
 from stoqbench.estimators import _LambdaSolver, draw_blocks
 from stoqbench.ops import (_support_maps, gather, local_term, matrix_elements,
                            scatter)
 
 from conftest import random_stoquastic_block
+from refs import (ref_apply_to_basis, ref_element, ref_elements,
+                  ref_support_maps)
+from test_document_fuzz import DELETE, SOURCES, VALUES, mutations
 
 # ---------------------------------------------------------------------------
 # the copies that were replaced
@@ -67,26 +73,6 @@ def ref_mask(support):
     return scatter((1 << len(support)) - 1, support)
 
 
-def ref_element(t, x, y):
-    if (x ^ y) & ~scatter((1 << t.k) - 1, t.support):
-        return 0.0
-    return float(t.block[gather(x, t.support), gather(y, t.support)])
-
-
-def ref_matrix_elements(op, xs, ys):
-    """matrix_elements as a loop over the terms, before its term table:
-    each term's mask, local indices and hits, one numpy pass per term."""
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    out = np.zeros(np.broadcast(xs, ys).shape)
-    for w, t in zip(op.weights, op.terms):
-        mask = scatter((1 << t.k) - 1, t.support)
-        lx = gather(xs, t.support)
-        ly = gather(ys, t.support)
-        out += w * np.where(((xs ^ ys) & ~mask) == 0, t.block[lx, ly], 0.0)
-    return out
-
-
 def ref_column(t, key):
     """walk._column, the walk's copy of a term's column."""
     lx = gather(key, t.support)
@@ -94,25 +80,6 @@ def ref_column(t, key):
     return float(col[lx]), [(scatter(ly, t.support), float(col[ly]),
                              float(t.block[ly, ly]))
                             for ly in np.nonzero(col)[0].tolist()]
-
-
-def ref_apply_to_basis(op, x):
-    """apply_to_basis's own column loop."""
-    row = {}
-    for w, t in zip(op.weights, op.terms):
-        lx = gather(x, t.support)
-        col = t.block[:, lx]
-        base = x ^ scatter(lx, t.support)  # x with its support bits cleared
-        for ly in np.nonzero(col)[0]:
-            y = base | scatter(int(ly), t.support)
-            row[y] = row.get(y, 0.0) + w * float(col[ly])
-    return {y: v for y, v in row.items() if v != 0.0}
-
-
-def ref_support_maps(support, n):
-    mask = scatter((1 << len(support)) - 1, support)
-    idx = np.arange(2**n, dtype=np.int64)
-    return idx[(idx & ~mask) == 0], idx[(idx & mask) == 0]
 
 
 def ref_verifier_permutation(v):
@@ -132,7 +99,7 @@ def ref_gate_matrix(gate):
 
 def ref_trace_draws(g, L, paths, seed):
     """The sampled trace_power's block loop: its draws and its values, with
-    G's entries read one step at a time through ref_matrix_elements."""
+    G's entries read one step at a time through ref_elements."""
     rng = np.random.default_rng(seed)
     scale = 2.0 ** (g.n * L)
     rows = max(1, estimators.DRAW_CHUNK // L)
@@ -143,7 +110,7 @@ def ref_trace_draws(g, L, paths, seed):
         draws.append(xs)
         prod = np.ones(len(xs))
         for j in range(L):
-            prod *= ref_matrix_elements(g, xs[:, j], xs[:, (j + 1) % L])
+            prod *= ref_elements(g, xs[:, j], xs[:, (j + 1) % L])
         vals[start:start + len(xs)] = scale * prod
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
@@ -189,6 +156,55 @@ def ref_write_json(path, doc):
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(line)
+
+
+def ref_from_document(doc):
+    """instances.from_document with its own copy of the boundary checks."""
+    if not isinstance(doc, dict):
+        raise SchemaError("instance document is not a JSON object")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("instance metadata is not a JSON object")
+    try:
+        version = doc.get("version")
+        if type(version) is not int or version != instances.SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema version {version}")
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in instances._KINDS:
+            raise SchemaError(f"unknown instance kind {kind!r}")
+        cls, fields, terms = instances._KINDS[kind]
+        inst = cls(n=instances.json_int(doc["n"], "n"),
+                   **{f: parse(doc[f], f) for f, parse in fields.items()},
+                   **{terms: tuple(instances._term_from_json(
+                       t, cls is DisorderEnsemble) for t in doc["terms"])},
+                   metadata=metadata)
+    except KeyError as exc:
+        raise SchemaError(f"instance document has no {exc} field") from None
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise SchemaError(f"malformed instance document: {exc}") from None
+    return instances.require_valid(inst)
+
+
+def ref_circuit_from_document(doc):
+    """circuits.circuit_from_document with its own copy of the checks."""
+    if not isinstance(doc, dict):
+        raise ValueError("circuit document is not a JSON object")
+    version = doc.get("version")
+    if type(version) is not int or version != circuits.CIRCUIT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported circuit schema version {version}")
+    try:
+        gates = tuple(Gate(g["kind"], tuple(instances.json_int(q, "gate qubit")
+                                            for q in g["qubits"]))
+                      for g in doc["gates"])
+        return VerifierCircuit(
+            **{f: instances.json_int(doc[f], f)
+               for f in ("n", "n_w", "n_0", "n_plus")},
+            gates=gates, out_basis=doc["out_basis"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"circuit document has no {exc} field") from None
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed circuit document: {exc}") from None
 
 
 # the kets of the reference below, kept with it
@@ -356,7 +372,7 @@ class TestMask:
         ys = [pair_with(rng, op.terms[i % len(cases)], n, x)
               for i, x in enumerate(xs)]
         got = matrix_elements(op, xs, ys)
-        assert got.tobytes() == ref_matrix_elements(op, xs, ys).tobytes()
+        assert got.tobytes() == ref_elements(op, xs, ys).tobytes()
         for x in xs:
             assert [(type(y), y, v.hex()) for y, v in apply_to_basis(op, x).items()] \
                 == [(type(y), y, v.hex()) for y, v in ref_apply_to_basis(op, x).items()]
@@ -515,6 +531,55 @@ class TestWriter:
             == self.outputs(ref_write_json, doc)
 
 
+def read_outcome(read, write, doc):
+    """What ``read(doc)`` gives: the document ``write`` makes of its
+    result, or its error as (is a ValueError, type name otherwise, message)."""
+    try:
+        return "read", repr(write(read(doc)))
+    except Exception as exc:
+        valueerror = isinstance(exc, ValueError)
+        return valueerror, "" if valueerror else type(exc).__name__, str(exc)
+
+
+# (reader, its reference, the writer that makes a document of its result)
+READERS = {"instance": (instances.from_document, ref_from_document,
+                        instances.to_document),
+           "circuit": (circuits.circuit_from_document,
+                       ref_circuit_from_document, circuits.circuit_to_document)}
+
+
+class TestDocumentBoundary:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SOURCES)), st.data())
+    def test_readers_match_their_own_checks(self, kind, data):
+        """One value mutated, and now and then the version too, so that
+        the order of two failing checks is compared as well."""
+        doc, _, _ = data.draw(mutations(kind))
+        if data.draw(st.booleans()):
+            version = data.draw(st.sampled_from(VALUES))
+            if version is DELETE:
+                doc.pop("version", None)
+            else:
+                doc["version"] = version
+        read, ref, write = READERS["circuit" if kind == "circuit"
+                                   else "instance"]
+        assert read_outcome(read, write, doc) == read_outcome(ref, write, doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON)
+    def test_any_json_value(self, doc):
+        for read, ref, write in READERS.values():
+            assert read_outcome(read, write, doc) \
+                == read_outcome(ref, write, doc)
+
+    @pytest.mark.parametrize("what", ["instance", "circuit"])
+    def test_boundary_errors_are_schema_errors(self, what):
+        read = READERS[what][0]
+        for doc in ([], {"version": 2}, {"version": 1}):
+            with pytest.raises(SchemaError):
+                read(doc)
+
+
 class TestValidityGate:
     def test_three_callers_raise_the_one_message(self, tmp_path):
         bad = np.array([[0.0, 1.0], [1.0, 0.0]])  # positive off-diagonal
@@ -624,6 +689,12 @@ def _reads_block_diagonal(node):
     ("a read of a term block's diagonal",
      _reads_block_diagonal,
      [("ops", "diagonal")]),
+    ("a document boundary message",
+     lambda node: isinstance(node, ast.Raise) and any(
+         text in ast.unparse(node) for text in (
+             "document is not a JSON object", "unsupported", "document has no",
+             "malformed")),
+     [("instances", "document_boundary")] * 4),
 ])
 def test_each_rule_has_one_home(rule, match, home):
     assert _homes(match) == home, f"{rule} written outside its home"

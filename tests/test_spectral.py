@@ -66,10 +66,12 @@ class TestExtremeEigenvalue:
             v = -v
         assert np.min(v) > -1e-12
 
-    def test_unconverged_solve_raises(self):
+    def test_unconverged_solve_raises(self, monkeypatch):
         inst = random_projector_instance(5, 2, 4, seed=0)
+        monkeypatch.setattr(spectral, "EIGEN_TOL", 1e-14)
+        monkeypatch.setattr(spectral, "LOBPCG_MAX_ITER", 3)
         with pytest.raises(ValueError, match="not verified"):
-            extreme_eigenvalue(build_G(inst), "max", tol=1e-14, max_iter=3)
+            extreme_eigenvalue(build_G(inst), "max")
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_min_orthogonal_to_all_ones(self, n):

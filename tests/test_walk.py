@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoqbench import ops, walk
+from stoqbench import ops, spectral, walk
 from stoqbench import (AcceptanceReport, Gate, LocalOperator, StoqSatInstance,
                        VerifierCircuit, WalkConfig, WalkRunner, WalkTranscript,
                        acceptance_rate, assemble_dense,
@@ -25,7 +25,7 @@ from stoqbench.ops import ETA
 from conftest import plus_instance
 from test_acceptance import (completeness_fixtures, planted_sat_dimacs,
                              rejecting_circuits, soundness_fixtures)
-from test_ops import ref_element
+from refs import ref_element
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 SAT_3 = "p cnf 3 3\n1 2 0\n-1 3 0\n2 -3 0\n"
@@ -769,6 +769,34 @@ class TestExactAcceptance:
         runner = WalkRunner(StoqSatInstance(2, 0.5, (LocalOperator(
             (0, 1), rank_one(1, 0, 0, 1) + rank_one(0, 1, 1, 0)),)))
         assert runner.certain(0, 4)
+
+    def test_exact_above_the_dense_limit_from_the_closure_alone(
+            self, monkeypatch):
+        """A clock export of N = 15 qubits, past the default dense limit:
+        witness 16380 gets an exact report from its closure, with every
+        assembly and dense solve patched to raise during the call, and the
+        value lies in the Wilson interval of 400 walked trials."""
+        v = VerifierCircuit(1, 1, 1, 0, (Gate("X", (2,)),) * 10,
+                            out_basis="zero")
+        inst = export_6sat(compile_circuit(v, 1))
+        assert inst.n == 15 > ops.DEFAULT_DENSE_LIMIT
+        config = WalkConfig(steps=required_steps(inst.n, inst.epsilon,
+                                                 inst.m), seed=3)
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the exact value needs no matrix")
+
+        with monkeypatch.context() as patch:
+            for module in (ops, spectral):
+                patch.setattr(module, "assemble_sparse", no_matrix)
+                patch.setattr(module, "assemble_dense", no_matrix)
+            patch.setattr(spectral, "dense_spectrum", no_matrix)
+            rep = acceptance_rate(inst, 16380, 400, config)
+        assert rep.exact and rep.rate == pytest.approx(0.00126, rel=0.01)
+        first, votes = WalkRunner(inst).sweep(16380, config, 400)
+        assert first is None
+        lo, hi = wilson_interval(sum(t[0].accepted for t in votes), 400)[1:]
+        assert lo <= rep.rate <= hi
 
     def test_exact_value_inside_monte_carlo_interval(self):
         """Criterion 2's walking witnesses, the i-th walked by the per-trial
