@@ -292,7 +292,7 @@ def cmd_verify(args):
     steps = args.steps or walk.required_steps(inst.n, inst.epsilon, inst.m)
     config = walk.WalkConfig(steps=steps, seed=args.seed)
     runner = walk.WalkRunner(inst)
-    first, votes = runner.sweep(witness, config, args.trials)
+    first, trials = runner.sweep(witness, config, args.trials)
     if first is not None:
         tail = _trial_fields(first)
     elif not args.transcripts and runner.certain(witness, args.trials * steps):
@@ -300,7 +300,7 @@ def cmd_verify(args):
     else:
         tail = None
     if tail is None:
-        records = [trial[0] for trial in votes]
+        records = list(trials)
         body = _csv([i, *_trial_fields(r)] for i, r in enumerate(records))
         accepted = sum(r.accepted for r in records)
     else:
@@ -313,13 +313,16 @@ def cmd_verify(args):
     text = (_csv([["trial", "accepted", "steps_taken", "reject_step",
                    "reject_reason", "log_r_sum"]]) + body
             + _csv([["rate", rate, lo, hi, accepted, args.trials]]))
+    if not args.transcripts:
+        instances.write_text(args.out, text)
+        return EXIT_OK, [args.instance, *witness_files]
     # --transcripts is opened first and discarded if writing --out fails,
     # and flushed before --out is opened, so an exit 1 leaves neither file
-    with instances.open_output(args.transcripts or os.devnull) as fh:
-        if args.transcripts and first is not None:
+    with instances.open_output(args.transcripts) as fh:
+        if first is not None:
             line = runner.transcript(witness, first).to_json() + "\n"
             fh.write(line * args.trials)
-        elif args.transcripts:
+        else:
             fh.writelines(runner.transcript(witness, r).to_json() + "\n"
                           for r in records)
         fh.flush()
@@ -357,6 +360,12 @@ def cmd_trace(args):
 
 
 def cmd_ensemble(args):
+    for flag, default in (("lambda_yes", 0.0), ("lambda_no", 1.0)):
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif not args.decide:
+            raise ValueError(f"argument --{flag.replace('_', '-')}: ensemble "
+                             "reads it only with --decide")
     ens = estimators.replica_ensemble(
         _load(args, instances.DisorderEnsemble), args.replicas)
     if args.decide:
@@ -454,8 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--replicas", type=int, default=1)
     e.add_argument("--seed", type=_seed, required=True)
     e.add_argument("--decide", action="store_true")
-    e.add_argument("--lambda-yes", type=float, default=0.0)
-    e.add_argument("--lambda-no", type=float, default=1.0)
+    # None where not given: cmd_ensemble refuses them without --decide
+    e.add_argument("--lambda-yes", type=float)
+    e.add_argument("--lambda-no", type=float)
     e.add_argument("--out", default="-")
 
     return p

@@ -14,10 +14,9 @@ from .walk import build_G
 
 @dataclass(frozen=True)
 class WitnessVector:
-    """Pruned non-negative top eigenvector of G, plus its argmax string."""
+    """Pruned non-negative top eigenvector of G."""
 
     amplitudes: dict  # basis index -> positive amplitude
-    argmax: int
 
     def norm(self) -> float:
         return float(np.sqrt(sum(a * a for a in self.amplitudes.values())))
@@ -43,8 +42,8 @@ def honest_witness(instance: StoqSatInstance) -> HonestWitness:
     amplitudes = {x: a / norm for x, a in amplitudes.items()}
     peak = max(amplitudes.values())
     argmax = min(x for x, a in amplitudes.items() if a >= peak - 1e-12)
-    witness = WitnessVector(amplitudes=amplitudes, argmax=argmax)
-    return HonestWitness(vector=witness, argmax=argmax, eigenvalue=res.value,
+    return HonestWitness(vector=WitnessVector(amplitudes), argmax=argmax,
+                         eigenvalue=res.value,
                          looks_unsat=res.value < 1.0 - 1e-8)
 
 

@@ -235,7 +235,7 @@ class WalkRunner:
     # -- protocol ----------------------------------------------------------
 
     def run(self, witness: int, config: WalkConfig) -> WalkTranscript:
-        rng = next(_generators(config.seed, 1, 1))
+        rng = next(_generators(config.seed, 1))
         record = self._run_with_rng(witness, config, rng)
         return self.transcript(witness, record)
 
@@ -259,36 +259,34 @@ class WalkRunner:
                               record.reject_step, record.reject_reason,
                               record.rng_draws, delta)
 
-    def sweep(self, witness: int, config: WalkConfig, count: int,
-              majority: int = 1):
-        """``count`` trials of ``majority`` votes each, as (first, votes) of
+    def sweep(self, witness: int, config: WalkConfig, count: int):
+        """``count`` trials from ``witness``, as (first, records) of
         TrialRecords.
 
-        When no draw can change a record, ``first`` is trial 0's record,
-        run once, which every vote of every trial would give, and
-        ``votes`` is empty: the walk rejects at the witness before its
-        first draw, or the witness is a fixed point (G_ww = 1, as every
-        satisfying string of a CNF), whose row is the one move w -> w with
-        log r = 0, which bisect_left over the empty bounds picks for every
-        uniform.  Otherwise ``first`` is None and ``votes`` lazily yields
-        each trial as the list of its ``majority`` records; vote v of
-        trial i draws numpy's Philox stream with the key of
-        Philox(config.seed) and counter [0, 0, i, v], so every trial is a
-        pure function of (instance, witness, config, i, v).  A witness
-        that ``certain`` accepts still yields votes here, since its
-        records' moves follow the draws; a caller that needs only the
-        tally asks ``certain`` instead.
+        When no draw can change a record, ``first`` is the record that
+        every trial gives, built without a stream, and ``records`` is
+        empty: the walk rejects at the witness before its first draw, or
+        the witness is a fixed point (G_ww = 1, as every satisfying string
+        of a CNF), whose row is the one move w -> w with log r = 0 and
+        whose lazy-step lane (-inf, inf] takes every uniform, so each of
+        its L steps is lazy.  Otherwise ``first`` is None and ``records``
+        lazily yields trial i's record, drawn from numpy's Philox stream
+        with the key of Philox(config.seed) and counter [0, 0, i, 0], so
+        every trial is a pure function of (instance, witness, config, i).
+        A witness that ``certain`` accepts still yields records here, since
+        their moves follow the draws; a caller that needs only the tally
+        asks ``certain`` instead.
         """
-        _check_counts(count, majority)
+        if count < 1:
+            raise ValueError("trials must be >= 1")
         row = self._start(witness)
         if isinstance(row, str):
-            return self._run_with_rng(witness, config, None), ()
-        fixed = row[1] == [(witness, 0.0)]
-        rngs = _generators(config.seed, 1 if fixed else count, majority)
-        if fixed:  # trial 0's stream, which run draws
-            return self._run_with_rng(witness, config, next(rngs)), ()
-        return None, ([self._run_with_rng(witness, config, next(rngs))
-                       for _ in range(majority)] for _ in range(count))
+            return _REJECTED_AT_START[row], ()
+        if row[1] == [(witness, 0.0)]:
+            L = config.steps
+            return TrialRecord(True, L, None, None, 0.0, L, []), ()
+        return None, (self._run_with_rng(witness, config, rng)
+                      for rng in _generators(config.seed, count))
 
     def certain(self, witness: int, cap: int) -> bool:
         """True when every trial from ``witness`` is accepted, whatever it
@@ -302,7 +300,7 @@ class WalkRunner:
         """
         return self._closure(witness, cap, flat=True) is not None
 
-    def exact_acceptance(self, witness: int, steps: int, cap: int):
+    def exact_acceptance(self, witness: int, steps: int):
         """The probability that a trial of ``steps`` steps from ``witness``
         is accepted, summed over its closure, or None.
 
@@ -317,12 +315,12 @@ class WalkRunner:
         row ``witness`` of P^steps puts on those strings, clamped to [0, 1];
         exactly 1.0 when no closure string rejects, no move has log r None
         and every end string passes, and 0.0 when the walk rejects at the
-        witness.  None when the closure would pass ``cap`` strings, when an
-        edge breaks phi by more than PHI_TOL, or when an end string's phi
-        is so close to ETA * steps that a trial's rounded log_r_sum could
-        fall on either side.
+        witness.  None when the closure would pass EXACT_CLOSURE_CAP
+        strings (read at call time), when an edge breaks phi by more than
+        PHI_TOL, or when an end string's phi is so close to ETA * steps
+        that a trial's rounded log_r_sum could fall on either side.
         """
-        closure = self._closure(witness, cap)
+        closure = self._closure(witness, EXACT_CLOSURE_CAP)
         if closure is None:
             return None
         live = {x: row for x, row in closure if isinstance(row, tuple)}
@@ -436,13 +434,6 @@ class WalkRunner:
         return TrialRecord(True, L, None, None, log_r_sum, L, taken)
 
 
-def _check_counts(count: int, majority: int) -> None:
-    if count < 1:
-        raise ValueError("trials must be >= 1")
-    if majority < 1:
-        raise ValueError("majority must be >= 1")
-
-
 def _uniforms(rng, L: int):
     """Yield a trial's L uniforms as lists of doubling length from 32, so a
     walk that stops early draws few.  The floats are those of L scalar
@@ -454,21 +445,20 @@ def _uniforms(rng, L: int):
         size *= 2
 
 
-def _generators(seed: int, count: int, majority: int):
-    """Yield one Generator per vote, i major: vote v of trial i draws
-    numpy's Generator(Philox(key=k, counter=[0, 0, i, v])), where k is the
-    key Philox(seed) derives, so every vote owns a counter block.  One
-    Philox is built per call and the same Generator is yielded every time,
-    reset, so it must be used up before the next one is drawn."""
+def _generators(seed: int, count: int):
+    """Yield one Generator per trial: trial i draws numpy's
+    Generator(Philox(key=k, counter=[0, 0, i, 0])), where k is the key
+    Philox(seed) derives, so every trial owns a counter block.  One Philox
+    is built per call and the same Generator is yielded every time, reset,
+    so it must be used up before the next one is drawn."""
     rng = np.random.Generator(np.random.Philox(seed))
     bitgen = rng.bit_generator
     # the initial state has buffer_pos 4: no buffered word carries over
     state = bitgen.state
     for i in range(count):
-        for v in range(majority):
-            state["state"]["counter"] = [0, 0, i, v]
-            bitgen.state = state
-            yield rng
+        state["state"]["counter"] = [0, 0, i, 0]
+        bitgen.state = state
+        yield rng
 
 
 def wilson_interval(successes: int, trials: int):
@@ -500,57 +490,35 @@ class AcceptanceReport:
 
 
 def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
-                    config: WalkConfig, runner: WalkRunner = None,
-                    majority: int = 1) -> AcceptanceReport:
+                    config: WalkConfig,
+                    runner: WalkRunner = None) -> AcceptanceReport:
     """Acceptance probability of a witness: exact where the closure allows,
     else Monte Carlo over seeded independent trials.
 
-    The trials are those of WalkRunner.sweep: vote v of trial i draws the
-    Philox stream with counter [0, 0, i, v], so results are a pure
-    function of (instance, witness, trials, seed).  When no draw can
-    change the tally the report is marked deterministic and at most trial
-    0 runs: 0 <= 0 <= 0 for a rejection at step 0, and the Wilson
-    interval of all trials accepted, as the Monte Carlo would give it,
-    for a fixed point or a witness that ``WalkRunner.certain`` accepts
-    within trials x majority x steps strings.  Otherwise, when
-    ``WalkRunner.exact_acceptance`` gives the probability p within
-    EXACT_CLOSURE_CAP strings, no trial runs and the report is marked
-    exact: rate = lower = upper = the chance that more than half of
-    ``majority`` independent votes accept, p itself for one vote, with
-    ``accepted`` None.  ``majority`` > 1 repeats each trial and takes a
-    majority vote (the amplification wrapper for delta-perturbed
-    sampling).
+    The trials are those of WalkRunner.sweep: trial i draws the Philox
+    stream with counter [0, 0, i, 0], so results are a pure function of
+    (instance, witness, trials, seed).  When no draw can change the tally
+    the report is marked deterministic and no trial runs: 0 <= 0 <= 0 for
+    a rejection at step 0, and the Wilson interval of all trials accepted,
+    as the Monte Carlo would give it, for a fixed point or a witness that
+    ``WalkRunner.certain`` accepts within trials x steps strings.
+    Otherwise, when ``WalkRunner.exact_acceptance`` gives the probability
+    p within EXACT_CLOSURE_CAP strings, no trial runs and the report is
+    marked exact: rate = lower = upper = p, with ``accepted`` None.
     """
     if runner is None:
         runner = WalkRunner(instance)
     elif runner.instance is not instance:
         raise ValueError("runner was built for another instance")
-    first, votes = runner.sweep(witness, config, trials, majority)
+    first, records = runner.sweep(witness, config, trials)
     if first is not None and not first.accepted:
         return AcceptanceReport(0.0, 0.0, 0.0, trials, 0, deterministic=True)
-    if first is not None or runner.certain(
-            witness, trials * majority * config.steps):
+    if first is not None or runner.certain(witness, trials * config.steps):
         return AcceptanceReport(*wilson_interval(trials, trials), trials,
                                 trials, deterministic=True)
-    p = runner.exact_acceptance(witness, config.steps, EXACT_CLOSURE_CAP)
+    p = runner.exact_acceptance(witness, config.steps)
     if p is not None:
-        p = _majority_tail(p, majority)
         return AcceptanceReport(p, p, p, trials, None, exact=True)
-    accepted = 0
-    for trial in votes:
-        accepted += sum(t.accepted for t in trial) * 2 > majority
+    accepted = sum(r.accepted for r in records)
     rate, lo, hi = wilson_interval(accepted, trials)
     return AcceptanceReport(rate, lo, hi, trials, accepted)
-
-
-def _majority_tail(p: float, majority: int) -> float:
-    """The chance that more than half of ``majority`` independent votes,
-    each accepted with probability p, accept: the binomial tail, its terms
-    in log space so that no binomial coefficient overflows a double."""
-    if majority == 1 or p in (0.0, 1.0):
-        return p
-    log_p, log_q, top = math.log(p), math.log1p(-p), math.lgamma(majority + 1)
-    return min(1.0, math.fsum(
-        math.exp(top - math.lgamma(k + 1) - math.lgamma(majority - k + 1)
-                 + k * log_p + (majority - k) * log_q)
-        for k in range(majority // 2 + 1, majority + 1)))

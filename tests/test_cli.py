@@ -273,6 +273,17 @@ class TestTraceAndEnsemble:
                      "--lambda-no", "2.0", "--out", out]) == EXIT_PROMISE
         assert "decision,,inconclusive" in Path(out).read_text()
 
+    def test_ensemble_decide_reads_the_threshold_defaults(self, tmp_path):
+        ens = self.ensemble_path(tmp_path)
+        outs = []
+        for given in ([], ["--lambda-yes", "0", "--lambda-no", "1"]):
+            out = tmp_path / f"d{len(outs)}.csv"
+            assert main(["ensemble", "--instance", ens, "--samples", "20",
+                         "--seed", "0", "--decide", *given, "--out",
+                         str(out)]) in (EXIT_OK, EXIT_PROMISE)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and b"decision," in outs[0]
+
 
 class TestRobustness:
     @pytest.mark.parametrize("witness", ["8", "99", "-1"])
@@ -983,6 +994,23 @@ class TestRobustness:
         assert err == (f"error: argument {flag}: compile --to {target} "
                        "does not read it\n")
 
+    @pytest.mark.parametrize("given", [
+        ["--lambda-yes", "0.1"], ["--lambda-no", "0.5"],
+        ["--lambda-no", "0.5", "--lambda-yes", "0"]])
+    def test_ensemble_refuses_thresholds_without_decide(
+            self, given, tmp_path, capsys, monkeypatch):
+        write(tmp_path / "e.cnf", UNSAT_BIASED)
+        assert main(["gen", "cnf-ensemble", "--cnf", str(tmp_path / "e.cnf"),
+                     "--q-vars", "3", "--out", str(tmp_path / "ens.json")]) \
+            == EXIT_OK
+        err = self.one_line_error(
+            ["ensemble", "--instance", "ens.json", "--samples", "2", "--seed",
+             "0", *given, "--out", "o.csv"], tmp_path, capsys, monkeypatch,
+            ["e.cnf", "ens.json", "ens.json.manifest.json"])
+        flag = "--lambda-yes" if "--lambda-yes" in given else "--lambda-no"
+        assert err == (f"error: argument {flag}: ensemble reads it only with "
+                       "--decide\n")
+
     @pytest.mark.parametrize("target, given", [
         ("clock", ["--input", "0", "--delta", "0"]),
         ("6sat", ["--input", "0"]),
@@ -1466,14 +1494,24 @@ class TestOutputsInPlace:
         for name in ("out", "out.manifest.json"):
             assert stat.S_IMODE(os.stat(name).st_mode) == want, name
 
-    def test_device_is_never_truncated(self):
-        with instances.open_output(os.devnull) as fh:
-            fh.write("not kept\n")
-        instances.write_text(os.devnull, "x" * 100)
-        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    def test_device_is_never_truncated(self, tmp_path):
+        """A FIFO made here, with a reader held open, stands in for a
+        device: both writes reach the reader, and the path stays a FIFO
+        (truncating it would raise, replacing it would not be read)."""
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with instances.open_output(fifo) as fh:
+                fh.write("first\n")
+            instances.write_text(fifo, "x" * 100)
+            assert os.read(reader, 1000) == b"first\n" + b"x" * 100
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
-    def test_verify_without_transcripts_opens_devnull(self, workdir,
-                                                      monkeypatch):
+    def test_verify_without_transcripts_opens_only_out_and_manifest(
+            self, workdir, monkeypatch):
         opened = []
         open_output = instances.open_output
 
@@ -1484,7 +1522,7 @@ class TestOutputsInPlace:
         monkeypatch.setattr(instances, "open_output", spy)
         argv = self.RUNS["verify-csv"] + ["--out", "out"]
         assert main(argv) == EXIT_OK
-        assert opened == [os.devnull, "out", "out.manifest.json"]
+        assert opened == ["out", "out.manifest.json"]
         assert Path("out").read_text().startswith("trial,")
 
 

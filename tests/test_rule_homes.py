@@ -18,7 +18,7 @@
 * a clock projector: ``clock._projector``, the one constructor of the
   init, prop and meas terms of ``clock.compile_circuit``
 * the walk's trial sweep: ``walk.WalkRunner.sweep``, the one place that
-  checks the trial counts, tests a witness for a fixed point and derives
+  checks the trial count, tests a witness for a fixed point and derives
   the trial streams (``run`` derives trial 0's alone)
 * the output opener: ``instances.open_output``, the one ``open`` or
   ``os.open`` of a file for writing in src/, under ``write_text`` and
@@ -32,6 +32,8 @@
 
 Each reference is compared bytewise with its home under hypothesis, and
 the source guard at the end keeps each rule from being written twice.
+A table of every defaulted parameter of a public src/ function keeps a
+settable value from being added unseen.
 """
 
 import ast
@@ -676,9 +678,10 @@ def _reads_block_diagonal(node):
      [("walk", "sweep")]),
     ("a _generators call",
      lambda node: _is_call_of(node, "_generators"),
-     [("walk", "sweep"), ("walk", "run")]),
-    ("the trial and majority count check",
-     lambda node: _is_call_of(node, "_check_counts"),
+     [("walk", "run"), ("walk", "sweep")]),  # in ast.walk's order
+    ("the trial count check",
+     lambda node: isinstance(node, ast.Constant)
+     and node.value == "trials must be >= 1",
      [("walk", "sweep")]),
     ("a read of an operator sum's term table",
      lambda node: isinstance(node, ast.Attribute) and node.attr == "table",
@@ -746,3 +749,59 @@ def test_one_column_rule():
     assert not imported & {"gather", "scatter"}
     assert not hasattr(LocalOperator, "element")
     assert not hasattr(LocalOperator, "diag")
+
+
+# every defaulted parameter of a public src/ function, by module and
+# qualified name; the tuning values among them (ROADMAP aim 2 counts
+# them) are marked, the rest are inputs a caller may leave out
+DEFAULTED = {
+    ("cli", "main"): ("argv",),
+    ("clock", "compile_circuit"): ("x",),
+    ("clock", "export_6sat"): ("epsilon",),
+    ("estimators", "trace_power"): ("mode", "paths", "seed"),
+    ("estimators", "trace_report"): ("L", "mode", "paths", "seed"),
+    ("estimators", "replica_ensemble"): ("qubit_ceiling",),
+    ("estimators", "lambda_stats"): ("seed",),
+    ("estimators", "av_decide"): ("samples", "seed", "sigma_margin"),
+    ("instances", "document_boundary"): ("schema",),
+    ("ops", "projector_check"): ("tol",),
+    ("prover", "adversarial_witnesses"): ("mode", "count", "seed"),
+    ("spectral", "extreme_eigenvalue"): ("which",),
+    ("walk", "acceptance_rate"): ("runner",),
+}
+TUNING = {("ops", "projector_check", "tol"),
+          ("estimators", "replica_ensemble", "qubit_ceiling"),
+          ("estimators", "av_decide", "sigma_margin")}
+
+
+def _defaulted_parameters():
+    """(module, qualified name) -> its defaulted parameters, for every
+    function and method in src/ whose name has no leading underscore."""
+    found = {}
+    for path in sorted(Path(ops.__file__).parent.glob("*.py")):
+        todo = [("", ast.parse(path.read_text(encoding="utf-8")))]
+        while todo:
+            prefix, node = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    todo.append((f"{prefix}{child.name}.", child))
+                if not isinstance(child, ast.FunctionDef) \
+                        or child.name.startswith("_"):
+                    continue
+                a = child.args
+                positional = a.posonlyargs + a.args
+                names = [p.arg for p in positional[len(positional)
+                                                   - len(a.defaults):]]
+                names += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                if names:
+                    found[path.stem, prefix + child.name] = tuple(names)
+    return found
+
+
+def test_every_defaulted_parameter_is_in_the_table():
+    """A parameter with a default that the table does not name fails
+    here: it is an input the table should list, or a tuning value."""
+    assert _defaulted_parameters() == DEFAULTED
+    assert TUNING <= {(*key, p) for key, ps in DEFAULTED.items() for p in ps}
+    assert len(TUNING) == 3

@@ -356,8 +356,8 @@ class TestRunWalk:
         inst = plus_instance(3, [(0, 1), (1, 2)])
         config = WalkConfig(steps=30, seed=11)
         runner = WalkRunner(inst)
-        _, votes = runner.sweep(witness, config, 1)
-        [first] = next(votes)
+        _, records = runner.sweep(witness, config, 1)
+        first = next(records)
         t = WalkRunner(inst).run(witness, config)
         assert dataclasses.asdict(t) \
             == dataclasses.asdict(runner.transcript(witness, first))
@@ -385,12 +385,6 @@ class TestAcceptanceRate:
         b = acceptance_rate(inst, 1, 50, WalkConfig(steps=6, seed=3))
         assert (a.rate, a.accepted) == (b.rate, b.accepted)
 
-    def test_majority_vote_wrapper(self):
-        inst = plus_instance(2, [(0, 1)])
-        rep = acceptance_rate(inst, 0, 20, WalkConfig(steps=4, seed=2),
-                              majority=3)
-        assert rep.rate == 1.0
-
     @pytest.mark.parametrize("witness, reason", [(1, "diag-zero"),
                                                  (3, "unnormalized")])
     def test_deterministic_witness_derives_no_streams(self, monkeypatch,
@@ -402,17 +396,17 @@ class TestAcceptanceRate:
                             lambda *a, **k: calls.append(a) or philox(*a, **k))
         config = WalkConfig(steps=5, seed=4)
         assert WalkRunner(inst)._start(witness) == reason
-        rep = acceptance_rate(inst, witness, 300, config, majority=3)
+        rep = acceptance_rate(inst, witness, 300, config)
         assert rep == AcceptanceReport(0.0, 0.0, 0.0, 300, 0,
                                        deterministic=True)
         assert calls == []
         # a witness that walks is summed exactly over its closure and
         # derives none either; one left to the Monte Carlo derives them,
         # one Philox per call
-        assert acceptance_rate(inst, 0, 300, config, majority=3).exact
+        assert acceptance_rate(inst, 0, 300, config).exact
         assert calls == []
         monkeypatch.setattr(walk, "EXACT_CLOSURE_CAP", 1)
-        acceptance_rate(inst, 0, 300, config, majority=3)
+        acceptance_rate(inst, 0, 300, config)
         assert len(calls) == 1
 
     def test_rejection_at_the_witness_checks_it_once(self, monkeypatch):
@@ -428,9 +422,9 @@ class TestAcceptanceRate:
                               runner=runner)
         assert rep.deterministic and rep.rate == 0.0
         assert starts == [1]
-        first, votes = runner.sweep(1, WalkConfig(steps=5, seed=4), 3)
+        first, records = runner.sweep(1, WalkConfig(steps=5, seed=4), 3)
         assert first == walk.TrialRecord(False, 0, 0, "diag-zero", 0.0, 0, ())
-        assert votes == () and starts == [1, 1]
+        assert records == () and starts == [1, 1]
 
     def test_runner_of_another_instance_rejected(self):
         inst = plus_instance(2, [(0, 1)])
@@ -441,47 +435,35 @@ class TestAcceptanceRate:
                               runner=runner)
         assert rep.accepted == 10
 
-    @pytest.mark.parametrize("majority", [0, -1])
-    @pytest.mark.parametrize("witness", [1, 0], ids=["diag-zero", "walks"])
-    def test_nonpositive_majority_rejected(self, witness, majority):
-        # witness 1 is rejected at step 0; witness 0 walks and draws
-        inst = random_projector_instance(3, 2, 3, 0)
-        config = WalkConfig(steps=5, seed=4)
-        with pytest.raises(ValueError, match="majority must be >= 1"):
-            acceptance_rate(inst, witness, 10, config, majority=majority)
 
-
-def reference_trials(runner, witness, config, count, majority=1):
-    """The trials before fixed points ran once: every vote of every trial
-    walks its own Philox stream (a rejecting start draws nothing), each
-    expanded into its transcript."""
+def reference_trials(runner, witness, config, count):
+    """The trials before fixed points ran once: every trial walks its own
+    Philox stream (a rejecting start draws nothing), each expanded into
+    its transcript."""
     for i in range(count):
-        yield [runner.transcript(witness, runner._run_with_rng(
-                   witness, config, philox_stream(config.seed, i, v)))
-               for v in range(majority)]
+        yield runner.transcript(witness, runner._run_with_rng(
+            witness, config, philox_stream(config.seed, i)))
 
 
-def swept_trials(runner, witness, config, count, majority=1):
-    """WalkRunner.sweep's trials as count lists of majority transcripts,
-    expanded from its records: its ``first`` for every vote when it has
-    one, else its votes."""
-    first, votes = runner.sweep(witness, config, count, majority)
+def swept_trials(runner, witness, config, count):
+    """WalkRunner.sweep's trials as count transcripts, expanded from its
+    records: its ``first`` for every trial when it has one, else its
+    records."""
+    first, records = runner.sweep(witness, config, count)
     if first is not None:
-        return [[runner.transcript(witness, first)] * majority
-                for _ in range(count)]
-    return [[runner.transcript(witness, t) for t in trial] for trial in votes]
+        return [runner.transcript(witness, first)] * count
+    return [runner.transcript(witness, t) for t in records]
 
 
-def reference_acceptance_rate(runner, witness, trials, config, majority=1):
+def reference_acceptance_rate(runner, witness, trials, config):
     """acceptance_rate before fixed points ran once: every trial runs, and
     only a rejection at step 0 returns after trial 0."""
     accepted = 0
-    for i, votes in enumerate(reference_trials(runner, witness, config,
-                                               trials, majority)):
-        if i == 0 and not any(t.rng_draws for t in votes):
+    for i, t in enumerate(reference_trials(runner, witness, config, trials)):
+        if i == 0 and not t.rng_draws:
             return AcceptanceReport(0.0, 0.0, 0.0, trials, 0,
                                     deterministic=True)
-        accepted += sum(t.accepted for t in votes) * 2 > majority
+        accepted += t.accepted
     rate, lo, hi = wilson_interval(accepted, trials)
     return AcceptanceReport(rate, lo, hi, trials, accepted)
 
@@ -502,92 +484,117 @@ def cnf_yes_witnesses(draw):
     return inst, draw(st.sampled_from(satisfying))
 
 
+@st.composite
+def cnf_and_plus_registers(draw):
+    """(instance, witness): a planted 3-CNF on 3-7 variables, whose
+    strings are fixed points or reject at once, or a |+> or random
+    projector instance from plus_and_random_instances; the witness is any
+    string."""
+    if draw(st.booleans()):
+        inst, _ = draw(cnf_yes_witnesses())
+    else:
+        inst = draw(plus_and_random_instances())
+    return inst, draw(st.integers(0, 2**inst.n - 1))
+
+
 class TestFixedPointWitness:
     """A satisfying string of a CNF is a fixed point of the walk (G_ww = 1,
-    its row the one move w -> w with log r = 0): every trial gives trial
-    0's transcript, so WalkRunner.sweep runs trial 0 once and returns it
-    with no votes."""
+    its row the one move w -> w with log r = 0, whose lazy-step lane takes
+    every uniform): every trial gives the same record, so WalkRunner.sweep
+    builds it without a stream and returns it with no records."""
 
     @settings(max_examples=60, deadline=None)
-    @given(cnf_yes_witnesses(), st.sampled_from([1, 3]), st.integers(1, 6),
-           st.integers(1, 40), st.integers(0, 2**63 - 1))
-    def test_matches_per_trial_reference(self, case, majority, count, steps,
-                                         seed):
+    @given(cnf_yes_witnesses(), st.integers(1, 6), st.integers(1, 40),
+           st.integers(0, 2**63 - 1))
+    def test_matches_per_trial_reference(self, case, count, steps, seed):
         inst, w = case
         config = WalkConfig(steps=steps, seed=seed)
         runner = WalkRunner(inst)
         assert runner._start(w)[1] == [(w, 0.0)]
-        first, votes = runner.sweep(w, config, count, majority)
-        assert votes == ()
+        first, records = runner.sweep(w, config, count)
+        assert records == ()
         want = [dataclasses.asdict(t)
-                for votes in reference_trials(WalkRunner(inst), w, config,
-                                              count, majority)
-                for t in votes]
+                for t in reference_trials(WalkRunner(inst), w, config, count)]
         assert want == [dataclasses.asdict(runner.transcript(w, first))] \
-            * (count * majority)
-        rep = acceptance_rate(inst, w, count, config, runner=runner,
-                              majority=majority)
-        ref = reference_acceptance_rate(WalkRunner(inst), w, count, config,
-                                        majority)
+            * count
+        rep = acceptance_rate(inst, w, count, config, runner=runner)
+        ref = reference_acceptance_rate(WalkRunner(inst), w, count, config)
         assert rep == dataclasses.replace(ref, deterministic=True)
         assert (rep.rate, rep.accepted, rep.upper) == (1.0, count, 1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(cnf_and_plus_registers(), st.integers(1, 12), st.integers(1, 40),
+           st.integers(0, 2**63 - 1))
+    def test_first_is_every_trials_record(self, case, count, steps, seed):
+        """Whenever sweep gives ``first``, the trial loop on each of the
+        first trials' own streams returns that record, field for field."""
+        inst, w = case
+        config = WalkConfig(steps=steps, seed=seed)
+        first, _ = WalkRunner(inst).sweep(w, config, count)
+        if first is None:
+            return
+        runner = WalkRunner(inst)
+        for i, rng in enumerate(walk._generators(seed, min(count, 6))):
+            assert runner._run_with_rng(w, config, rng)._asdict() \
+                == first._asdict(), i
 
     @pytest.mark.parametrize("witness", [0b110, 0b000], ids=["fixed-point",
                                                              "diag-zero"])
     def test_deterministic_witness_yields_first_and_no_votes(self, witness):
         runner = WalkRunner(from_dimacs(SAT_3))
         config = WalkConfig(steps=6, seed=7)
-        first, votes = runner.sweep(witness, config, 4, majority=3)
+        first, records = runner.sweep(witness, config, 4)
         assert first.reject_reason == (None if witness else "diag-zero")
         assert runner.transcript(witness, first).visited \
             == ([witness] * 7 if witness else [witness])
-        assert votes == ()
-        # a walking witness has no first, and one list per trial
+        assert records == ()
+        # a walking witness has no first, and one record per trial
         runner = WalkRunner(plus_instance(2, [(0, 1)]))
-        first, votes = runner.sweep(0, config, 4, majority=3)
+        first, records = runner.sweep(0, config, 4)
         assert first is None
-        assert [len(trial) for trial in votes] == [3] * 4
+        assert [type(r) for r in records] == [walk.TrialRecord] * 4
 
-    def test_fixed_point_builds_one_philox(self, monkeypatch):
+    def test_fixed_point_builds_no_philox(self, monkeypatch, tmp_path):
+        """sweep, acceptance_rate and verify, with and without
+        --transcripts, take a fixed point's record without a stream."""
         inst = from_dimacs(SAT_3)
-        calls = []
-        philox = np.random.Philox
-        monkeypatch.setattr(np.random, "Philox",
-                            lambda *a, **k: calls.append(a) or philox(*a, **k))
+        sat = str(tmp_path / "sat.json")
+        save(inst, sat)
+
+        def no_philox(*args, **kwargs):
+            raise AssertionError("a fixed point needs no stream")
+
+        monkeypatch.setattr(np.random, "Philox", no_philox)
         config = WalkConfig(steps=6, seed=4)
         runner = WalkRunner(inst)
-        first, votes = runner.sweep(0b110, config, 300, majority=3)
-        assert first.accepted and votes == ()
-        assert len(calls) == 1
-        rep = acceptance_rate(inst, 0b110, 300, config, runner=runner,
-                              majority=3)
-        assert len(calls) == 2 and rep.deterministic and rep.accepted == 300
+        first, records = runner.sweep(0b110, config, 300)
+        assert first.accepted and records == ()
+        rep = acceptance_rate(inst, 0b110, 300, config, runner=runner)
+        assert rep.deterministic and rep.accepted == 300
+        for extra in ([], ["--transcripts", str(tmp_path / "t.jsonl")]):
+            assert cli_main(["verify", "--instance", sat, "--witness", "6",
+                             "--trials", "300", "--seed", "4", "--out",
+                             str(tmp_path / "v.csv"), *extra]) == 0
 
     def test_huge_trial_counts_return_at_once(self, monkeypatch):
         inst = from_dimacs(SAT_3)
         config = WalkConfig(steps=6, seed=1)
         runner = WalkRunner(inst)
         runs = []
-        trial = runner._run_with_rng
-
-        def counted(*args):
-            runs.append(args)
-            assert len(runs) <= 2, "a trial past trial 0 ran"
-            return trial(*args)
-
-        monkeypatch.setattr(runner, "_run_with_rng", counted)
-        first, votes = runner.sweep(0b110, config, 2**64)
+        monkeypatch.setattr(runner, "_run_with_rng",
+                            lambda *args: runs.append(args))
+        first, records = runner.sweep(0b110, config, 2**64)
         assert first.accepted
         assert runner.transcript(0b110, first).visited == [0b110] * 7
-        assert votes == ()
+        assert records == ()
         rep = acceptance_rate(inst, 0b110, 2**64, config, runner=runner)
         assert rep == AcceptanceReport(*wilson_interval(2**64, 2**64), 2**64,
                                        2**64, deterministic=True)
-        assert len(runs) == 2  # trial 0, once per call
+        assert runs == []  # no trial runs
 
     def test_verify_runs_a_fixed_point_once(self, monkeypatch, tmp_path):
-        """verify sweeps once, walks trial 0 once and copies no transcript
-        for its 1,000 rows."""
+        """verify sweeps once, walks no trial and copies no transcript for
+        its 1,000 rows."""
         sat = str(tmp_path / "sat.json")
         save(from_dimacs(SAT_3), sat)
         sweeps, runs, copies = [], [], []
@@ -603,7 +610,7 @@ class TestFixedPointWitness:
         assert cli_main(["verify", "--instance", sat, "--witness", "0b110",
                          "--trials", "1000", "--seed", "7", "--out", str(out),
                          "--transcripts", str(logs)]) == 0
-        assert (len(sweeps), len(runs), len(copies)) == (1, 1, 0)
+        assert (len(sweeps), len(runs), len(copies)) == (1, 0, 0)
         rows = out.read_text().splitlines()
         assert len(rows) == 1002 and rows[1] == "0,1,6,,,0"
         assert rows[-1].startswith("rate,1,") and rows[-1].endswith(",1,1000,1000")
@@ -680,18 +687,15 @@ class TestExactAcceptance:
                                (LocalOperator((0,), np.outer(psi, psi)),))
         runner = WalkRunner(inst)
         assert not runner.certain(1, 100)
-        assert runner.exact_acceptance(1, 4, walk.EXACT_CLOSURE_CAP) == 1.0
+        assert runner.exact_acceptance(1, 4) == 1.0
         rep = acceptance_rate(inst, 1, 20, WalkConfig(steps=4, seed=2))
         assert rep == AcceptanceReport(1.0, 1.0, 1.0, 20, None, exact=True)
-        for majority in (2, 3, 4):
-            assert acceptance_rate(inst, 1, 20, WalkConfig(steps=4, seed=2),
-                                   majority=majority).rate == 1.0
         # from 0 an end string at 1 fails the product test (phi = log 2),
         # and each step lands on 0 with probability 1/5 from either string
-        p = runner.exact_acceptance(0, 4, walk.EXACT_CLOSURE_CAP)
+        p = runner.exact_acceptance(0, 4)
         assert p == pytest.approx(0.2, rel=1e-12)
 
-    def test_honest_argmax_is_exactly_one(self):
+    def test_honest_argmax_is_exactly_one(self, monkeypatch):
         """The honest prover's argmax is accepted with probability exactly
         1.0: on every criterion-1 fixture, summed over its whole closure,
         and on all 58 yes instances among random projector instances of
@@ -705,8 +709,10 @@ class TestExactAcceptance:
         for kind, inst in completeness_fixtures():
             hw = honest_witness(inst)
             steps = required_steps(inst.n, inst.epsilon, inst.m)
-            assert WalkRunner(inst).exact_acceptance(
-                hw.argmax, steps, 2**inst.n) == 1.0, (kind, inst.n)
+            with monkeypatch.context() as patch:
+                patch.setattr(walk, "EXACT_CLOSURE_CAP", 2**inst.n)
+                assert WalkRunner(inst).exact_acceptance(
+                    hw.argmax, steps) == 1.0, (kind, inst.n)
         yes = 0
         for shape in [(3, 2, 2), (4, 2, 3), (5, 3, 3), (4, 1, 4), (6, 2, 4),
                       (5, 2, 2)]:
@@ -718,53 +724,38 @@ class TestExactAcceptance:
                 yes += 1
                 steps = required_steps(inst.n, inst.epsilon, inst.m)
                 assert WalkRunner(inst).exact_acceptance(
-                    hw.argmax, steps, walk.EXACT_CLOSURE_CAP) == 1.0, \
-                    (shape, seed)
+                    hw.argmax, steps) == 1.0, (shape, seed)
         assert yes == 58
 
-    @pytest.mark.parametrize("majority", [2, 3, 4, 5, 7])
-    def test_majority_tail_matches_enumeration(self, majority):
-        inst = random_projector_instance(3, 2, 3, 0)
-        config = WalkConfig(steps=5, seed=4)
-        p = WalkRunner(inst).exact_acceptance(0, 5, walk.EXACT_CLOSURE_CAP)
-        assert 0.0 < p < 1.0
-        want = math.fsum(
-            math.prod(p if v else 1.0 - p for v in votes)
-            for votes in itertools.product((0, 1), repeat=majority)
-            if sum(votes) * 2 > majority)
-        rep = acceptance_rate(inst, 0, 30, config, majority=majority)
-        assert rep.exact and rep.accepted is None
-        assert rep.rate == rep.lower == rep.upper
-        assert rep.rate == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert acceptance_rate(inst, 0, 30, config).rate == p
-
     @pytest.mark.parametrize("case", ["cap", "broken-phi", "tie"])
-    def test_none_gives_the_monte_carlo_report(self, case):
+    def test_none_gives_the_monte_carlo_report(self, case, monkeypatch):
         if case == "cap":
             # 2^7 strings reachable from every witness
             inst, witness, steps = skewed_instance(7), 0b1111111, 6
-            assert WalkRunner(inst).exact_acceptance(witness, steps, 128) \
-                == 1.0
+            with monkeypatch.context() as patch:
+                patch.setattr(walk, "EXACT_CLOSURE_CAP", 128)
+                assert WalkRunner(inst).exact_acceptance(witness, steps) \
+                    == 1.0
         elif case == "broken-phi":
             inst, witness, steps = self.BROKEN, 0, 5
         else:
             inst, witness, steps = self.tied(6), 0, 6
         runner = WalkRunner(inst)
         assert not runner.certain(witness, 10**6)
-        assert runner.exact_acceptance(witness, steps,
-                                       walk.EXACT_CLOSURE_CAP) is None
+        assert runner.exact_acceptance(witness, steps) is None
         config = WalkConfig(steps=steps, seed=3)
         rep = acceptance_rate(inst, witness, 60, config, runner=runner)
         assert not rep.exact and not rep.deterministic
         assert rep == reference_acceptance_rate(WalkRunner(inst), witness, 60,
                                                 config)
 
-    def test_each_edge_checked_against_phi(self):
+    def test_each_edge_checked_against_phi(self, monkeypatch):
         # the broken instance gives None from every string, within any cap
         runner = WalkRunner(self.BROKEN)
+        monkeypatch.setattr(walk, "EXACT_CLOSURE_CAP", 4)
         for w in range(4):
             assert isinstance(runner._start(w), tuple)
-            assert runner.exact_acceptance(w, 5, 4) is None
+            assert runner.exact_acceptance(w, 5) is None
         # without the first projector every move has r = 1: phi is flat
         runner = WalkRunner(StoqSatInstance(2, 0.5, (LocalOperator(
             (0, 1), rank_one(1, 0, 0, 1) + rank_one(0, 1, 1, 0)),)))
@@ -793,9 +784,9 @@ class TestExactAcceptance:
             patch.setattr(spectral, "dense_spectrum", no_matrix)
             rep = acceptance_rate(inst, 16380, 400, config)
         assert rep.exact and rep.rate == pytest.approx(0.00126, rel=0.01)
-        first, votes = WalkRunner(inst).sweep(16380, config, 400)
+        first, records = WalkRunner(inst).sweep(16380, config, 400)
         assert first is None
-        lo, hi = wilson_interval(sum(t[0].accepted for t in votes), 400)[1:]
+        lo, hi = wilson_interval(sum(r.accepted for r in records), 400)[1:]
         assert lo <= rep.rate <= hi
 
     def test_exact_value_inside_monte_carlo_interval(self):
@@ -813,8 +804,8 @@ class TestExactAcceptance:
                 row = runner._start(w)
                 if isinstance(row, tuple) and row[1] != [(w, 0.0)] and \
                         not runner.certain(w, 10**6):
-                    cases.append((runner, w, steps, runner.exact_acceptance(
-                        w, steps, walk.EXACT_CLOSURE_CAP)))
+                    cases.append((runner, w, steps,
+                                  runner.exact_acceptance(w, steps)))
         assert len(cases) == 189
         inside = accepted = 0
         for i, (runner, w, steps, p) in enumerate(cases):
@@ -832,8 +823,7 @@ def reference_verify_csv(inst, witness, steps, trials, seed):
     """verify's CSV as csv.writer wrote it from one walked transcript per
     trial, each on its own Philox stream."""
     config = WalkConfig(steps=steps, seed=seed)
-    walked = [votes[0] for votes in reference_trials(WalkRunner(inst), witness,
-                                                     config, trials)]
+    walked = list(reference_trials(WalkRunner(inst), witness, config, trials))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "accepted", "steps_taken", "reject_step",
@@ -971,19 +961,19 @@ class TestCertainWitness:
             assert list(runner._rejects) == list(ref._rejects)
 
 
-def philox_stream(seed, i=0, v=0):
-    """numpy's own generator for vote v of trial i: the key Philox(seed)
-    derives from the seed sequence, and counter [0, 0, i, v]."""
+def philox_stream(seed, i=0):
+    """numpy's own generator for trial i: the key Philox(seed) derives
+    from the seed sequence, and counter [0, 0, i, 0]."""
     key = np.random.Philox(seed).state["state"]["key"]
     return np.random.Generator(np.random.Philox(
-        key=key, counter=np.array([0, 0, i, v], np.uint64)))
+        key=key, counter=np.array([0, 0, i, 0], np.uint64)))
 
 
 class TestTrialStreams:
-    """Vote v of trial i must draw numpy's Generator(Philox(key=k,
-    counter=[0, 0, i, v])), k the key Philox(seed) derives; a numpy
-    release that changes Philox or its seeding fails here rather than
-    silently changing verify CSVs."""
+    """Trial i must draw numpy's Generator(Philox(key=k, counter=[0, 0, i,
+    0])), k the key Philox(seed) derives; a numpy release that changes
+    Philox or its seeding fails here rather than silently changing verify
+    CSVs."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**128 + 12345, 3**200]
     # doubles drawn per stream, in turn, so a buffered word that leaked
@@ -991,14 +981,14 @@ class TestTrialStreams:
     DRAWS = (1, 3, 64)
 
     @classmethod
-    def assert_streams_match(cls, seed, count, majority, keys):
-        """The first len(keys) streams of _generators(seed, count,
-        majority) are those of the (i, v) in ``keys``, in order."""
-        rngs = walk._generators(seed, count, majority)
-        for k, (i, v) in enumerate(keys):
-            n = cls.DRAWS[k % len(cls.DRAWS)]
-            expect = philox_stream(seed, i, v).random(n)
-            assert np.array_equal(next(rngs).random(n), expect), (i, v)
+    def assert_streams_match(cls, seed, count, stop):
+        """The first ``stop`` streams of _generators(seed, count) are those
+        of trials 0, 1, ..., in order."""
+        rngs = walk._generators(seed, count)
+        for i in range(stop):
+            n = cls.DRAWS[i % len(cls.DRAWS)]
+            expect = philox_stream(seed, i).random(n)
+            assert np.array_equal(next(rngs).random(n), expect), i
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_keys_match_seed_sequence(self, seed):
@@ -1006,22 +996,19 @@ class TestTrialStreams:
         assert np.array_equal(
             np.random.Philox(seed).state["state"]["key"],
             np.random.SeedSequence(seed).generate_state(2, np.uint64))
-        for count, majority in [(1, 1), (5, 3)]:
-            keys = [(i, v) for i in range(count) for v in range(majority)]
-            self.assert_streams_match(seed, count, majority, keys)
-            assert len(list(walk._generators(seed, count, majority))) \
-                == len(keys)
-        # drawn partway, across the first trial boundary
-        self.assert_streams_match(seed, 3, 5000, [(0, v) for v in range(5000)]
-                                  + [(1, 0), (1, 1)])
+        for count in (1, 5):
+            self.assert_streams_match(seed, count, count)
+            assert len(list(walk._generators(seed, count))) == count
+        # a long run of resets on the one generator
+        self.assert_streams_match(seed, 5002, 5002)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_empty_key_matches_run_seed(self, seed):
-        # run takes no (i, v): it draws trial (0, 0), the zero counter,
+        # run takes no trial index: it draws trial 0, the zero counter,
         # which is Generator(Philox(seed))
         inst = plus_instance(2, [(0, 1)])
         config = WalkConfig(steps=40, seed=seed)
-        self.assert_streams_match(seed, 1, 1, [(0, 0)])
+        self.assert_streams_match(seed, 1, 1)
         expect = np.random.Generator(np.random.Philox(seed)).random(64)
         assert np.array_equal(philox_stream(seed).random(64), expect)
         ref = reference_trial(WalkRunner(inst), 0, config,
@@ -1030,24 +1017,21 @@ class TestTrialStreams:
             == dataclasses.asdict(ref)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**256), st.integers(1, 6), st.integers(1, 4),
-           st.integers(0, 30))
-    def test_random_seeds_and_keys(self, seed, count, majority, stop):
-        keys = [(i, v) for i in range(count) for v in range(majority)]
-        self.assert_streams_match(seed, count, majority, keys[:stop])
+    @given(st.integers(0, 2**256), st.integers(1, 24), st.integers(0, 30))
+    def test_random_seeds_and_keys(self, seed, count, stop):
+        self.assert_streams_match(seed, count, min(count, stop))
 
-    @pytest.mark.parametrize("count, majority", [(1, 1), (5, 3), (4097, 1),
-                                                 (3, 5000)])
-    def test_trial_keys_in_order_and_bounded(self, count, majority):
-        # one Generator, reset to counter [0, 0, i, v], i major; the
-        # stream is lazy, so a prefix is drawn without the rest
-        keys = [(i, v) for i in range(min(count, 3)) for v in range(majority)]
+    @pytest.mark.parametrize("count, stop", [(1, 1), (5, 3), (4097, 1),
+                                             (3, 5000)])
+    def test_trial_keys_in_order_and_bounded(self, count, stop):
+        # one Generator, reset to counter [0, 0, i, 0]; the stream is
+        # lazy, so a prefix is drawn without the rest, and it ends after
+        # ``count`` trials
         seen = []
-        for rng in itertools.islice(walk._generators(5, count, majority),
-                                    len(keys)):
+        for rng in itertools.islice(walk._generators(5, count), stop):
             seen.append(tuple(rng.bit_generator.state["state"]["counter"]))
             rng.random(2)
-        assert seen == [(0, 0, i, v) for i, v in keys]
+        assert seen == [(0, 0, i, 0) for i in range(min(count, stop))]
 
     def test_key_limit(self):
         inst = plus_instance(2, [(0, 1)])
@@ -1055,11 +1039,11 @@ class TestTrialStreams:
         runner = WalkRunner(inst)
         # a 64-bit counter word holds every trial index; trial 0 is drawn
         # without the others
-        first, votes = runner.sweep(0, config, 2**64)
+        first, records = runner.sweep(0, config, 2**64)
         assert first is None
-        [first] = next(votes)
+        first = next(records)
         expect = reference_trial(WalkRunner(inst), 0, config,
-                                 philox_stream(1, 0, 0))
+                                 philox_stream(1, 0))
         assert dataclasses.asdict(runner.transcript(0, first)) \
             == dataclasses.asdict(expect)
 
@@ -1182,17 +1166,14 @@ def assert_engine_matches_reference(inst, data, max_steps=200,
                                         label="steps"),
                         seed=data.draw(st.integers(0, 2**63 - 1), label="seed"))
     count = data.draw(st.integers(1, 3), label="trials")
-    majority = data.draw(st.integers(1, 3), label="majority")
     runner = WalkRunner(inst)
     ref = WalkRunner(inst)
-    trials = swept_trials(runner, witness, config, count, majority)
+    trials = swept_trials(runner, witness, config, count)
     assert len(trials) == count
-    for i, votes in enumerate(trials):
-        assert len(votes) == majority
-        for v, t in enumerate(votes):
-            rng = philox_stream(config.seed, i, v)
-            expect = reference_trial(ref, witness, config, rng)
-            assert dataclasses.asdict(t) == dataclasses.asdict(expect)
+    for i, t in enumerate(trials):
+        expect = reference_trial(ref, witness, config,
+                                 philox_stream(config.seed, i))
+        assert dataclasses.asdict(t) == dataclasses.asdict(expect)
     expect = reference_trial(ref, witness, config, np.random.Generator(
         np.random.Philox(config.seed)))
     assert dataclasses.asdict(runner.run(witness, config)) \
@@ -1389,8 +1370,7 @@ class TestLazyStepLane:
 
         def run():
             return [t for w in witnesses
-                    for votes in swept_trials(runner, w, config, 4)
-                    for t in votes]
+                    for t in swept_trials(runner, w, config, 4)]
 
         expect = run()  # compiles every row the trials visit
         calls = []
@@ -1413,8 +1393,7 @@ class TestLazyStepLane:
         assert len(calls) == departures + unnormalized
         assert lazy > departures > 0
         # a record keeps only the moves that left the lane
-        records = [t for w in witnesses
-                   for trial in runner.sweep(w, config, 4)[1] for t in trial]
+        records = [t for w in witnesses for t in runner.sweep(w, config, 4)[1]]
         assert sum(len(r.moves) for r in records) == departures
 
     @settings(max_examples=25, deadline=None)
