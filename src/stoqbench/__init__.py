@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 from .ops import (ETA, Gate, LocalOperator, OperatorSum, apply_to_basis,
                   assemble_dense, assemble_sparse, block_decompose,
-                  circuit_permutation, conjugate_by_circuit,
-                  make_block_projector, matrix_element, projector_check)
+                  circuit_permutation, make_block_projector, matrix_element,
+                  projector_check)
 from .instances import (DisorderEnsemble, LhMinInstance, SchemaError,
                         StoqSatInstance, TermTemplate, clause_projector,
                         from_dimacs, load, parse_dimacs,

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import (ETA, Gate, LocalOperator, circuit_permutation,
-                  conjugate_by_circuit)
+from .ops import ETA, Gate, circuit_permutation
 from .instances import (LhMinInstance, document_boundary, json_int,
                         require_valid, write_json)
 
@@ -152,7 +151,9 @@ class StoqDecomposition:
     parts: tuple  # of (p_j, StoqPart) with sum p_j = 1
 
     def part_operator(self, part: StoqPart) -> np.ndarray:
-        """Dense U_j H_j U_j^dag on the part's local space."""
+        """Dense U_j H_j U_j^dag on the part's local space: U_j permutes
+        the basis of the part's own k qubits, so U H U^dag is H with rows
+        and columns at the inverse permutation."""
         k = len(part.support)
         dim = 2**k
         h = np.zeros((dim, dim))
@@ -160,7 +161,8 @@ class StoqDecomposition:
             h[0, 0] = -1.0
         else:
             h[0, 1] = h[1, 0] = -1.0
-        return conjugate_by_circuit(LocalOperator(range(k), h), part.circuit).block
+        pinv = np.argsort(circuit_permutation(part.circuit, range(k), dim))
+        return h[np.ix_(pinv, pinv)]
 
 
 def _x_circuit(x: int, k: int) -> tuple:

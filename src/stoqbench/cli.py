@@ -99,11 +99,6 @@ def _seed(text: str) -> int:
         f"expected a non-negative integer, got {text!r}")
 
 
-_KINDS = {instances.StoqSatInstance: "a stoq-sat",
-          instances.LhMinInstance: "an lh-min",
-          instances.DisorderEnsemble: "an ensemble"}
-
-
 # the flags that name a file a command reads (compile's --input is the
 # circuit's input string, not a path)
 _INPUT_FLAGS = ("instance", "witness", "dimacs", "cnf", "circuit")
@@ -147,11 +142,13 @@ def _check_outputs(args):
 
 def _load(args, *kinds):
     """The instance at ``args.instance``, which must be one of ``kinds``,
-    classes that _KINDS names."""
+    classes that instances._KINDS names."""
     inst = instances.load(args.instance)
     if not isinstance(inst, kinds):
-        raise ValueError(f"{args.command} needs "
-                         f"{' or '.join(_KINDS[k] for k in kinds)} instance")
+        name = {cls: kind for kind, (cls, _, _) in instances._KINDS.items()}
+        raise ValueError(f"{args.command} reads "
+                         f"{' or '.join(name[k] for k in kinds)} instances, "
+                         f"not {name[type(inst)]}")
     return inst
 
 
@@ -239,8 +236,7 @@ def cmd_spectrum(args):
     else:
         rows = [["min", float(evals[0])], ["max", float(evals[-1])],
                 ["gap", spectral.level_gap(evals)],
-                ["ground_dim",
-                 int(np.sum(evals < evals[0] + spectral.LEVEL_MERGE))]]
+                ["ground_dim", spectral.ground_dim(evals)]]
     _write_csv(args.out, ["quantity", "value"], rows)
     return EXIT_OK, [args.instance]
 
@@ -343,10 +339,9 @@ def cmd_trace(args):
         raise ValueError(f"argument --paths: expected 0 (exact) or at least "
                          f"2, got {args.paths}")
     inst = _load(args, instances.LhMinInstance)
-    mode = "sampled" if args.paths else "exact"
-    rep = estimators.trace_report(inst, L=args.power, mode=mode,
-                                  paths=args.paths, seed=args.seed)
-    if mode == "sampled" and rep.value == 0.0:
+    rep = estimators.trace_report(inst, L=args.power, paths=args.paths,
+                                  seed=args.seed)
+    if rep.mode == "sampled" and rep.value == 0.0:
         # G is entrywise non-negative: a zero mean means no path carried
         # weight, and 0 +- 0 would misstate a nonzero trace
         raise PromiseError(f"none of the {args.paths} sampled paths has "

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -25,6 +24,23 @@ _KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 _RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
+
+
+def _pattern(*mats) -> np.ndarray:
+    """Product on clock qubits given first to last (bit 0 first)."""
+    return local_term(range(len(mats)), [((i,), m) for i, m in enumerate(mats)])
+
+
+# The clock patterns, the same for every circuit.  On (c(k), c(k+1)):
+# clock state k, the states before it, those after.
+_AT, _BEFORE, _AFTER = (_pattern(_KET1, _KET0), _pattern(_KET0, _KET0),
+                        _pattern(_KET1, _KET1))
+# Gate j's on (c(j-1), c(j), c(j+1)): 1 on the clock states before j-1,
+# 1/2 on j-1 and j, 1 after j, and the hop j-1 -> j.
+_STAY = _pattern(_KET0, _KET0, _KET0) + 0.5 * (
+    _pattern(_KET1, _KET0, _KET0) + _pattern(_KET1, _KET1, _KET0))
+_DONE = _pattern(_KET1, _KET1, _KET1)
+_HOP = 0.5 * _pattern(_KET1, _RAISE, _KET0)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -70,11 +86,6 @@ class ClockInstance:
                              metadata={"kind": "clock", **self.metadata})
 
 
-def _clock(*mats) -> np.ndarray:
-    """Kronecker product on clock qubits given first to last (bit 0 first)."""
-    return reduce(lambda out, mat: np.kron(mat, out), mats)
-
-
 def _projector(clock_qubits, pieces, tag) -> LocalOperator:
     """The one clock projector constructor: a sum of pieces, each a pattern
     on the clock qubits times (work qubits, matrix) factors, else identity."""
@@ -93,14 +104,11 @@ def compile_circuit(v: VerifierCircuit, x: int = 0) -> ClockInstance:
     L = v.num_gates
     base = v.total_qubits  # first clock qubit
     c = lambda j: base + j
-    # on (c(k), c(k+1)): clock state k, the states before it, those after
-    at, before, after = (_clock(_KET1, _KET0), _clock(_KET0, _KET0),
-                         _clock(_KET1, _KET1))
 
     def init_family(first_qubit, states, label):
         # clock state 0 with work qubit first_qubit + j in states[j], or later
         return tuple(_projector((c(0), c(1)), [
-            (at, [((first_qubit + j,), state)]), (after, [])], f"{label}{j}")
+            (_AT, [((first_qubit + j,), state)]), (_AFTER, [])], f"{label}{j}")
             for j, state in enumerate(states))
 
     init_x = init_family(
@@ -109,12 +117,6 @@ def compile_circuit(v: VerifierCircuit, x: int = 0) -> ClockInstance:
     init_plus = init_family(v.n + v.n_w + v.n_0, [_PLUS] * v.n_plus,
                             "init_plus")
 
-    # gate j's patterns on (c(j-1), c(j), c(j+1)): 1 on the clock states
-    # before j-1, 1/2 on j-1 and j, 1 after j, and the hop j-1 -> j
-    stay = _clock(_KET0, _KET0, _KET0) + 0.5 * (
-        _clock(_KET1, _KET0, _KET0) + _clock(_KET1, _KET1, _KET0))
-    done = _clock(_KET1, _KET1, _KET1)
-    hop = 0.5 * _clock(_KET1, _RAISE, _KET0)
     prop = []
     for j, gate in enumerate(v.gates, 1):
         gq, u = tuple(sorted(gate.qubits)), gate_matrix(gate)
@@ -123,12 +125,12 @@ def compile_circuit(v: VerifierCircuit, x: int = 0) -> ClockInstance:
         # zero eigenspace picks up 2^(work) spurious states; without it,
         # clock qubit L+1 stays pinned to 0 on the whole ground space
         prop.append(_projector((c(j - 1), c(j), c(j + 1)), [
-            (stay + done if j < L else stay, []), (hop, [(gq, u)]),
-            (hop.T, [(gq, u.T)])], f"prop{j}"))
+            (_STAY + _DONE if j < L else _STAY, []), (_HOP, [(gq, u)]),
+            (_HOP.T, [(gq, u.T)])], f"prop{j}"))
 
     pi_out = _PLUS if v.out_basis == "plus" else _KET0
     meas = _projector((c(L), c(L + 1)),
-                      [(at, [((0,), pi_out)]), (before, [])], "meas")
+                      [(_AT, [((0,), pi_out)]), (_BEFORE, [])], "meas")
 
     return ClockInstance(
         circuit=v, x=x, init_x=init_x, init_0=init_0, init_plus=init_plus,

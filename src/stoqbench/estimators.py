@@ -112,14 +112,16 @@ def sbp_bounds(lambda_yes: float, lambda_no: float, p: float, n: int):
     return mu_yes, mu_no, smallest_power(n, mu_no / mu_yes, 0.5)
 
 
-def trace_report(h: LhMinInstance, L: int = None, mode: str = "exact",
-                 paths: int = 0, seed: int = 0) -> TraceReport:
-    """Full SBP report for an LH-MIN instance: trace of G^L plus bounds."""
+def trace_report(h: LhMinInstance, L: int = None, paths: int = 0,
+                 seed: int = 0) -> TraceReport:
+    """Full SBP report for an LH-MIN instance: trace of G^L plus bounds,
+    exact for 0 ``paths``, else sampled over that many."""
     g, p = sbp_matrix(h)
     mu_yes, mu_no, l_auto = sbp_bounds(h.lambda_yes, h.lambda_no, p, h.n)
     if L is None:
         L = l_auto
-    rep = trace_power(g, L, mode=mode, paths=paths, seed=seed)
+    rep = trace_power(g, L, mode="sampled" if paths else "exact",
+                      paths=paths, seed=seed)
     rep.mu_yes = mu_yes
     rep.mu_no = mu_no
     rep.bound_yes = mu_yes**L

@@ -232,18 +232,18 @@ def from_dimacs(text: str) -> StoqSatInstance:
         width = len({abs(lit) for lit in cl})
         if width > MAX_K:
             raise SchemaError(f"clause {cl} wider than k limit {MAX_K}")
-        proj = clause_projector(cl, num_vars)
+        projectors.append(clause_projector(cl, num_vars))
+    kept = tuple(proj for proj in projectors if proj is not None)
+    if not kept:  # before any warning: the error is the one line
+        raise SchemaError("all clauses were tautologies")
+    for cl, proj in zip(clauses, projectors):
         if proj is None:
             warnings.warn(f"dropping tautological clause {cl}")
-            continue
-        projectors.append(proj)
-    if not projectors:
-        raise SchemaError("all clauses were tautologies")
     # A violated clause has <x|Pi|x> = 0 = 1 - epsilon with epsilon = 1.
     return StoqSatInstance(
         n=num_vars,
         epsilon=1.0,
-        projectors=tuple(projectors),
+        projectors=kept,
         metadata={"source": "dimacs", "clauses": len(clauses)},
     )
 

@@ -357,15 +357,6 @@ def diagonal(op: OperatorSum):
     return out
 
 
-def _expand_support(support, gates):
-    """Grow a support set to cover every gate it becomes entangled with."""
-    cur = set(support)
-    for g in gates:
-        if cur & set(g.qubits):
-            cur |= set(g.qubits)
-    return tuple(sorted(cur))
-
-
 def local_term(support, factors) -> np.ndarray:
     """Dense block on sorted ``support`` from factor matrices.
 
@@ -389,27 +380,16 @@ def local_term(support, factors) -> np.ndarray:
     mats.append(np.eye(2 ** len(free)))
     order.extend(free)
     out = np.ones((1, 1))
-    for mat in mats:  # np.kron(out, mat)'s products as one broadcast multiply
+    for mat in mats:  # a Kronecker product's products, one broadcast multiply
         out = (out[:, None, :, None] * mat[:, None]).reshape(len(out) * len(mat), -1)
     axes = [order.index(q) for q in reversed(support)]
     out = out.reshape((2,) * (2 * k)).transpose(axes + [k + a for a in axes])
     return out.reshape(2**k, 2**k)
 
 
-def conjugate_by_circuit(op: LocalOperator, gates) -> LocalOperator:
-    """U . op . U^dag for a reversible circuit U (exact basis permutation)."""
-    new_support = _expand_support(op.support, gates)
-    block = local_term(new_support, [(op.support, op.block)])
-    pos = {q: i for i, q in enumerate(new_support)}
-    relevant = [g for g in gates if set(g.qubits) <= set(new_support)]
-    perm = circuit_permutation(relevant, pos, 2 ** len(new_support))
-    pinv = np.argsort(perm)
-    return LocalOperator(new_support, block[np.ix_(pinv, pinv)], tag=op.tag)
-
-
-def projector_check(op, tol: float = ETA):
+def projector_check(op):
     """Is op, a LocalOperator or a matrix, a projector with non-negative
-    entries?  Returns (ok, residual)."""
+    entries, to ETA?  Returns (ok, residual)."""
     mat = np.asarray(op.block if isinstance(op, LocalOperator) else op,
                      dtype=float)
     with np.errstate(over="ignore"):  # huge entries give an inf residual
@@ -417,7 +397,7 @@ def projector_check(op, tol: float = ETA):
     res_herm = np.max(np.abs(mat - mat.T))
     res_neg = max(0.0, float(-np.min(mat)))
     residual = float(max(res_proj, res_herm, res_neg))
-    return residual <= tol, residual
+    return residual <= ETA, residual
 
 
 @dataclass(frozen=True)
@@ -451,8 +431,8 @@ def block_decompose(pi):
     """
     mat = np.asarray(pi, dtype=float)
     dim = mat.shape[0]
-    ok, residual = projector_check(mat, tol=1e-8)
-    if not ok:
+    residual = projector_check(mat)[1]
+    if residual > 1e-8:
         raise ValueError(f"input is not a non-negative projector (residual {residual:g})")
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components

@@ -39,7 +39,7 @@ GROUP_DENSE_QUBITS = 6
 # this many qubits (128 MiB of floats), and raises DenseLimitError above.
 SPECTRUM_QUBITS = 24
 
-# Eigenvalues closer than this are one level (level_gap, ground_dim).
+# Eigenvalues at most this far apart are one level (ground_dim, level_gap).
 LEVEL_MERGE = 1e-8
 
 
@@ -231,13 +231,17 @@ def _component_spectrum(mat) -> np.ndarray:
     return np.sort(np.concatenate(evals, axis=None))
 
 
-def level_gap(evals: np.ndarray) -> float:
-    """Distance from the lowest of ascending evals to the next distinct one.
+def ground_dim(evals: np.ndarray) -> int:
+    """How many of ascending evals are in the lowest level: those at most
+    LEVEL_MERGE above the lowest."""
+    return int(np.count_nonzero(evals <= evals[0] + LEVEL_MERGE))
 
-    Eigenvalues closer than LEVEL_MERGE are treated as one level, so exact
-    ground-space degeneracy reports the gap to the next level up.
-    """
-    above = evals[evals > evals[0] + LEVEL_MERGE]
+
+def level_gap(evals: np.ndarray) -> float:
+    """Distance from the lowest of ascending evals to the first one past
+    its level (ground_dim), so exact ground-space degeneracy reports the
+    gap to the next level up; 0.0 when every eigenvalue is in it."""
+    above = evals[ground_dim(evals):]
     return float(above[0] - evals[0]) if above.size else 0.0
 
 

@@ -556,17 +556,17 @@ class TestRobustness:
     # rejects, and the kinds its error message names
     KIND_ARGV = {
         "compile": (["compile", "--to", "verifier", "--out", "o.json"],
-                    "lh-min", "stoq-sat", "an lh-min"),
+                    "lh-min", "stoq-sat", "lh-min"),
         "spectrum": (["spectrum", "--out", "o.csv"], "stoq-sat", "ensemble",
-                     "a stoq-sat or an lh-min"),
+                     "stoq-sat or lh-min"),
         "prove": (["prove", "--out", "o.json"], "stoq-sat", "lh-min",
-                  "a stoq-sat"),
+                  "stoq-sat"),
         "verify": (["verify", "--witness", "1", "--trials", "2", "--seed", "0",
-                    "--out", "o.csv"], "stoq-sat", "ensemble", "a stoq-sat"),
+                    "--out", "o.csv"], "stoq-sat", "ensemble", "stoq-sat"),
         "trace": (["trace", "--out", "o.csv"], "lh-min", "stoq-sat",
-                  "an lh-min"),
+                  "lh-min"),
         "ensemble": (["ensemble", "--samples", "2", "--seed", "0",
-                      "--out", "o.csv"], "ensemble", "lh-min", "an ensemble"),
+                      "--out", "o.csv"], "ensemble", "lh-min", "ensemble"),
     }
 
     @staticmethod
@@ -588,10 +588,68 @@ class TestRobustness:
         inputs = [f"{right}.json", f"{wrong}.json"]
         err = self.one_line_error(argv + ["--instance", f"{wrong}.json"],
                                   tmp_path, capsys, monkeypatch, inputs)
-        assert err == f"error: {command} needs {needs} instance\n"
+        assert err == f"error: {command} reads {needs} instances, not {wrong}\n"
         # the right kind passes the check
         assert main(argv + ["--instance", f"{right}.json"]) in (EXIT_OK,
                                                                EXIT_PROMISE)
+
+    # per case: an input file, its text, the argv that reads it and the
+    # message of its one error line
+    BOUNDARY = {
+        "dimacs-bad-header": (
+            "f.cnf", "p cnf 3\n1 2 0\n",
+            ["gen", "from-dimacs", "--dimacs", "f.cnf"],
+            "bad DIMACS header: 'p cnf 3'"),
+        "dimacs-all-tautologies": (
+            "f.cnf", "p cnf 2 2\n1 -1 0\n2 -2 0\n",
+            ["gen", "from-dimacs", "--dimacs", "f.cnf"],
+            "all clauses were tautologies"),
+        "cnf-clause-without-work-variable": (
+            "f.cnf", "p cnf 2 2\n1 2 0\n-2 0\n",
+            ["gen", "cnf-ensemble", "--cnf", "f.cnf", "--q-vars", "2"],
+            "clause (-2,) has no work variables"),
+        "cnf-clause-of-four-work-variables": (
+            "f.cnf", "p cnf 5 1\n1 2 3 4 5 0\n",
+            ["gen", "cnf-ensemble", "--cnf", "f.cnf", "--q-vars", "5"],
+            "clause (1, 2, 3, 4, 5) wider than 3 work variables"),
+        "stoq-sat-support-outside-n": (
+            "i.json", json.dumps({
+                "version": 1, "kind": "stoq-sat", "n": 1, "epsilon": 0.5,
+                "terms": [{"qubits": [1], "dim": 2,
+                           "matrix": [1.0, 0.0, 0.0, 0.0]}]}),
+            ["spectrum", "--instance", "i.json"],
+            "not a valid stoquastic instance: term 0: support outside 1 "
+            "qubits"),
+        "non-stoquastic-template": (
+            "i.json", json.dumps({
+                "version": 1, "kind": "ensemble", "n": 1, "m": 1,
+                "terms": [{"qubits": [0], "random_bits": [0], "dim": 2,
+                           "tables": {"0": [0.0, 1.0, 1.0, 0.0],
+                                      "1": [0.0, 0.0, 0.0, 0.0]}}]}),
+            ["ensemble", "--instance", "i.json", "--samples", "2", "--seed",
+             "0"],
+            "not a valid stoquastic instance: template 0, assignment 0: "
+            "positive off-diagonal 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BOUNDARY))
+    def test_boundary_case_is_one_line(self, case, tmp_path, capsys,
+                                       monkeypatch):
+        name, text, argv, message = self.BOUNDARY[case]
+        write(tmp_path / name, text)
+        err = self.one_line_error(argv + ["--out", "o"], tmp_path, capsys,
+                                  monkeypatch, [name])
+        assert err == f"error: {message}\n"
+
+    def test_dimacs_last_clause_needs_no_terminating_zero(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in (("a", "p cnf 2 2\n1 0\n-1 2"),
+                           ("b", "p cnf 2 2\n1 0\n-1 2 0\n")):
+            write(tmp_path / f"{name}.cnf", text)
+            assert main(["gen", "from-dimacs", "--dimacs", f"{name}.cnf",
+                         "--out", f"{name}.json"]) == EXIT_OK
+        assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
 
     LH_MIN = {"version": 1, "kind": "lh-min", "n": 1, "lambda_yes": -1.5,
               "lambda_no": 0.0, "metadata": {},

@@ -297,6 +297,14 @@ class TestCnfEnsemble:
         with pytest.raises(ValueError):
             cnf_ensemble_from_dimacs(text, q_vars=[2, 3])
 
+    def test_clause_without_work_variable_rejected(self):
+        with pytest.raises(ValueError, match=r"clause \(-2,\) has no work"):
+            cnf_ensemble_from_dimacs("p cnf 2 2\n1 2 0\n-2 0\n", q_vars=[2])
+
+    def test_clause_wider_than_three_work_variables_rejected(self):
+        with pytest.raises(ValueError, match="wider than 3 work variables"):
+            cnf_ensemble_from_dimacs("p cnf 5 1\n1 2 3 4 5 0\n", q_vars=[5])
+
     @pytest.mark.parametrize("q_vars", [[7], [0], [-1], [2, 3]])
     def test_random_bit_outside_cnf_rejected(self, q_vars):
         with pytest.raises(ValueError, match="must be variables 1..2 "):

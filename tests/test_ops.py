@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stoqbench import (Gate, LocalOperator, OperatorSum, apply_to_basis,
                        assemble_dense, assemble_sparse, block_decompose,
-                       conjugate_by_circuit, make_block_projector,
-                       matrix_element, projector_check)
+                       make_block_projector, matrix_element, projector_check)
 from stoqbench import ops
 from stoqbench.ops import (BlockComponent, DenseLimitError, _support_maps,
                            dense_limit, local_term, matrix_elements)
@@ -17,14 +16,6 @@ from refs import (ref_apply_to_basis, ref_element, ref_elements,
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
-
-
-def dense_gate(gate, n):
-    dim = 2**n
-    mat = np.zeros((dim, dim))
-    for z in range(dim):
-        mat[gate.apply(z), z] = 1.0
-    return mat
 
 
 class TestGate:
@@ -96,44 +87,6 @@ class TestApplyToBasis:
             assert matrix_element(op, x, x) == pytest.approx(dense[x, x])
 
 
-class TestConjugation:
-    def test_toffoli_turns_x_into_controlled_pair(self):
-        # conjugating X on qubit 2 by a Toffoli targeting qubit 1 yields
-        # CNOT(0->1) composed with the same X
-        op = LocalOperator((2,), X)
-        out = conjugate_by_circuit(op, [Gate("TOFFOLI", (0, 2, 1))])
-        dense = assemble_dense(OperatorSum(3, (out,)))
-        oracle = dense_gate(Gate("CNOT", (0, 1)), 3) @ dense_gate(Gate("X", (2,)), 3)
-        assert np.array_equal(dense, oracle)
-
-    def test_empty_circuit_is_identity(self):
-        op = LocalOperator((0, 2), np.arange(16.0).reshape(4, 4) +
-                           np.arange(16.0).reshape(4, 4).T)
-        out = conjugate_by_circuit(op, [])
-        assert out.support == op.support
-        assert np.array_equal(out.block, op.block)
-
-    def test_x_swaps_zero_and_one_projectors(self):
-        op = LocalOperator((0,), np.diag([1.0, 0.0]))
-        out = conjugate_by_circuit(op, [Gate("X", (0,))])
-        assert np.array_equal(out.block, np.diag([0.0, 1.0]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_self_inverse_circuit_conjugation_is_involution(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(4, 4))
-        op = LocalOperator((0, 2), m + m.T)
-        gates = [Gate("TOFFOLI", (0, 1, 2)), Gate("CNOT", (2, 1)),
-                 Gate("X", (int(rng.integers(0, 3)),))]
-        # palindromic circuit of involutions is the identity
-        back = conjugate_by_circuit(conjugate_by_circuit(op, gates),
-                                    list(reversed(gates)))
-        full_in = assemble_dense(OperatorSum(3, (op,)))
-        full_out = assemble_dense(OperatorSum(3, (back,)))
-        assert np.allclose(full_in, full_out, atol=1e-12)
-
-
 class TestProjectorCheck:
     def test_pauli_x_is_not_a_projector(self):
         ok, res = projector_check(X)
@@ -146,8 +99,8 @@ class TestProjectorCheck:
     def test_block_built_projector_passes(self):
         comp = BlockComponent(frozenset({0, 3}), {0: 0.6, 3: 0.8})
         mat = make_block_projector([comp], 4)
-        ok, res = projector_check(mat, tol=1e-12)
-        assert ok
+        ok, res = projector_check(mat)
+        assert ok and res <= 1e-12
 
 
 class TestBlockDecompose:
@@ -450,18 +403,6 @@ class TestLayoutMatchesLoopReference:
             factors = random_factors(rng, support, signed=True)
             assert (local_term(support, factors).tobytes()
                     == kron_local_term(support, factors).tobytes())
-
-    def test_conjugated_block_matches_kron(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        block = rng.normal(size=(4, 4))
-        block[rng.random(block.shape) < 0.3] = 0.0
-        op = LocalOperator((1, 4), block + block.T)
-        gates = [Gate("CNOT", (4, 2)), Gate("TOFFOLI", (1, 2, 6)), Gate("X", (0,))]
-        got = conjugate_by_circuit(op, gates)
-        monkeypatch.setattr(ops, "local_term", kron_local_term)
-        want = conjugate_by_circuit(op, gates)
-        assert got.support == want.support == (1, 2, 4, 6)
-        assert got.block.tobytes() == want.block.tobytes()
 
     def test_support_maps(self):
         rng = np.random.default_rng(3)

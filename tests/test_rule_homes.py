@@ -29,6 +29,13 @@
 * the document boundary: ``instances.document_boundary``, the one raise
   of the not-an-object, version, missing-field and malformed-value
   messages, around ``from_document`` and ``circuit_from_document``
+* the clock patterns: ``clock``'s module-level ``_AT`` to ``_HOP``, built
+  once through ``ops.local_term``, the one tensor-product rule; no
+  ``np.kron`` in src/
+* the instance kinds: ``instances._KINDS``, which ``to_document``,
+  ``from_document`` and ``cli._load`` read
+* a part's conjugation: ``StoqDecomposition.part_operator`` permutes its
+  block by ``circuit_permutation``; there is no ``conjugate_by_circuit``
 
 Each reference is compared bytewise with its home under hypothesis, and
 the source guard at the end keeps each rule from being written twice.
@@ -615,14 +622,15 @@ def _enclosing_functions(tree):
 
 
 def _homes(match):
-    """(module, function) of every node in src/ that ``match`` accepts."""
+    """(module, function) of every node in src/ that ``match`` accepts,
+    sorted, so a node's depth inside its function does not count."""
     found = []
     for path in sorted(Path(ops.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = _enclosing_functions(tree)
         found += [(path.stem, owner.get(node, "")) for node in ast.walk(tree)
                   if match(node)]
-    return found
+    return sorted(found)
 
 
 def _is_call_of(node, dotted):
@@ -678,7 +686,7 @@ def _reads_block_diagonal(node):
      [("walk", "sweep")]),
     ("a _generators call",
      lambda node: _is_call_of(node, "_generators"),
-     [("walk", "run"), ("walk", "sweep")]),  # in ast.walk's order
+     [("walk", "run"), ("walk", "sweep")]),
     ("the trial count check",
      lambda node: isinstance(node, ast.Constant)
      and node.value == "trials must be >= 1",
@@ -698,6 +706,17 @@ def _reads_block_diagonal(node):
              "document is not a JSON object", "unsupported", "document has no",
              "malformed")),
      [("instances", "document_boundary")] * 4),
+    ("a Kronecker product",
+     lambda node: _is_call_of(node, "np.kron"),
+     []),
+    ("a table of the instance kinds",
+     lambda node: isinstance(node, ast.Dict)
+     and "LhMinInstance" in ast.unparse(node),
+     [("instances", "")]),
+    ("a name conjugate_by_circuit",  # a Name, Attribute, def or import
+     lambda node: getattr(node, "id", getattr(node, "attr", getattr(
+         node, "name", None))) == "conjugate_by_circuit",
+     []),
 ])
 def test_each_rule_has_one_home(rule, match, home):
     assert _homes(match) == home, f"{rule} written outside its home"
@@ -759,18 +778,16 @@ DEFAULTED = {
     ("clock", "compile_circuit"): ("x",),
     ("clock", "export_6sat"): ("epsilon",),
     ("estimators", "trace_power"): ("mode", "paths", "seed"),
-    ("estimators", "trace_report"): ("L", "mode", "paths", "seed"),
+    ("estimators", "trace_report"): ("L", "paths", "seed"),
     ("estimators", "replica_ensemble"): ("qubit_ceiling",),
     ("estimators", "lambda_stats"): ("seed",),
     ("estimators", "av_decide"): ("samples", "seed", "sigma_margin"),
     ("instances", "document_boundary"): ("schema",),
-    ("ops", "projector_check"): ("tol",),
     ("prover", "adversarial_witnesses"): ("mode", "count", "seed"),
     ("spectral", "extreme_eigenvalue"): ("which",),
     ("walk", "acceptance_rate"): ("runner",),
 }
-TUNING = {("ops", "projector_check", "tol"),
-          ("estimators", "replica_ensemble", "qubit_ceiling"),
+TUNING = {("estimators", "replica_ensemble", "qubit_ceiling"),
           ("estimators", "av_decide", "sigma_margin")}
 
 
@@ -804,4 +821,4 @@ def test_every_defaulted_parameter_is_in_the_table():
     here: it is an input the table should list, or a tuning value."""
     assert _defaulted_parameters() == DEFAULTED
     assert TUNING <= {(*key, p) for key, ps in DEFAULTED.items() for p in ps}
-    assert len(TUNING) == 3
+    assert len(TUNING) == 2

@@ -221,6 +221,27 @@ class TestDenseDiagnostics:
         assert spectral.level_gap(np.array([0.0, 0.0, 2.0])) == \
             pytest.approx(2.0)
 
+    def test_level_edge_is_in_the_ground_level(self):
+        """An eigenvalue exactly LEVEL_MERGE above the lowest is in its
+        level: ground_dim counts it and level_gap looks past it."""
+        evals = np.array([0.0, spectral.LEVEL_MERGE, 1.0])
+        assert spectral.ground_dim(evals) == 2
+        assert spectral.level_gap(evals) == 1.0
+        assert spectral.ground_dim(evals[:2]) == 2
+        assert spectral.level_gap(evals[:2]) == 0.0
+
+    def test_spectrum_cli_gap_and_ground_dim_agree(self, tmp_path):
+        # one term diag(0, 1e-8): both eigenvalues are one level, so the
+        # CSV has no gap and a ground space of both states
+        inst = LhMinInstance(1, (LocalOperator((0,), np.diag([0.0, 1e-8])),),
+                             0.0, 1.0)
+        path, out = tmp_path / "h.json", tmp_path / "s.csv"
+        save(inst, str(path))
+        assert main(["spectrum", "--instance", str(path), "--out", str(out)]) \
+            == EXIT_OK
+        assert out.read_text() == ("quantity,value\nmin,0\nmax,1e-08\n"
+                                   "gap,0\nground_dim,2\n")
+
     def test_gap_zero_for_flat_spectrum(self):
         assert spectral_gap(OperatorSum(1, ())) == 0.0
 

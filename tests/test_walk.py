@@ -761,6 +761,35 @@ class TestExactAcceptance:
             (0, 1), rank_one(1, 0, 0, 1) + rank_one(0, 1, 1, 0)),)))
         assert runner.certain(0, 4)
 
+    # a block that passes validate only within ETA, with <1|Pi|1> < 0, on
+    # qubit 0 and |+> on qubit 1: G's cross entries 1.5e-9 pass ETA, so
+    # 0 -> 1 and 2 -> 3 are moves with r = 0 (log r None) and, as the
+    # bounds tie, probability 0; strings 1 and 3 reject as diag-zero
+    WITHIN_ETA = StoqSatInstance(2, 0.5, (
+        LocalOperator((0,), np.array([[1.0, 3e-9], [3e-9, -5e-10]])),
+        LocalOperator((1,), PLUS)))
+
+    def test_move_without_log_r_is_not_followed(self):
+        inst = self.WITHIN_ETA
+        runner = WalkRunner(inst)
+        assert (1, None) in runner._start(0)[1]
+        assert not runner.certain(0, 100)
+        assert [x for x, _ in runner._closure(0, 100)] == [0, 2]
+        config = WalkConfig(steps=required_steps(inst.n, inst.epsilon,
+                                                 inst.m), seed=1)
+        rep = acceptance_rate(inst, 0, 400, config, runner=runner)
+        assert rep.exact and rep.rate == rep.lower == rep.upper
+        first, records = WalkRunner(inst).sweep(0, config, 400)
+        assert first is None
+        lo, hi = wilson_interval(sum(r.accepted for r in records), 400)[1:]
+        assert lo <= rep.rate <= hi
+
+    @pytest.mark.parametrize("witness", [1, 3])
+    def test_rejecting_witness_is_exactly_zero(self, witness):
+        runner = WalkRunner(self.WITHIN_ETA)
+        assert runner._start(witness) == "diag-zero"
+        assert runner.exact_acceptance(witness, 7) == 0.0
+
     def test_exact_above_the_dense_limit_from_the_closure_alone(
             self, monkeypatch):
         """A clock export of N = 15 qubits, past the default dense limit:
