@@ -335,9 +335,6 @@ def _trial_fields(r) -> list:
 
 
 def cmd_trace(args):
-    if args.paths < 0 or args.paths == 1:  # one path has no stderr
-        raise ValueError(f"argument --paths: expected 0 (exact) or at least "
-                         f"2, got {args.paths}")
     inst = _load(args, instances.LhMinInstance)
     rep = estimators.trace_report(inst, L=args.power, paths=args.paths,
                                   seed=args.seed)

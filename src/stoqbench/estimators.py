@@ -77,7 +77,7 @@ def trace_power(g: OperatorSum, L: int, mode: str = "exact",
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
     if paths < 2:  # one path has no standard error
-        raise ValueError("sampled mode needs paths >= 2")
+        raise ValueError(f"sampled mode needs paths >= 2, got {paths}")
     n = g.n
     if n * L >= sys.float_info.max_exp:
         raise ValueError(f"sampled trace at L={L} on n={n} qubits needs the "

@@ -230,8 +230,8 @@ def matrix_elements(op: OperatorSum, xs, ys) -> np.ndarray:
     its support, which needs x ^ y to have at most k_max bits set, k_max
     the widest term's k.  One pass over the term table keeps those pairs,
     takes the candidates x terms hit matrix in pair-major order, reads
-    every hit's local indices in one k_max-bit loop and adds the
-    contributions with np.add.at, in term order per entry from +0.0.
+    every hit's local indices by gather over the padded supports and adds
+    the contributions with np.add.at, in term order per entry from +0.0.
     A term that misses would add w * 0.0, a signed zero, which leaves
     such a sum as it is, so every entry is bitwise the left-to-right sum
     of the scalar per-term elements.  Basis states are int64, which
@@ -252,11 +252,8 @@ def matrix_elements(op: OperatorSum, xs, ys) -> np.ndarray:
     cand = np.flatnonzero(few == 0)
     p, t = np.nonzero((diff[cand, None] & inv) == 0)
     at = cand[p]
-    x, y, bits = xs[at], ys[at], sup[t]
-    lx, ly = np.zeros_like(at), np.zeros_like(at)
-    for i in range(sup.shape[1]):
-        lx |= ((x >> bits[:, i]) & 1) << i
-        ly |= ((y >> bits[:, i]) & 1) << i
+    bits = sup[t].T
+    lx, ly = gather(xs[at], bits), gather(ys[at], bits)
     np.add.at(out.reshape(-1), at,
               weights[t] * flat[offsets[t] + (lx << ks[t]) + ly])
     return out

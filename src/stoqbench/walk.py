@@ -235,9 +235,9 @@ class WalkRunner:
     # -- protocol ----------------------------------------------------------
 
     def run(self, witness: int, config: WalkConfig) -> WalkTranscript:
-        rng = next(_generators(config.seed, 1))
-        record = self._run_with_rng(witness, config, rng)
-        return self.transcript(witness, record)
+        """Trial 0 of ``sweep``, expanded into its transcript."""
+        first, records = self.sweep(witness, config, 1)
+        return self.transcript(witness, first or next(records))
 
     def transcript(self, witness: int, record: TrialRecord) -> WalkTranscript:
         """The transcript of a trial from ``witness`` that this runner
@@ -484,41 +484,40 @@ class AcceptanceReport:
     lower: float
     upper: float
     trials: int
-    accepted: int  # None in an exact report, which runs no trial
-    deterministic: bool = False
-    exact: bool = False
+    accepted: int  # None when no trial ran
+    deterministic: bool = False  # no trial ran: rate is the probability
 
 
 def acceptance_rate(instance: StoqSatInstance, witness: int, trials: int,
                     config: WalkConfig,
                     runner: WalkRunner = None) -> AcceptanceReport:
-    """Acceptance probability of a witness: exact where the closure allows,
+    """Acceptance probability of a witness: exact where no trial is needed,
     else Monte Carlo over seeded independent trials.
 
-    The trials are those of WalkRunner.sweep: trial i draws the Philox
-    stream with counter [0, 0, i, 0], so results are a pure function of
-    (instance, witness, trials, seed).  When no draw can change the tally
-    the report is marked deterministic and no trial runs: 0 <= 0 <= 0 for
-    a rejection at step 0, and the Wilson interval of all trials accepted,
-    as the Monte Carlo would give it, for a fixed point or a witness that
-    ``WalkRunner.certain`` accepts within trials x steps strings.
-    Otherwise, when ``WalkRunner.exact_acceptance`` gives the probability
-    p within EXACT_CLOSURE_CAP strings, no trial runs and the report is
-    marked exact: rate = lower = upper = p, with ``accepted`` None.
+    No trial runs when the probability p is known: 0.0 for a rejection at
+    the witness and 1.0 for a fixed point (the record that ``sweep``
+    builds without a stream), 1.0 for a witness that
+    ``WalkRunner.certain`` accepts within trials x steps strings, and
+    otherwise ``WalkRunner.exact_acceptance``'s p within
+    EXACT_CLOSURE_CAP strings.  The report is then deterministic:
+    rate = lower = upper = p, with ``accepted`` None.  Otherwise the
+    trials are those of WalkRunner.sweep: trial i draws the Philox stream
+    with counter [0, 0, i, 0], so the rate and its Wilson interval are a
+    pure function of (instance, witness, trials, seed).
     """
     if runner is None:
         runner = WalkRunner(instance)
     elif runner.instance is not instance:
         raise ValueError("runner was built for another instance")
     first, records = runner.sweep(witness, config, trials)
-    if first is not None and not first.accepted:
-        return AcceptanceReport(0.0, 0.0, 0.0, trials, 0, deterministic=True)
-    if first is not None or runner.certain(witness, trials * config.steps):
-        return AcceptanceReport(*wilson_interval(trials, trials), trials,
-                                trials, deterministic=True)
-    p = runner.exact_acceptance(witness, config.steps)
+    if first is not None:
+        p = float(first.accepted)
+    elif runner.certain(witness, trials * config.steps):
+        p = 1.0
+    else:
+        p = runner.exact_acceptance(witness, config.steps)
     if p is not None:
-        return AcceptanceReport(p, p, p, trials, None, exact=True)
+        return AcceptanceReport(p, p, p, trials, None, deterministic=True)
     accepted = sum(r.accepted for r in records)
     rate, lo, hi = wilson_interval(accepted, trials)
     return AcceptanceReport(rate, lo, hi, trials, accepted)

@@ -1,5 +1,8 @@
 """One home per rule, with the copies each home replaced kept as references.
 
+* a bit's move between a basis state and a local index: ``ops.gather``
+  and ``ops.scatter``, under ``column``, ``support_mask`` and
+  ``matrix_elements``
 * a term's bit mask: ``ops.support_mask``, which ``_support_maps`` calls
   and ``LocalOperator.mask`` holds for ``column``, ``matrix_elements``
   and ``apply_to_basis``
@@ -19,7 +22,9 @@
   init, prop and meas terms of ``clock.compile_circuit``
 * the walk's trial sweep: ``walk.WalkRunner.sweep``, the one place that
   checks the trial count, tests a witness for a fixed point and derives
-  the trial streams (``run`` derives trial 0's alone)
+  the trial streams
+* a walk report that no trial ran for: ``walk.acceptance_rate``'s one
+  ``deterministic`` form; ``AcceptanceReport`` has no ``exact`` field
 * the output opener: ``instances.open_output``, the one ``open`` or
   ``os.open`` of a file for writing in src/, under ``write_text`` and
   ``verify --transcripts``; no ``O_TRUNC`` anywhere
@@ -664,6 +669,16 @@ def _reads_block_diagonal(node):
     return func.endswith(".block.diagonal")
 
 
+def _moves_a_bit(node):
+    """((a >> b) & 1) << c: bit b of a moved to bit c."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.BitAnd)
+            and isinstance(node.left.left, ast.BinOp)
+            and isinstance(node.left.left.op, ast.RShift)
+            and ast.unparse(node.left.right) == "1")
+
+
 @pytest.mark.parametrize("rule, match, home", [
     ("the mask expression scatter((1 << k) - 1, bits)",
      lambda node: _is_call_of(node, "scatter") and node.args
@@ -686,7 +701,7 @@ def _reads_block_diagonal(node):
      [("walk", "sweep")]),
     ("a _generators call",
      lambda node: _is_call_of(node, "_generators"),
-     [("walk", "run"), ("walk", "sweep")]),
+     [("walk", "sweep")]),
     ("the trial count check",
      lambda node: isinstance(node, ast.Constant)
      and node.value == "trials must be >= 1",
@@ -716,6 +731,13 @@ def _reads_block_diagonal(node):
     ("a name conjugate_by_circuit",  # a Name, Attribute, def or import
      lambda node: getattr(node, "id", getattr(node, "attr", getattr(
          node, "name", None))) == "conjugate_by_circuit",
+     []),
+    ("the bit move ((a >> b) & 1) << c",
+     _moves_a_bit,
+     [("ops", "gather"), ("ops", "scatter")]),
+    ("an exact= keyword or an .exact attribute",
+     lambda node: (isinstance(node, ast.keyword) and node.arg == "exact")
+     or (isinstance(node, ast.Attribute) and node.attr == "exact"),
      []),
 ])
 def test_each_rule_has_one_home(rule, match, home):

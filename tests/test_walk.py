@@ -372,7 +372,21 @@ class TestAcceptanceRate:
     def test_yes_instance_rate_one(self):
         inst = plus_instance(2, [(0, 1)])
         rep = acceptance_rate(inst, 0, 200, WalkConfig(steps=5, seed=9))
-        assert rep.rate == 1.0 and rep.accepted == 200
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 200, None,
+                                       deterministic=True)
+
+    @pytest.mark.parametrize("trials, steps", [(1, 2), (1, 20), (100, 10)])
+    def test_certain_witness_has_one_form_at_every_budget(self, trials, steps):
+        """``certain`` settles witness 0 within trials x steps strings at
+        the last two budgets, and gives up at the first, where exact
+        acceptance answers: the report has the one form at all three."""
+        inst = plus_instance(4, [(0, 1), (2, 3)])
+        runner = WalkRunner(inst)
+        assert runner.certain(0, trials * steps) == (trials * steps > 2)
+        rep = acceptance_rate(inst, 0, trials, WalkConfig(steps, seed=1),
+                              runner=runner)
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, trials, None,
+                                       deterministic=True)
 
     def test_deterministic_rejection_short_circuits(self):
         inst = from_dimacs(UNSAT_2)
@@ -397,13 +411,14 @@ class TestAcceptanceRate:
         config = WalkConfig(steps=5, seed=4)
         assert WalkRunner(inst)._start(witness) == reason
         rep = acceptance_rate(inst, witness, 300, config)
-        assert rep == AcceptanceReport(0.0, 0.0, 0.0, 300, 0,
+        assert rep == AcceptanceReport(0.0, 0.0, 0.0, 300, None,
                                        deterministic=True)
         assert calls == []
         # a witness that walks is summed exactly over its closure and
         # derives none either; one left to the Monte Carlo derives them,
         # one Philox per call
-        assert acceptance_rate(inst, 0, 300, config).exact
+        rep = acceptance_rate(inst, 0, 300, config)
+        assert rep.deterministic and rep.accepted is None
         assert calls == []
         monkeypatch.setattr(walk, "EXACT_CLOSURE_CAP", 1)
         acceptance_rate(inst, 0, 300, config)
@@ -433,7 +448,8 @@ class TestAcceptanceRate:
             acceptance_rate(inst, 0, 10, WalkConfig(steps=3), runner=runner)
         rep = acceptance_rate(runner.instance, 0, 10, WalkConfig(steps=3),
                               runner=runner)
-        assert rep.accepted == 10
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 10, None,
+                                       deterministic=True)
 
 
 def reference_trials(runner, witness, config, count):
@@ -456,14 +472,10 @@ def swept_trials(runner, witness, config, count):
 
 
 def reference_acceptance_rate(runner, witness, trials, config):
-    """acceptance_rate before fixed points ran once: every trial runs, and
-    only a rejection at step 0 returns after trial 0."""
-    accepted = 0
-    for i, t in enumerate(reference_trials(runner, witness, config, trials)):
-        if i == 0 and not t.rng_draws:
-            return AcceptanceReport(0.0, 0.0, 0.0, trials, 0,
-                                    deterministic=True)
-        accepted += t.accepted
+    """acceptance_rate's Monte Carlo with every trial run on its own
+    stream: the Wilson report of the tally."""
+    accepted = sum(t.accepted for t in reference_trials(runner, witness,
+                                                        config, trials))
     rate, lo, hi = wilson_interval(accepted, trials)
     return AcceptanceReport(rate, lo, hi, trials, accepted)
 
@@ -519,8 +531,9 @@ class TestFixedPointWitness:
             * count
         rep = acceptance_rate(inst, w, count, config, runner=runner)
         ref = reference_acceptance_rate(WalkRunner(inst), w, count, config)
-        assert rep == dataclasses.replace(ref, deterministic=True)
-        assert (rep.rate, rep.accepted, rep.upper) == (1.0, count, 1.0)
+        assert (ref.rate, ref.accepted, ref.upper) == (1.0, count, 1.0)
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, count, None,
+                                       deterministic=True)
 
     @settings(max_examples=80, deadline=None)
     @given(cnf_and_plus_registers(), st.integers(1, 12), st.integers(1, 40),
@@ -570,7 +583,8 @@ class TestFixedPointWitness:
         first, records = runner.sweep(0b110, config, 300)
         assert first.accepted and records == ()
         rep = acceptance_rate(inst, 0b110, 300, config, runner=runner)
-        assert rep.deterministic and rep.accepted == 300
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 300, None,
+                                       deterministic=True)
         for extra in ([], ["--transcripts", str(tmp_path / "t.jsonl")]):
             assert cli_main(["verify", "--instance", sat, "--witness", "6",
                              "--trials", "300", "--seed", "4", "--out",
@@ -588,8 +602,8 @@ class TestFixedPointWitness:
         assert runner.transcript(0b110, first).visited == [0b110] * 7
         assert records == ()
         rep = acceptance_rate(inst, 0b110, 2**64, config, runner=runner)
-        assert rep == AcceptanceReport(*wilson_interval(2**64, 2**64), 2**64,
-                                       2**64, deterministic=True)
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 2**64, None,
+                                       deterministic=True)
         assert runs == []  # no trial runs
 
     def test_verify_runs_a_fixed_point_once(self, monkeypatch, tmp_path):
@@ -616,31 +630,58 @@ class TestFixedPointWitness:
         assert rows[-1].startswith("rate,1,") and rows[-1].endswith(",1,1000,1000")
         assert len(set(logs.read_text().splitlines())) == 1
 
-    def test_walking_witness_is_not_deterministic(self):
+    @pytest.mark.parametrize("witness", [0b110, 0b000], ids=["fixed-point",
+                                                             "diag-zero"])
+    def test_run_builds_no_philox(self, witness, monkeypatch):
+        """run takes trial 0 from sweep, so a fixed point or a witness
+        rejected at once gives the transcript its own stream would give,
+        with no stream built."""
+        inst = from_dimacs(SAT_3)
+        config = WalkConfig(steps=6, seed=4)
+        want = next(reference_trials(WalkRunner(inst), witness, config, 1))
+
+        def no_philox(*args, **kwargs):
+            raise AssertionError("this witness needs no stream")
+
+        monkeypatch.setattr(np.random, "Philox", no_philox)
+        t = WalkRunner(inst).run(witness, config)
+        assert dataclasses.asdict(t) == dataclasses.asdict(want)
+
+    def test_walking_witness_settled_by_exact_acceptance(self, monkeypatch):
         # the honest witness 1 of a skewed rank-one projector moves to 0
-        # with r = 1/2, so no closure check settles it and every trial
-        # draws its own stream
+        # with r = 1/2, so it walks and ``certain`` does not settle it;
+        # exact acceptance does, and no trial runs
         psi = np.array([1.0, 2.0]) / math.sqrt(5.0)
         inst = StoqSatInstance(1, 1.0,
                                (LocalOperator((0,), np.outer(psi, psi)),))
-        rep = acceptance_rate(inst, 1, 20, WalkConfig(steps=4, seed=2))
-        assert rep.rate == 1.0 and not rep.deterministic
+        config = WalkConfig(steps=4, seed=2)
+        runner = WalkRunner(inst)
+        assert runner.sweep(1, config, 20)[0] is None
+        assert not runner.certain(1, 80)
+
+        def no_philox(*args, **kwargs):
+            raise AssertionError("an exact report needs no stream")
+
+        monkeypatch.setattr(np.random, "Philox", no_philox)
+        rep = acceptance_rate(inst, 1, 20, config)
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 20, None,
+                                       deterministic=True)
 
     def test_certain_plus_witness_is_deterministic(self, monkeypatch):
         """|+> rows have moves of r = 1 only, so every trial is accepted
-        whatever it draws: the report is deterministic, with the rate and
-        interval the Monte Carlo gives, and no trial runs."""
+        whatever it draws: the report is deterministic, with rate = lower
+        = upper = 1.0 and ``accepted`` None, and no trial runs."""
         inst = plus_instance(2, [(0, 1)])
         config = WalkConfig(steps=4, seed=2)
         ref = reference_acceptance_rate(WalkRunner(inst), 0, 20, config)
-        assert not ref.deterministic
+        assert ref.accepted == 20
         runs = []
         trial = WalkRunner._run_with_rng
         monkeypatch.setattr(WalkRunner, "_run_with_rng",
                             lambda *a: runs.append(a) or trial(*a))
         rep = acceptance_rate(inst, 0, 20, config)
-        assert rep == dataclasses.replace(ref, deterministic=True)
-        assert (rep.rate, rep.lower, rep.upper) == wilson_interval(20, 20)
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 20, None,
+                                       deterministic=True)
         assert runs == []
 
 
@@ -679,9 +720,10 @@ class TestExactAcceptance:
             (0,), rank_one(1, math.exp(ETA * steps))),))
 
     def test_closure_that_cannot_reject_is_exactly_one(self):
-        # test_walking_witness_is_not_deterministic's instance: witness 1
-        # moves to 0 with r = 1/2, no string rejects and every end string
-        # passes, so the sum, which rounds to 1 + 2^-52 there, is not used
+        # the instance of test_walking_witness_settled_by_exact_acceptance:
+        # witness 1 moves to 0 with r = 1/2, no string rejects and every
+        # end string passes, so the sum, which rounds to 1 + 2^-52 there,
+        # is not used
         psi = np.array([1.0, 2.0]) / math.sqrt(5.0)
         inst = StoqSatInstance(1, 1.0,
                                (LocalOperator((0,), np.outer(psi, psi)),))
@@ -689,7 +731,8 @@ class TestExactAcceptance:
         assert not runner.certain(1, 100)
         assert runner.exact_acceptance(1, 4) == 1.0
         rep = acceptance_rate(inst, 1, 20, WalkConfig(steps=4, seed=2))
-        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 20, None, exact=True)
+        assert rep == AcceptanceReport(1.0, 1.0, 1.0, 20, None,
+                                       deterministic=True)
         # from 0 an end string at 1 fails the product test (phi = log 2),
         # and each step lands on 0 with probability 1/5 from either string
         p = runner.exact_acceptance(0, 4)
@@ -745,7 +788,7 @@ class TestExactAcceptance:
         assert runner.exact_acceptance(witness, steps) is None
         config = WalkConfig(steps=steps, seed=3)
         rep = acceptance_rate(inst, witness, 60, config, runner=runner)
-        assert not rep.exact and not rep.deterministic
+        assert not rep.deterministic
         assert rep == reference_acceptance_rate(WalkRunner(inst), witness, 60,
                                                 config)
 
@@ -778,7 +821,7 @@ class TestExactAcceptance:
         config = WalkConfig(steps=required_steps(inst.n, inst.epsilon,
                                                  inst.m), seed=1)
         rep = acceptance_rate(inst, 0, 400, config, runner=runner)
-        assert rep.exact and rep.rate == rep.lower == rep.upper
+        assert rep.deterministic and rep.rate == rep.lower == rep.upper
         first, records = WalkRunner(inst).sweep(0, config, 400)
         assert first is None
         lo, hi = wilson_interval(sum(r.accepted for r in records), 400)[1:]
@@ -812,7 +855,8 @@ class TestExactAcceptance:
                 patch.setattr(module, "assemble_dense", no_matrix)
             patch.setattr(spectral, "dense_spectrum", no_matrix)
             rep = acceptance_rate(inst, 16380, 400, config)
-        assert rep.exact and rep.rate == pytest.approx(0.00126, rel=0.01)
+        assert rep.deterministic
+        assert rep.rate == pytest.approx(0.00126, rel=0.01)
         first, records = WalkRunner(inst).sweep(16380, config, 400)
         assert first is None
         lo, hi = wilson_interval(sum(r.accepted for r in records), 400)[1:]
