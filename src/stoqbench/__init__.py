@@ -31,7 +31,8 @@ from .circuits import (MixedVerifier, StoqDecomposition, StoqPart,
                        circuit_to_document, decompose_stoquastic,
                        dyadic_weights, hamiltonian_to_verifier, initial_state,
                        load_circuit, max_acceptance, mix, save_circuit,
-                       x_projector_isometry, zero_projector_isometry)
+                       verifier_document, x_projector_isometry,
+                       zero_projector_isometry)
 from .clock import (ClockInstance, check_history_invariants, compile_circuit,
                     export_6sat, history_state, local_term, meas_expectation,
                     perturbed_hamiltonian, predicted_min_eigenvalue)

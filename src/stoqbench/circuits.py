@@ -14,6 +14,7 @@ the dyadic convex mixing of the resulting circuit family.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -165,11 +166,13 @@ class StoqDecomposition:
         return h[np.ix_(pinv, pinv)]
 
 
+@functools.cache
 def _x_circuit(x: int, k: int) -> tuple:
     """X gates preparing |x> from |0^k>."""
     return tuple(Gate("X", (i,)) for i in range(k) if (x >> i) & 1)
 
 
+@functools.cache
 def _pair_circuit(x: int, y: int, k: int) -> tuple:
     """U with U|0^k> = |x> and U|10^(k-1)> = |y>, using X and CNOT only."""
     d = x ^ y
@@ -191,10 +194,11 @@ def _pair_circuit(x: int, y: int, k: int) -> tuple:
 def decompose_stoquastic(h: LhMinInstance) -> StoqDecomposition:
     """gamma*H + beta*I as a convex combination of conjugated model terms.
 
-    Every local term is shifted until entrywise non-positive, then its
-    diagonal entries become Z00 parts and its off-diagonal pairs become
-    X0 parts, with weights given by the entry magnitudes (those at most
-    ETA are dropped).
+    Every local term is shifted until its diagonal is non-positive; then
+    its diagonal entries become Z00 parts and its upper off-diagonal
+    entries, in row-major order, X0 parts, with weights given by the
+    entry magnitudes (those at most ETA, tolerance-level positives among
+    them, are dropped).
     """
     require_valid(h)
     raw_parts = []
@@ -203,19 +207,15 @@ def decompose_stoquastic(h: LhMinInstance) -> StoqDecomposition:
         k = term.k
         block = np.array(term.block)
         shift = max(0.0, float(np.max(np.diag(block))))
-        block = block - shift * np.eye(2**k)
-        block[block > 0] = 0.0  # tolerance-level positives
+        neg = -(block - shift * np.eye(2**k))
         shift_total += shift
-        for x in range(2**k):
-            w = -float(block[x, x])
-            if w > ETA:
-                raw_parts.append(StoqPart(w, _x_circuit(x, k), "Z00", term.support))
-        for x in range(2**k):
-            for y in range(x + 1, 2**k):
-                w = -float(block[x, y])
-                if w > ETA:
-                    raw_parts.append(
-                        StoqPart(w, _pair_circuit(x, y, k), "X0", term.support))
+        for x in np.nonzero(np.diag(neg) > ETA)[0].tolist():
+            raw_parts.append(StoqPart(float(neg[x, x]), _x_circuit(x, k),
+                                      "Z00", term.support))
+        rows, cols = np.nonzero(np.triu(neg > ETA, 1))
+        for x, y in zip(rows.tolist(), cols.tolist()):
+            raw_parts.append(StoqPart(float(neg[x, y]), _pair_circuit(x, y, k),
+                                      "X0", term.support))
     total = sum(p.weight for p in raw_parts)
     if total <= 0:
         raise ValueError("Hamiltonian is a multiple of the identity")
@@ -253,12 +253,6 @@ def x_projector_isometry(k: int):
         raise ValueError("k must be >= 1")
     gates = tuple(Gate("TOFFOLI", (j, 0, k + j - 1)) for j in range(1, k))
     return gates, k - 1, 0, 0
-
-
-def _swap_gates(a: int, b: int):
-    if a == b:
-        return ()
-    return (Gate("CNOT", (a, b)), Gate("CNOT", (b, a)), Gate("CNOT", (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,77 +310,98 @@ def dyadic_weights(weights):
     return approx, err
 
 
-def _part_verifier(part: StoqPart, n_w: int) -> VerifierCircuit:
-    """One stoquastic verifier measuring -U_j H_j U_j^dag on the witness.
-
-    The circuit applies U_j^dag on the term's witness qubits, then the
-    isometry ladder, then routes the measured qubit to position 0.
-    """
-    support = part.support
-    k = len(support)
-    if part.kind == "Z00":
+@functools.cache
+def _template(kind: str, k: int, circuit: tuple):
+    """A part's gates on local qubits, validated once as Gates: U^dag on
+    the term's qubits 0..k-1, then the isometry ladder, whose ancillas
+    follow from qubit k on.  Returns ((kind, qubits) of each gate, n_0,
+    n_plus, measured_qubit)."""
+    if kind == "Z00":
         ladder, n_0, n_plus, measured = zero_projector_isometry(k)
     else:
         ladder, n_0, n_plus, measured = x_projector_isometry(k)
+    # U^dag: X and CNOT are involutions, so reverse the gate list
+    gates = (*reversed(circuit), *ladder)
+    return tuple((g.kind, g.qubits) for g in gates), n_0, n_plus, measured
 
-    def map_q(q: int) -> int:
-        if q < k:  # witness qubit of the local term
-            return support[q]
-        return n_w + (q - k)  # ancilla, appended after the witness
 
-    gates = []
-    # U_j^dag: X and CNOT are involutions, so reverse the gate list
-    for g in reversed(part.circuit):
-        gates.append(Gate(g.kind, tuple(support[q] for q in g.qubits)))
-    for g in ladder:
-        gates.append(Gate(g.kind, tuple(map_q(q) for q in g.qubits)))
-    gates.extend(_swap_gates(0, map_q(measured)))
-    if not gates:
-        # a 1-local -X part on qubit 0 needs no gate at all, but a
-        # VerifierCircuit needs at least one: X.X is the identity
-        gates.extend((Gate("X", (0,)), Gate("X", (0,))))
-    return VerifierCircuit(n=0, n_w=n_w, n_0=n_0, n_plus=n_plus,
-                           gates=tuple(gates), out_basis="plus")
+def verifier_document(h: LhMinInstance) -> dict:
+    """The mixed-verifier document ``compile --to verifier`` writes: a
+    stoquastic verifier V with Pr(V;x,psi) = <psi|(-alpha H + beta' I)|psi>,
+    alpha = gamma/2 and beta' = (1 - beta)/2 from the decomposition
+    gamma H + beta I.
+
+    Part j measures -U_j H_j U_j^dag on the witness: its template is
+    relabeled onto the term's support, with the ancillas appended after
+    the witness, and a swap routes the measured qubit to position 0.
+    """
+    dec = decompose_stoquastic(h)
+    approx, err = dyadic_weights([p for p, _ in dec.parts])
+    n_w = h.n
+    parts = []
+    for p_hat, (_, part) in zip(approx, dec.parts):
+        if p_hat <= 0:
+            continue
+        local, n_0, n_plus, measured = _template(
+            part.kind, len(part.support), part.circuit)
+        total = n_w + n_0 + n_plus
+        qmap = (*part.support, *range(n_w, total))
+        if max(qmap) >= total:
+            raise ValueError(f"part on {part.support} outside {total} qubits")
+        gates = [{"kind": kind, "qubits": [qmap[q] for q in qubits]}
+                 for kind, qubits in local]
+        m = qmap[measured]
+        if m != 0:
+            gates += [{"kind": "CNOT", "qubits": [0, m]},
+                      {"kind": "CNOT", "qubits": [m, 0]},
+                      {"kind": "CNOT", "qubits": [0, m]}]
+        elif not gates:
+            # a 1-local -X part on qubit 0 needs no gate at all, but a
+            # circuit needs at least one: X.X is the identity
+            gates = [{"kind": "X", "qubits": [0]}, {"kind": "X", "qubits": [0]}]
+        parts.append({"p": p_hat, "circuit": _circuit_document(
+            0, n_w, n_0, n_plus, "plus", gates)})
+    return {
+        "version": 1,
+        "kind": "mixed-verifier",
+        "alpha": dec.gamma / 2.0,
+        "beta_prime": (1.0 - dec.beta) / 2.0,
+        "n_w": n_w,
+        "metadata": {"selector_bits": SELECTOR_BITS, "mixing_error": err,
+                     "num_parts": len(parts)},
+        "parts": parts,
+    }
 
 
 def hamiltonian_to_verifier(h: LhMinInstance):
     """Stoquastic verifier V with Pr(V;x,psi) = <psi|(-alpha H + beta' I)|psi>.
 
-    Returns (MixedVerifier, alpha, beta_prime).  alpha = gamma/2 and
-    beta' = (1 - beta)/2 from the decomposition gamma H + beta I.
+    Returns (MixedVerifier, alpha, beta_prime), read back from
+    verifier_document(h), so that it is what ``compile`` writes.
     """
-    dec = decompose_stoquastic(h)
-    weights = [p for p, _ in dec.parts]
-    approx, err = dyadic_weights(weights)
-    parts = []
-    for p_hat, (_, part) in zip(approx, dec.parts):
-        if p_hat <= 0:
-            continue
-        parts.append((p_hat, _part_verifier(part, h.n)))
-    verifier = MixedVerifier(
-        n_w=h.n, parts=tuple(parts),
-        metadata={"selector_bits": SELECTOR_BITS, "mixing_error": err,
-                  "num_parts": len(parts)},
-    )
-    alpha = dec.gamma / 2.0
-    beta_prime = (1.0 - dec.beta) / 2.0
-    return verifier, alpha, beta_prime
+    doc = verifier_document(h)
+    parts = tuple((p["p"], circuit_from_document(p["circuit"]))
+                  for p in doc["parts"])
+    verifier = MixedVerifier(n_w=doc["n_w"], parts=parts,
+                             metadata=doc["metadata"])
+    return verifier, doc["alpha"], doc["beta_prime"]
 
 
 # ---------------------------------------------------------------------------
 # circuit files
 
 
+def _circuit_document(n, n_w, n_0, n_plus, out_basis, gates) -> dict:
+    """A circuit document from its fields and its gates' documents."""
+    return {"version": CIRCUIT_SCHEMA_VERSION, "n": n, "n_w": n_w,
+            "n_0": n_0, "n_plus": n_plus, "out_basis": out_basis,
+            "gates": gates}
+
+
 def circuit_to_document(v: VerifierCircuit) -> dict:
-    return {
-        "version": CIRCUIT_SCHEMA_VERSION,
-        "n": v.n,
-        "n_w": v.n_w,
-        "n_0": v.n_0,
-        "n_plus": v.n_plus,
-        "out_basis": v.out_basis,
-        "gates": [{"kind": g.kind, "qubits": list(g.qubits)} for g in v.gates],
-    }
+    return _circuit_document(
+        v.n, v.n_w, v.n_0, v.n_plus, v.out_basis,
+        [{"kind": g.kind, "qubits": list(g.qubits)} for g in v.gates])
 
 
 def circuit_from_document(doc: dict) -> VerifierCircuit:

@@ -205,20 +205,7 @@ def cmd_compile(args):
         instances.save(inst, args.out)
     else:
         h = _load(args, instances.LhMinInstance)
-        verifier, alpha, beta_prime = circuits.hamiltonian_to_verifier(h)
-        doc = {
-            "version": 1,
-            "kind": "mixed-verifier",
-            "alpha": alpha,
-            "beta_prime": beta_prime,
-            "n_w": verifier.n_w,
-            "metadata": verifier.metadata,
-            "parts": [
-                {"p": p, "circuit": circuits.circuit_to_document(v)}
-                for p, v in verifier.parts
-            ],
-        }
-        instances.write_json(args.out, doc)
+        instances.write_json(args.out, circuits.verifier_document(h))
     return EXIT_OK, [getattr(args, reads[0])]
 
 

@@ -1,8 +1,14 @@
 """Test-side references shared by the test modules, one copy each: the
-loops that ops' bit layout, element reads and row reads replaced, kept
-to pin their homes' output byte for byte."""
+loops that ops' bit layout, element reads and row reads, and the
+reduction's block scan, replaced, kept to pin their homes' output byte
+for byte."""
 
 import numpy as np
+
+from stoqbench.circuits import (StoqDecomposition, StoqPart, _pair_circuit,
+                                _x_circuit)
+from stoqbench.instances import require_valid
+from stoqbench.ops import ETA
 
 
 def ref_local_index(support, x):
@@ -63,3 +69,34 @@ def ref_support_maps(support, n):
     rest = np.array([sum(1 << q for i, q in enumerate(rest_qubits) if (r >> i) & 1)
                      for r in range(2 ** len(rest_qubits))], dtype=np.int64)
     return sup, rest
+
+
+def ref_decompose(h):
+    """decompose_stoquastic as it was: the shifted block read entry by
+    entry, the diagonal and then the upper triangle row by row."""
+    require_valid(h)
+    raw_parts = []
+    shift_total = 0.0
+    for term in h.terms:
+        k = term.k
+        block = np.array(term.block)
+        shift = max(0.0, float(np.max(np.diag(block))))
+        block = block - shift * np.eye(2**k)
+        block[block > 0] = 0.0  # tolerance-level positives
+        shift_total += shift
+        for x in range(2**k):
+            w = -float(block[x, x])
+            if w > ETA:
+                raw_parts.append(StoqPart(w, _x_circuit(x, k), "Z00", term.support))
+        for x in range(2**k):
+            for y in range(x + 1, 2**k):
+                w = -float(block[x, y])
+                if w > ETA:
+                    raw_parts.append(
+                        StoqPart(w, _pair_circuit(x, y, k), "X0", term.support))
+    total = sum(p.weight for p in raw_parts)
+    if total <= 0:
+        raise ValueError("Hamiltonian is a multiple of the identity")
+    parts = tuple((p.weight / total, p) for p in raw_parts)
+    return StoqDecomposition(gamma=1.0 / total, beta=-shift_total / total,
+                             parts=parts)

@@ -1,17 +1,23 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoqbench import (Gate, LhMinInstance, LocalOperator, OperatorSum,
                        VerifierCircuit, acceptance_operator,
                        acceptance_probability, assemble_dense, circuits,
                        decompose_stoquastic, dyadic_weights,
                        hamiltonian_to_verifier, initial_state, load_circuit,
-                       max_acceptance, mix, save_circuit,
+                       max_acceptance, mix, save, save_circuit,
                        x_projector_isometry, zero_projector_isometry)
-from stoqbench.circuits import _part_verifier
-from stoqbench.ops import circuit_permutation
+from stoqbench.cli import main
+from stoqbench.ops import ETA, circuit_permutation
+
+from conftest import random_stoquastic_block
+from refs import ref_decompose
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -150,7 +156,50 @@ class TestVerifierCircuit:
             acceptance_probability(v, 0, [1.0, 1.0])
 
 
+# block entries at and around the ETA cut, tolerance-level positives
+# among them (a valid off-diagonal entry is at most ETA)
+_EDGES = [0.0, -0.0, ETA, -ETA, ETA / 2, -ETA / 2, -2 * ETA,
+          float(np.nextafter(-ETA, -1.0)), float(np.nextafter(-ETA, 0.0))]
+DIAGONAL = st.one_of(st.sampled_from(_EDGES + [2 * ETA, 1.0]),
+                     st.floats(-2.0, 2.0))
+OFF_DIAGONAL = st.one_of(st.sampled_from(_EDGES), st.floats(-2.0, 0.0))
+
+
+@st.composite
+def lhmin_instances(draw):
+    n = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, min(n, 3)))
+        support = tuple(sorted(draw(st.permutations(range(n)))[:k]))
+        block = np.zeros((2**k, 2**k))
+        for x in range(2**k):
+            block[x, x] = draw(DIAGONAL)
+            for y in range(x + 1, 2**k):
+                block[x, y] = block[y, x] = draw(OFF_DIAGONAL)
+        terms.append(LocalOperator(support, block))
+    return LhMinInstance(n, tuple(terms), 0.0, 1.0)
+
+
+def _decomposition_bits(decompose, inst):
+    """gamma, beta and each part with its weights as float hex, or the
+    ValueError message."""
+    try:
+        dec = decompose(inst)
+    except ValueError as exc:
+        return str(exc)
+    return (dec.gamma.hex(), dec.beta.hex(),
+            [(p.hex(), part.weight.hex(), part.kind, part.support, part.circuit)
+             for p, part in dec.parts])
+
+
 class TestDecomposition:
+    @settings(max_examples=200, deadline=None)
+    @given(lhmin_instances())
+    def test_scan_matches_the_double_loop(self, inst):
+        assert _decomposition_bits(decompose_stoquastic, inst) \
+            == _decomposition_bits(ref_decompose, inst)
+
     def cases(self):
         return [
             LhMinInstance(1, (LocalOperator((0,), -X),), 0.0, 1.0),
@@ -323,16 +372,47 @@ class TestHamiltonianToVerifier:
         self.check(inst, n_witnesses=30)
 
     def test_part_verifier_local_observable(self):
-        # a Z00 part on qubit 1 of 2: Pr = alpha-free check of |0><0| on q1
-        from stoqbench.circuits import StoqPart
-        part = StoqPart(1.0, (), "Z00", (1,))
-        v = _part_verifier(part, 2)
+        # a Z00 part on qubit 1 of 2, read back from its part document:
+        # Pr = (1 - <psi|H|psi>)/2 with H = -|0><0| on qubit 1
+        inst = LhMinInstance(2, (LocalOperator((1,), -np.diag([1.0, 0.0])),),
+                             0.0, 1.0)
+        (part,) = circuits.verifier_document(inst)["parts"]
+        assert part["p"] == 1.0
+        v = circuits.circuit_from_document(part["circuit"])
         for w, expect in [(0, 1.0), (1, 1.0), (2, 0.0), (3, 0.0)]:
             psi = np.zeros(4)
             psi[w] = 1.0
-            # Pr = (1 - <psi|H|psi>)/2 with H = -|0><0| on qubit 1
             pr = acceptance_probability(v, 0, psi)
             assert pr == pytest.approx((1.0 + expect) / 2.0, abs=1e-12)
+
+    def test_gates_are_built_per_template_not_per_gate(self):
+        """Gate objects are built once per distinct template key (kind, k,
+        local circuit), however many parts share it."""
+        rng = np.random.default_rng(6)
+        block = random_stoquastic_block(rng, 2)
+        terms = tuple(LocalOperator((i, j), block)
+                      for i in range(6) for j in range(i + 1, 6))
+        inst = LhMinInstance(6, terms, 0.0, 1.0)
+        keys = {(part.kind, len(part.support), part.circuit)
+                for _, part in decompose_stoquastic(inst).parts}
+        for cached in (circuits._x_circuit, circuits._pair_circuit,
+                       circuits._template):
+            cached.cache_clear()
+        built = []
+        post_init = Gate.__post_init__
+
+        def counting(gate):
+            built.append(gate)
+            post_init(gate)
+
+        with mock.patch.object(Gate, "__post_init__", counting):
+            doc = circuits.verifier_document(inst)
+        written = sum(len(p["circuit"]["gates"]) for p in doc["parts"])
+        # each key builds its local circuit (at most 2k + 1 gates: CNOTs
+        # and X's) and its ladder (at most k Toffolis) once
+        assert len(built) <= sum(3 * k + 1 for _, k, _ in keys)
+        assert len(doc["parts"]) == len(terms) * len(keys)
+        assert written > 3 * len(built)
 
 
 class TestCircuitFiles:
@@ -353,3 +433,26 @@ class TestCircuitFiles:
         path.write_text(json.dumps({"version": 99, "gates": []}))
         with pytest.raises(ValueError):
             load_circuit(path)
+
+
+class TestOutputsPinned:
+    """The compiled verifier's bytes, taken before the reduction wrote its
+    document directly."""
+
+    def instance(self):
+        rng = np.random.default_rng(35)
+        terms = (LocalOperator((0,), -X),  # measured on qubit 0: X.X filler
+                 LocalOperator((1,), random_stoquastic_block(rng, 1)),
+                 LocalOperator((0, 2), random_stoquastic_block(rng, 2)),
+                 LocalOperator((1, 3), -np.kron(X, X)),
+                 LocalOperator((0, 2, 3), random_stoquastic_block(rng, 3)))
+        return LhMinInstance(4, terms, -3.0, -1.0)
+
+    def test_compile_verifier_json(self, tmp_path):
+        path = str(tmp_path / "h.json")
+        save(self.instance(), path)
+        out = tmp_path / "v.json"
+        assert main(["compile", "--instance", path, "--to", "verifier",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5d7590472b01cc7db0166a2e94324437d10786e902aa6c3ce1f7d2349d9afd3d")

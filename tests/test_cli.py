@@ -23,6 +23,8 @@ from stoqbench import (DisorderEnsemble, Gate, LhMinInstance, LocalOperator,
 from stoqbench.cli import EXIT_ERROR, EXIT_OK, EXIT_PROMISE, main
 from stoqbench.ops import DEFAULT_DENSE_LIMIT
 
+from conftest import random_stoquastic_block
+
 SAT_3 = "p cnf 3 3\n1 2 0\n-1 3 0\n2 -3 0\n"
 UNSAT_2 = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
 UNSAT_BIASED = "p cnf 3 4\n1 3 0\n1 -3 0\n2 3 0\n2 -3 0\n"
@@ -187,17 +189,36 @@ class TestCompile:
         assert rate_row.split(",")[1] == "1"
 
     def test_compile_verifier_from_lhmin(self, tmp_path):
-        from stoqbench import LhMinInstance, LocalOperator, save
+        """The written parts accept psi with -alpha <psi|H|psi> + beta',
+        within the mixing budget, for n <= 4."""
         x = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        inst = LhMinInstance(1, (LocalOperator((0,), x),), -1.0 - 1e-6, 0.0)
+        rng = np.random.default_rng(15)
+        cases = [LhMinInstance(1, (LocalOperator((0,), x),), -1.0 - 1e-6, 0.0)]
+        for n in (2, 3, 4):
+            terms = tuple(
+                LocalOperator(sup, random_stoquastic_block(rng, len(sup)))
+                for sup in [(0,), (n - 1,), (0, n - 1), (1, n - 1)][:n + 1])
+            cases.append(LhMinInstance(n, terms, -1.0, 1.0))
         path = str(tmp_path / "h.json")
-        save(inst, path)
         out = str(tmp_path / "ver.json")
-        assert main(["compile", "--instance", path, "--to", "verifier",
-                     "--out", out]) == EXIT_OK
-        doc = json.loads(Path(out).read_text())
-        assert doc["kind"] == "mixed-verifier"
-        assert sum(p["p"] for p in doc["parts"]) == pytest.approx(1.0)
+        for inst in cases:
+            save(inst, path)
+            assert main(["compile", "--instance", path, "--to", "verifier",
+                         "--out", out]) == EXIT_OK
+            doc = json.loads(Path(out).read_text())
+            assert doc["kind"] == "mixed-verifier"
+            parts = [(p["p"], circuits.circuit_from_document(p["circuit"]))
+                     for p in doc["parts"]]
+            assert sum(p for p, _ in parts) == 1.0
+            h = stoqbench.assemble_dense(inst.operator())
+            budget = 1e-8 + len(parts) * 2.0**-20
+            for _ in range(4):
+                psi = rng.normal(size=2**inst.n)
+                psi /= np.linalg.norm(psi)
+                got = sum(p * circuits.acceptance_probability(v, 0, psi)
+                          for p, v in parts)
+                want = -doc["alpha"] * float(psi @ h @ psi) + doc["beta_prime"]
+                assert abs(got - want) <= budget
 
 
 class TestTraceAndEnsemble:

@@ -41,6 +41,9 @@
   ``from_document`` and ``cli._load`` read
 * a part's conjugation: ``StoqDecomposition.part_operator`` permutes its
   block by ``circuit_permutation``; there is no ``conjugate_by_circuit``
+* the compiled verifier: ``circuits.verifier_document`` builds the
+  ``mixed-verifier`` document that ``compile --to verifier`` writes and
+  ``hamiltonian_to_verifier`` reads back
 
 Each reference is compared bytewise with its home under hypothesis, and
 the source guard at the end keeps each rule from being written twice.
@@ -739,6 +742,10 @@ def _moves_a_bit(node):
      lambda node: (isinstance(node, ast.keyword) and node.arg == "exact")
      or (isinstance(node, ast.Attribute) and node.attr == "exact"),
      []),
+    ("the mixed-verifier document",
+     lambda node: isinstance(node, ast.Constant)
+     and node.value == "mixed-verifier",
+     [("circuits", "verifier_document")]),
 ])
 def test_each_rule_has_one_home(rule, match, home):
     assert _homes(match) == home, f"{rule} written outside its home"
